@@ -21,11 +21,17 @@ from .frames_io import (
     write_frames,
 )
 from .heatmaps import decode_poses, read_stack, write_stack
-from .matching import match_sets
 from .metrics import evaluate_frames
-from .pipeline import records_to_pose_map, run_pipeline
+from .pipeline import (
+    match_frames,
+    pose_map_to_records,
+    records_to_obs_map,
+    records_to_pose_map,
+    refine_tracks,
+    run_pipeline,
+    write_traces,
+)
 from .synth import generate, make_benchmark_spec
-from .tto import optimize
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -100,16 +106,14 @@ def _cmd_match(args) -> int:
     k = config.skeleton.num_joints
     td_map = records_to_pose_map(read_frames(args.td, k))
     bu_map = records_to_pose_map(read_frames(args.bu, k))
-    result = {}
-    for frame_idx in sorted(set(td_map) | set(bu_map)):
-        td_poses, _ = td_map.get(frame_idx, ([], []))
-        bu_poses, _ = bu_map.get(frame_idx, ([], []))
-        match = match_sets(td_poses, bu_poses, config.match)
-        result[str(frame_idx)] = {
+    result = {
+        str(frame_idx): {
             "pairs": [[i, j, sim] for i, j, sim in match.pairs],
             "unmatched_td": list(match.unmatched_td),
             "unmatched_bu": list(match.unmatched_bu),
         }
+        for frame_idx, _, _, match in match_frames(config, td_map, bu_map)
+    }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
@@ -118,6 +122,8 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    # Imported at call time, so that a wrapper installed on
+    # pipeline.fuse_sources (perfbench's tracer installs one) is the one called.
     from .pipeline import fuse_sources
 
     config = _load(args)
@@ -125,46 +131,21 @@ def _cmd_fuse(args) -> int:
     td_map = records_to_pose_map(read_frames(args.td, k))
     bu_map = records_to_pose_map(read_frames(args.bu, k))
     fused = fuse_sources(config, td_map, bu_map)
-    write_frames([
-        poses_to_record(idx, "fused", fused[idx][0], fused[idx][1])
-        for idx in sorted(fused)
-    ], args.out)
+    write_frames(pose_map_to_records(fused, "fused"), args.out)
     print(f"fused {len(fused)} frames -> {args.out}")
     return 0
 
 
 def _cmd_tto(args) -> int:
-    from .pipeline import records_to_obs_map, track_observations, link_tracks
-
     config = _load(args)
     k = config.skeleton.num_joints
     pose_map = records_to_pose_map(read_frames(args.poses, k))
     obs_map = records_to_obs_map(read_frames(args.obs, k)) if args.obs else None
-    tracks = link_tracks(pose_map, config.skeleton.root_index, config.linker_gate_mm)
-    refined_by_frame: dict[int, list] = {idx: [] for idx in pose_map}
-    max_window = max(config.tto.window_map().values(), default=0)
-    all_traces = {}
-    for track in tracks:
-        if len(track) > max_window:
-            obs = track_observations(track, obs_map)
-            refined, state = optimize(track, obs, config.camera, config.tto,
-                                      config.skeleton)
-            all_traces[track.person_id] = state.trace
-        else:
-            refined = track
-        for idx in refined.frame_indices:
-            refined_by_frame[idx].append((refined.frames[idx], refined.person_id))
-    write_frames([
-        poses_to_record(idx, "fused",
-                        [p for p, _ in refined_by_frame[idx]],
-                        [pid if isinstance(pid, int) else None
-                         for _, pid in refined_by_frame[idx]])
-        for idx in sorted(refined_by_frame)
-    ], args.out)
-    if args.trace and all_traces:
-        from .pipeline import write_combined_trace
-        write_combined_trace(all_traces, args.trace)
-    print(f"refined {len(tracks)} tracks -> {args.out}")
+    refined, traces = refine_tracks(pose_map, obs_map, config)
+    write_frames(pose_map_to_records(refined, "fused"), args.out)
+    if args.trace and traces:
+        write_traces(traces, args.trace)
+    print(f"refined {len(traces)} tracks -> {args.out}")
     return 0
 
 

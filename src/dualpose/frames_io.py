@@ -211,10 +211,6 @@ class RunConfig:
     linker_gate_mm: float = DEFAULT_LINKER_GATE_MM
     scene: SceneSpec | None = None
     heatmap: dict = field(default_factory=dict)
-    # corrupt_pair rates for integrator-training harnesses
-    corruption: dict = field(default_factory=lambda: {
-        "mask_rate": 0.0, "shift_sigma_mm": 0.0, "drop_rate": 0.0,
-    })
 
     @classmethod
     def default(cls) -> "RunConfig":
@@ -253,14 +249,10 @@ class RunConfig:
                 camera=camera if m.get("distance_mode") == "2d" else None,
             )
         fusion = base.fusion
-        corruption = dict(base.corruption)
         if "fusion" in d:
             f = d["fusion"]
             fusion = FusionStrategy(variant=f.get("variant", "linear"),
                                     alpha=float(f.get("alpha", 0.5)))
-            for key in corruption:
-                if key in f:
-                    corruption[key] = float(f[key])
         tto = TtoConfig.from_dict(d["tto"]) if "tto" in d else base.tto
         thresholds = MetricThresholds.from_dict(d["metrics"]) if "metrics" in d \
             else base.metrics
@@ -300,7 +292,6 @@ class RunConfig:
             linker_gate_mm=float(d.get("linker_gate_mm", DEFAULT_LINKER_GATE_MM)),
             scene=scene,
             heatmap=dict(d.get("heatmap", {})),
-            corruption=corruption,
         )
 
     def to_dict(self) -> dict:
@@ -321,8 +312,7 @@ class RunConfig:
                 "tau_match": self.match.tau_match,
                 "distance_mode": self.match.distance_mode,
             },
-            "fusion": {"variant": self.fusion.variant, "alpha": self.fusion.alpha,
-                       **self.corruption},
+            "fusion": {"variant": self.fusion.variant, "alpha": self.fusion.alpha},
             "tto": self.tto.to_dict(),
             "metrics": self.metrics.to_dict(),
             "linker_gate_mm": self.linker_gate_mm,

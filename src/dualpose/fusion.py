@@ -2,7 +2,7 @@
 
 Ships three closed-form strategies (hard, linear, fixed-weight) plus a
 pluggable integrator hook, the pairwise plausibility composition and its
-training loss, the data-corruption operators used to train integrators, and
+training loss, the pair-perturbation operator used to train integrators, and
 deterministic geometric stand-ins for the learned plausibility scorers.
 """
 from __future__ import annotations
@@ -176,7 +176,7 @@ def discriminator_loss(c_real: float, c_fake: float) -> float:
 
 def corrupt_pair(pair: tuple[Pose3D, Pose3D], seed: int, mask_rate: float,
                  shift_sigma_mm: float, drop_rate: float) -> tuple[Pose3D, Pose3D]:
-    """Data-corruption operator for integrator training.
+    """Pair-perturbation operator for integrator training.
 
     Joints are masked (confidence zeroed) with probability ``mask_rate``,
     every joint is shifted by Gaussian noise of the given sigma, and with

@@ -236,6 +236,32 @@ def _roots(poses: list[Pose3D], skel: SkeletonSpec) -> np.ndarray:
     return np.stack([p.joints[skel.root_index] for p in poses])
 
 
+def _matched_distances(pred_set: list[Pose3D], gt_set: list[Pose3D],
+                       skel: SkeletonSpec):
+    """Greedy root matching, then the per-joint distances of matched pairs.
+
+    Returns (pairs, unmatched pred indices, unmatched gt indices,
+    root-aligned distances, camera-centric distances); the distances are
+    concatenated over the pairs in match order.
+    """
+    pairs, un_pred, un_gt = greedy_root_match(_roots(pred_set, skel), _roots(gt_set, skel))
+    if not pairs:
+        return pairs, un_pred, un_gt, np.zeros(0), np.zeros(0)
+    rel = np.concatenate([_root_aligned_distances(pred_set[i], gt_set[j], skel)
+                          for i, j in pairs])
+    absolute = np.concatenate([np.linalg.norm(pred_set[i].joints - gt_set[j].joints, axis=-1)
+                               for i, j in pairs])
+    return pairs, un_pred, un_gt, rel, absolute
+
+
+def _fraction_within(dists: np.ndarray, threshold_mm: float, total_joints: int) -> float:
+    """Share of ``total_joints`` ground-truth joints whose matched distance is
+    below the threshold; joints without a match count as incorrect."""
+    if total_joints == 0:
+        return 1.0
+    return float(np.sum(dists < threshold_mm)) / total_joints
+
+
 def pck_set(pred_set: list[Pose3D], gt_set: list[Pose3D], threshold_mm: float,
             skel: SkeletonSpec, absolute: bool = False) -> float:
     """Set-level PCK with greedy root matching.
@@ -243,18 +269,9 @@ def pck_set(pred_set: list[Pose3D], gt_set: list[Pose3D], threshold_mm: float,
     Joints of unmatched ground-truth persons count as incorrect; surplus
     predictions are ignored by this metric.
     """
+    _, _, _, rel, abs_dists = _matched_distances(pred_set, gt_set, skel)
     total = sum(p.num_joints for p in gt_set)
-    if total == 0:
-        return 1.0
-    pairs, _, _ = greedy_root_match(_roots(pred_set, skel), _roots(gt_set, skel))
-    correct = 0
-    for i, j in pairs:
-        if absolute:
-            dists = np.linalg.norm(pred_set[i].joints - gt_set[j].joints, axis=-1)
-        else:
-            dists = _root_aligned_distances(pred_set[i], gt_set[j], skel)
-        correct += int(np.sum(dists < threshold_mm))
-    return correct / total
+    return _fraction_within(abs_dists if absolute else rel, threshold_mm, total)
 
 
 def auc_rel(pred_set: list[Pose3D], gt_set: list[Pose3D], skel: SkeletonSpec,
@@ -262,8 +279,9 @@ def auc_rel(pred_set: list[Pose3D], gt_set: list[Pose3D], skel: SkeletonSpec,
             step_mm: float = DEFAULT_AUC_STEP_MM) -> float:
     """Mean of the set-level PCK over the threshold grid (discrete AUC)."""
     grid = auc_thresholds(max_mm, step_mm)
-    values = [pck_set(pred_set, gt_set, t, skel) for t in grid]
-    return float(np.mean(values))
+    _, _, _, rel, _ = _matched_distances(pred_set, gt_set, skel)
+    total = sum(p.num_joints for p in gt_set)
+    return float(np.mean([_fraction_within(rel, t, total) for t in grid]))
 
 
 def ap_root(pred_set: list[Pose3D], gt_set: list[Pose3D], skel: SkeletonSpec,
@@ -396,15 +414,13 @@ def evaluate_frames(pred_frames: list[list[Pose3D]],
 
     for preds, gts in zip(pred_frames, gt_frames):
         total_gt_joints += sum(g.num_joints for g in gts)
-        pairs, un_pred, un_gt = greedy_root_match(_roots(preds, skel), _roots(gts, skel))
+        pairs, un_pred, un_gt, rel, abs_dists = _matched_distances(preds, gts, skel)
         matched += len(pairs)
         missed += len(un_gt)
         extra += len(un_pred)
-        for i, j in pairs:
-            pair_dists.append(_root_aligned_distances(preds[i], gts[j], skel))
-            pair_abs_dists.append(
-                np.linalg.norm(preds[i].joints - gts[j].joints, axis=-1))
-            pa_values.append(pa_mpjpe(preds[i], gts[j]))
+        pair_dists.append(rel)
+        pair_abs_dists.append(abs_dists)
+        pa_values.extend(pa_mpjpe(preds[i], gts[j]) for i, j in pairs)
         for t in th.f1_thresholds_m:
             tp, fp, fn = f1_counts(preds, gts, t, skel)
             f1_acc[t][0] += tp
@@ -412,25 +428,14 @@ def evaluate_frames(pred_frames: list[list[Pose3D]],
             f1_acc[t][2] += fn
         ap_scenes.append((preds, gts))
 
-    if pair_dists:
-        all_rel = np.concatenate(pair_dists)
-        all_abs = np.concatenate(pair_abs_dists)
-        mpjpe_val = float(np.mean(all_rel))
-        pa_val = float(np.mean(pa_values))
-    else:
-        all_rel = np.zeros(0)
-        all_abs = np.zeros(0)
-        mpjpe_val = float("nan")
-        pa_val = float("nan")
+    all_rel = np.concatenate(pair_dists) if pair_dists else np.zeros(0)
+    all_abs = np.concatenate(pair_abs_dists) if pair_abs_dists else np.zeros(0)
+    mpjpe_val = float(np.mean(all_rel)) if pa_values else float("nan")
+    pa_val = float(np.mean(pa_values)) if pa_values else float("nan")
 
-    def correct_fraction(dists: np.ndarray, threshold: float) -> float:
-        if total_gt_joints == 0:
-            return 1.0
-        return float(np.sum(dists < threshold)) / total_gt_joints
-
-    pck_val = correct_fraction(all_rel, th.pck_mm)
-    pck_abs_val = correct_fraction(all_abs, th.pck_abs_mm)
-    auc_val = float(np.mean([correct_fraction(all_rel, t) for t in grid]))
+    pck_val = _fraction_within(all_rel, th.pck_mm, total_gt_joints)
+    pck_abs_val = _fraction_within(all_abs, th.pck_abs_mm, total_gt_joints)
+    auc_val = float(np.mean([_fraction_within(all_rel, t, total_gt_joints) for t in grid]))
     ap_val = ap_root_pooled(ap_scenes, skel, th.ap_root_radius_mm)
 
     return MetricReport(

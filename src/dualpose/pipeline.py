@@ -2,6 +2,7 @@
 sequence refinement, and evaluation."""
 from __future__ import annotations
 
+import csv
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +22,10 @@ from .metrics import MetricReport, evaluate_frames
 from .skeleton import Pose2D, Pose3D, TrackSequence
 from .tto import TraceRow, optimize
 
+# Per-frame poses and their person ids (None when unlabeled), by frame index.
+PoseMap = dict[int, tuple[list[Pose3D], list[int | None]]]
+ObsMap = dict[int, tuple[list[Pose2D], list[int | None]]]
+
 
 @dataclass
 class PipelineResult:
@@ -32,8 +37,7 @@ class PipelineResult:
     traces: dict[int | str, list[TraceRow]]
 
 
-def records_to_pose_map(records: list[FrameRecord]
-                         ) -> dict[int, tuple[list[Pose3D], list[int | None]]]:
+def records_to_pose_map(records: list[FrameRecord]) -> PoseMap:
     out = {}
     for idx, rec in frames_by_index(records).items():
         poses = [p.to_pose3d() for p in rec.persons]
@@ -42,8 +46,12 @@ def records_to_pose_map(records: list[FrameRecord]
     return out
 
 
-def records_to_obs_map(records: list[FrameRecord]
-                        ) -> dict[int, tuple[list[Pose2D], list[int | None]]]:
+def pose_map_to_records(frames: PoseMap, source: str) -> list[FrameRecord]:
+    """Inverse of ``records_to_pose_map``: one record per frame, in frame order."""
+    return [poses_to_record(idx, source, *frames[idx]) for idx in sorted(frames)]
+
+
+def records_to_obs_map(records: list[FrameRecord]) -> ObsMap:
     out = {}
     for idx, rec in frames_by_index(records).items():
         out[idx] = ([p.to_pose2d() for p in rec.persons],
@@ -51,8 +59,7 @@ def records_to_obs_map(records: list[FrameRecord]
     return out
 
 
-def link_tracks(frames: dict[int, tuple[list[Pose3D], list[int | None]]],
-                root_index: int, gate_mm: float) -> list[TrackSequence]:
+def link_tracks(frames: PoseMap, root_index: int, gate_mm: float) -> list[TrackSequence]:
     """Assemble per-person tracks from per-frame pose lists.
 
     Poses carrying a person_id join that identity directly.  Unlabeled poses
@@ -108,18 +115,24 @@ def link_tracks(frames: dict[int, tuple[list[Pose3D], list[int | None]]],
     return [tracks[k] for k in sorted(tracks, key=str)]
 
 
-def fuse_sources(config: RunConfig,
-                 td_map: dict[int, tuple[list[Pose3D], list[int | None]]],
-                 bu_map: dict[int, tuple[list[Pose3D], list[int | None]]],
-                 ) -> dict[int, tuple[list[Pose3D], list[int | None]]]:
-    """Per-frame matching and fusion over the union of frame indices."""
-    skel = config.skeleton
-    fused: dict[int, tuple[list[Pose3D], list[int | None]]] = {}
+def match_frames(config: RunConfig, td_map: PoseMap, bu_map: PoseMap):
+    """Per-frame TD/BU matching over the union of frame indices.
+
+    Yields (frame index, (TD poses, ids), (BU poses, ids), MatchResult) in
+    frame order.
+    """
     for frame_idx in sorted(set(td_map) | set(bu_map)):
-        td_poses, td_ids = td_map.get(frame_idx, ([], []))
-        bu_poses, bu_ids = bu_map.get(frame_idx, ([], []))
-        match = match_sets(td_poses, bu_poses, config.match)
-        poses = fuse_frame(match, td_poses, bu_poses, config.fusion, skel)
+        td = td_map.get(frame_idx, ([], []))
+        bu = bu_map.get(frame_idx, ([], []))
+        yield frame_idx, td, bu, match_sets(td[0], bu[0], config.match)
+
+
+def fuse_sources(config: RunConfig, td_map: PoseMap, bu_map: PoseMap) -> PoseMap:
+    """Per-frame matching and fusion over the union of frame indices."""
+    fused: PoseMap = {}
+    for frame_idx, (td_poses, td_ids), (bu_poses, bu_ids), match in \
+            match_frames(config, td_map, bu_map):
+        poses = fuse_frame(match, td_poses, bu_poses, config.fusion, config.skeleton)
         ids: list[int | None] = []
         for i, j, _ in match.pairs:
             ids.append(td_ids[i] if td_ids[i] is not None else bu_ids[j])
@@ -129,9 +142,8 @@ def fuse_sources(config: RunConfig,
     return fused
 
 
-def track_observations(track: TrackSequence,
-                        obs_map: dict[int, tuple[list[Pose2D], list[int | None]]] | None,
-                        ) -> dict[int, Pose2D] | None:
+def track_observations(track: TrackSequence, obs_map: ObsMap | None
+                       ) -> dict[int, Pose2D] | None:
     """Observations aligned to one track, matched by person_id."""
     if obs_map is None:
         return None
@@ -147,13 +159,56 @@ def track_observations(track: TrackSequence,
     return out or None
 
 
+def contiguous_runs(track: TrackSequence) -> list[TrackSequence]:
+    """Split a track at every missing frame into runs of consecutive frames."""
+    runs: list[dict[int, Pose3D]] = []
+    for idx, pose in track.frames.items():
+        if not runs or idx - 1 not in runs[-1]:
+            runs.append({})
+        runs[-1][idx] = pose
+    return [TrackSequence(person_id=track.person_id, frames=run) for run in runs]
+
+
+def refine_tracks(frames: PoseMap, obs_map: ObsMap | None, config: RunConfig
+                  ) -> tuple[PoseMap, dict[int | str, list[TraceRow]]]:
+    """Link per-frame poses into tracks and refine each track by TTO.
+
+    Every track is split into runs of consecutive frames, so no trajectory
+    window spans a gap.  Runs no longer than the largest trajectory window
+    pass through unchanged.  Returns the refined poses per frame (every
+    input frame, each keeping its person ids) and the loss trace of every
+    optimized run, keyed by the track's person id, or by
+    ``"<person id>@<first frame>"`` when the track was split.
+    """
+    tracks = link_tracks(frames, config.skeleton.root_index, config.linker_gate_mm)
+    max_window = max(config.tto.window_map().values(), default=0)
+    refined: PoseMap = {idx: ([], []) for idx in frames}
+    traces: dict[int | str, list[TraceRow]] = {}
+    for track in tracks:
+        runs = contiguous_runs(track)
+        pid = track.person_id if isinstance(track.person_id, int) else None
+        for run in runs:
+            if len(run) > max_window:
+                obs = track_observations(run, obs_map)
+                run, state = optimize(run, obs, config.camera, config.tto,
+                                      config.skeleton)
+                key = track.person_id if len(runs) == 1 \
+                    else f"{track.person_id}@{run.frame_indices[0]}"
+                traces[key] = state.trace
+            for frame_idx, pose in run.frames.items():
+                refined[frame_idx][0].append(pose)
+                refined[frame_idx][1].append(pid)
+    return refined, traces
+
+
 def run_pipeline(config: RunConfig, td_path, bu_path=None, gt_path=None,
                  obs_path=None, trace_path=None) -> PipelineResult:
     """Execute match -> fuse -> link -> refine -> evaluate on frame files.
 
     A missing BU file degrades to TD passthrough with a warning.  Without
-    2D observations the refinement runs with the reprojection term disabled.
-    Evaluation happens only when a ground-truth file is supplied.
+    2D observations every observation confidence is 0, so the reprojection
+    term vanishes.  Evaluation happens only when a ground-truth file is
+    supplied.
     """
     num_joints = config.skeleton.num_joints
     td_records = read_frames(td_path, num_joints)
@@ -174,77 +229,35 @@ def run_pipeline(config: RunConfig, td_path, bu_path=None, gt_path=None,
     fused = fuse_sources(config, td_map, bu_map)
     if not fused:
         raise SchemaError("inputs contain no frames")
-    fused_records = [
-        poses_to_record(idx, "fused", fused[idx][0], fused[idx][1])
-        for idx in sorted(fused)
-    ]
 
-    tracks = link_tracks(fused, config.skeleton.root_index, config.linker_gate_mm)
-
-    tto_cfg = config.tto
-    if obs_map is None:
-        # No 2D anchors: drop the reprojection term entirely.
-        from .tto import TtoConfig
-        tto_cfg = TtoConfig(
-            windows=config.tto.windows,
-            c_rep_stage1=0.0, c_rep_stage2=0.0,
-            c_bone=config.tto.c_bone,
-            iters_per_stage=config.tto.iters_per_stage,
-            step_size=config.tto.step_size,
-            two_stage=config.tto.two_stage,
-        )
-
-    max_window = max(tto_cfg.window_map().values(), default=0)
-    refined_by_frame: dict[int, list[tuple[Pose3D, int | str | None]]] = {
-        idx: [] for idx in fused
-    }
-    traces: dict[int | str, list[TraceRow]] = {}
-    for track in tracks:
-        if len(track) > max_window:
-            obs = track_observations(track, obs_map)
-            refined, state = optimize(track, obs, config.camera, tto_cfg,
-                                      config.skeleton)
-            traces[track.person_id] = state.trace
-        else:
-            refined = track  # too short to fit any trajectory window
-        for frame_idx in refined.frame_indices:
-            refined_by_frame[frame_idx].append(
-                (refined.frames[frame_idx], refined.person_id))
-
-    refined_records = []
-    for idx in sorted(refined_by_frame):
-        entries = refined_by_frame[idx]
-        poses = [p for p, _ in entries]
-        ids = [pid if isinstance(pid, int) else None for _, pid in entries]
-        refined_records.append(poses_to_record(idx, "fused", poses, ids))
-
+    refined, traces = refine_tracks(fused, obs_map, config)
     if trace_path is not None and traces:
-        write_combined_trace(traces, trace_path)
+        write_traces(traces, trace_path)
 
     report = None
     if gt_path is not None:
         gt_map = records_to_pose_map(read_frames(gt_path, num_joints))
-        missing = sorted(set(gt_map) - set(refined_by_frame))
+        missing = sorted(set(gt_map) - set(refined))
         if missing:
             raise MisalignedFramesError(
                 f"ground truth covers frames absent from predictions: {missing[:5]}"
             )
-        pred_frames = [[p for p, _ in refined_by_frame[idx]] for idx in sorted(gt_map)]
+        pred_frames = [refined[idx][0] for idx in sorted(gt_map)]
         gt_frames = [gt_map[idx][0] for idx in sorted(gt_map)]
         report = evaluate_frames(pred_frames, gt_frames, config.skeleton,
                                  config.metrics)
 
     return PipelineResult(
-        refined_records=refined_records,
-        fused_records=fused_records,
+        refined_records=pose_map_to_records(refined, "fused"),
+        fused_records=pose_map_to_records(fused, "fused"),
         report=report,
         traces=traces,
     )
 
 
-def write_combined_trace(traces: dict[int | str, list[TraceRow]], path) -> None:
-    import csv
-
+def write_traces(traces: dict[int | str, list[TraceRow]], path) -> None:
+    """Write loss traces as CSV: one row per track and optimizer iteration,
+    with columns track, iteration, stage, l_traj, l_rep, l_bone, total."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["track", "iteration", "stage", "l_traj", "l_rep",

@@ -8,7 +8,6 @@ two-stage reprojection-coefficient schedule.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -152,6 +151,25 @@ def fit_trajectory(history: np.ndarray, order: int) -> np.ndarray:
     return weights @ history
 
 
+def _trajectory_residuals(positions: np.ndarray, windows: dict[int, int]
+                          ) -> tuple[float, list[tuple[int, np.ndarray, np.ndarray]]]:
+    """Trajectory loss and, per enabled order with enough frames, the
+    (window, extrapolation weights, residual) it was summed from."""
+    t_total, k, _ = positions.shape
+    loss = 0.0
+    parts = []
+    for order, w in sorted(windows.items()):
+        if t_total <= w:
+            continue
+        weights = extrapolation_weights(w, order)
+        windows_view = sliding_window_view(positions, w, axis=0)  # (T-w+1, K, 3, w)
+        pred = np.tensordot(windows_view[: t_total - w], weights, axes=([3], [0]))
+        res = positions[w:] - pred
+        loss += float(np.sum(res * res)) / k
+        parts.append((w, weights, res))
+    return loss, parts
+
+
 def trajectory_loss_grad(positions: np.ndarray, windows: dict[int, int]
                          ) -> tuple[float, np.ndarray]:
     """Trajectory residual loss and its gradient w.r.t. joint positions.
@@ -162,17 +180,10 @@ def trajectory_loss_grad(positions: np.ndarray, windows: dict[int, int]
     """
     positions = np.asarray(positions, dtype=np.float64)
     t_total, k, _ = positions.shape
-    loss = 0.0
+    loss, parts = _trajectory_residuals(positions, windows)
     grad = np.zeros_like(positions)
-    for order, w in sorted(windows.items()):
-        if t_total <= w:
-            continue
-        weights = extrapolation_weights(w, order)
-        windows_view = sliding_window_view(positions, w, axis=0)  # (T-w+1, K, 3, w)
-        pred = np.tensordot(windows_view[: t_total - w], weights, axes=([3], [0]))
-        res = positions[w:] - pred
-        loss += float(np.sum(res * res)) / k
-        coeff = 2.0 / k
+    coeff = 2.0 / k
+    for w, weights, res in parts:
         grad[w:] += coeff * res
         for j in range(w):
             grad[j:j + t_total - w] -= coeff * weights[j] * res
@@ -186,6 +197,15 @@ def trajectory_loss(seq: TrackSequence, cfg: TtoConfig) -> float:
     return loss
 
 
+def _bone_residuals(positions: np.ndarray, bones: np.ndarray, latents: np.ndarray
+                    ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Bone loss with the bone vectors, lengths and length residuals."""
+    diff = positions[:, bones[:, 1]] - positions[:, bones[:, 0]]  # (T, nB, 3)
+    lengths = np.linalg.norm(diff, axis=-1)
+    resid = lengths - latents
+    return float(np.sum(resid * resid)), diff, lengths, resid
+
+
 def bone_loss_grad(positions: np.ndarray, bones: np.ndarray, latents: np.ndarray
                    ) -> tuple[float, np.ndarray, np.ndarray]:
     """Bone-length consistency loss, gradient w.r.t. positions and latents.
@@ -194,10 +214,7 @@ def bone_loss_grad(positions: np.ndarray, bones: np.ndarray, latents: np.ndarray
     the optimal latent is the per-bone temporal mean length.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    diff = positions[:, bones[:, 1]] - positions[:, bones[:, 0]]  # (T, nB, 3)
-    lengths = np.linalg.norm(diff, axis=-1)
-    resid = lengths - latents
-    loss = float(np.sum(resid * resid))
+    loss, diff, lengths, resid = _bone_residuals(positions, bones, latents)
     unit = diff / np.maximum(lengths, 1e-12)[..., None]
     per_bone = (2.0 * resid)[..., None] * unit
     grad_pos = np.zeros_like(positions)
@@ -222,6 +239,19 @@ def optimal_bone_latents(seq: TrackSequence, skel: SkeletonSpec) -> np.ndarray:
     return bone_lengths_of(joints, skel).mean(axis=0)
 
 
+def _reprojection_residuals(positions: np.ndarray, obs_uv: np.ndarray,
+                           obs_conf: np.ndarray, cam: CameraIntrinsics
+                           ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Reprojection loss with the u and v pixel residuals."""
+    k = positions.shape[1]
+    z = positions[..., 2]
+    if np.any(z <= 0):
+        raise BehindCameraError("reprojection encountered a joint with z <= 0")
+    ru = cam.fx * positions[..., 0] / z + cam.cx - obs_uv[..., 0]
+    rv = cam.fy * positions[..., 1] / z + cam.cy - obs_uv[..., 1]
+    return float(np.sum(obs_conf * (ru * ru + rv * rv)) / k), ru, rv
+
+
 def reprojection_loss_grad(positions: np.ndarray, obs_uv: np.ndarray,
                            obs_conf: np.ndarray, cam: CameraIntrinsics
                            ) -> tuple[float, np.ndarray]:
@@ -231,16 +261,11 @@ def reprojection_loss_grad(positions: np.ndarray, obs_uv: np.ndarray,
     residual.  All joint depths must be positive.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    k = positions.shape[1]
+    loss, ru, rv = _reprojection_residuals(positions, obs_uv, obs_conf, cam)
     x = positions[..., 0]
     y = positions[..., 1]
     z = positions[..., 2]
-    if np.any(z <= 0):
-        raise BehindCameraError("reprojection encountered a joint with z <= 0")
-    ru = cam.fx * x / z + cam.cx - obs_uv[..., 0]
-    rv = cam.fy * y / z + cam.cy - obs_uv[..., 1]
-    loss = float(np.sum(obs_conf * (ru * ru + rv * rv)) / k)
-    w = obs_conf * (2.0 / k)
+    w = obs_conf * (2.0 / positions.shape[1])
     grad = np.empty_like(positions)
     grad[..., 0] = w * ru * (cam.fx / z)
     grad[..., 1] = w * rv * (cam.fy / z)
@@ -277,37 +302,18 @@ def tto_loss(seq: TrackSequence, observations: dict[int, Pose2D] | None,
     """Combined objective L_traj + c_rep(stage)*L_rep + c_bone*L_bone."""
     _, joints, _ = seq.as_arrays()
     uv, conf = _observation_arrays(seq, observations, joints.shape[1])
-    l_traj, _ = trajectory_loss_grad(joints, cfg.window_map())
-    l_rep, _ = reprojection_loss_grad(joints, uv, conf, cam)
-    l_bone, _, _ = bone_loss_grad(joints, skel.bone_array, state.bone_latents)
+    l_traj, l_rep, l_bone = _loss_terms(joints, state.bone_latents, uv, conf, cam,
+                                        skel.bone_array, cfg.window_map())
     return l_traj + cfg.c_rep(stage) * l_rep + cfg.c_bone * l_bone
 
 
-def _components(positions: np.ndarray, latents: np.ndarray, uv: np.ndarray,
+def _loss_terms(positions: np.ndarray, latents: np.ndarray, uv: np.ndarray,
                 conf: np.ndarray, cam: CameraIntrinsics, bones: np.ndarray,
                 windows: dict[int, int]) -> tuple[float, float, float]:
     """Value-only evaluation of the three loss terms (backtracking path)."""
-    t_total, k, _ = positions.shape
-    l_traj = 0.0
-    for order, w in windows.items():
-        if t_total <= w:
-            continue
-        weights = extrapolation_weights(w, order)
-        view = sliding_window_view(positions, w, axis=0)
-        pred = np.tensordot(view[: t_total - w], weights, axes=([3], [0]))
-        res = positions[w:] - pred
-        l_traj += float(np.sum(res * res)) / k
-    x = positions[..., 0]
-    y = positions[..., 1]
-    z = positions[..., 2]
-    if np.any(z <= 0):
-        raise BehindCameraError("reprojection encountered a joint with z <= 0")
-    ru = cam.fx * x / z + cam.cx - uv[..., 0]
-    rv = cam.fy * y / z + cam.cy - uv[..., 1]
-    l_rep = float(np.sum(conf * (ru * ru + rv * rv)) / k)
-    diff = positions[:, bones[:, 1]] - positions[:, bones[:, 0]]
-    resid = np.linalg.norm(diff, axis=-1) - latents
-    l_bone = float(np.sum(resid * resid))
+    l_traj, _ = _trajectory_residuals(positions, windows)
+    l_rep, _, _ = _reprojection_residuals(positions, uv, conf, cam)
+    l_bone, _, _, _ = _bone_residuals(positions, bones, latents)
     return l_traj, l_rep, l_bone
 
 
@@ -323,8 +329,8 @@ def _value_and_grad(positions: np.ndarray, latents: np.ndarray, uv: np.ndarray,
 
 
 def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
-             cam: CameraIntrinsics, cfg: TtoConfig, skel: SkeletonSpec,
-             trace_path=None) -> tuple[TrackSequence, TtoState]:
+             cam: CameraIntrinsics, cfg: TtoConfig, skel: SkeletonSpec
+             ) -> tuple[TrackSequence, TtoState]:
     """Refine a track by gradient descent over joints and bone latents.
 
     Runs ``iters_per_stage`` iterations per stage (two stages when
@@ -358,7 +364,7 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
                 cand_pos = positions - step * grad_pos
                 cand_lat = np.maximum(latents - step * grad_lat, 0.0)
                 try:
-                    cand_comps = _components(cand_pos, cand_lat, uv, conf, cam,
+                    cand_comps = _loss_terms(cand_pos, cand_lat, uv, conf, cam,
                                              bones, windows)
                 except BehindCameraError:
                     # overshoot past the image plane counts as a rejected step
@@ -385,16 +391,5 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
             iteration += 1
     state.positions = positions
     state.bone_latents = latents
-    if trace_path is not None:
-        write_trace(state.trace, trace_path)
     return seq.with_joints(positions), state
 
-
-def write_trace(trace: list[TraceRow], path) -> None:
-    """Dump a loss trace as CSV: iteration, stage, L_traj, L_rep, L_bone, total."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "stage", "l_traj", "l_rep", "l_bone", "total"])
-        for row in trace:
-            writer.writerow([row.iteration, row.stage, repr(row.l_traj),
-                             repr(row.l_rep), repr(row.l_bone), repr(row.total)])

@@ -19,6 +19,7 @@ from dualpose.metrics import (
     ap_root,
     auc_rel,
     auc_thresholds,
+    evaluate_frames,
     f1_at,
     mpjpe,
     pa_mpjpe,
@@ -318,6 +319,14 @@ def test_criterion_08_metric_oracles():
             oracles.set_pck_loops(preds, gts, t, root, absolute=False)
             for t in grid) / len(grid)
         assert auc_rel(preds, gts, SKEL) == pytest.approx(expected_auc, abs=1e-12)
+        # the aggregate report counts through the same set-level path
+        report = evaluate_frames([preds], [gts], SKEL, thresholds)
+        assert report.pck / 100 == pytest.approx(oracles.set_pck_loops(
+            preds, gts, thresholds.pck_mm, root, absolute=False), abs=1e-12)
+        assert report.pck == 100 * pck_set(preds, gts, thresholds.pck_mm, SKEL)
+        assert report.pck_abs / 100 == pytest.approx(oracles.set_pck_loops(
+            preds, gts, thresholds.pck_abs_mm, root, absolute=True), abs=1e-12)
+        assert report.auc_rel / 100 == pytest.approx(expected_auc, abs=1e-12)
         assert ap_root(preds, gts, SKEL) == pytest.approx(
             oracles.ap_root_loops(preds, gts, thresholds.ap_root_radius_mm, root),
             abs=1e-12)

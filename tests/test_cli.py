@@ -98,6 +98,19 @@ def test_match_fuse_eval_subcommands(tmp_path):
                  str(refined), str(scene_dir / "gt.jsonl")]) == 0
     assert "mpjpe_mm" in json.loads(report.read_text())
 
+    # tto on run's fused output reproduces run's refinement and trace
+    for obs in (["--obs", str(scene_dir / "obs.jsonl")], []):
+        run_dir = tmp_path / f"run{len(obs)}"
+        assert main(["run", "--config", str(config_path), "--out", str(run_dir),
+                     str(scene_dir / "td.jsonl"), str(scene_dir / "bu.jsonl"),
+                     "--trace", str(run_dir / "trace.csv"), *obs]) == 0
+        tto_out = tmp_path / f"tto{len(obs)}.jsonl"
+        tto_trace = tmp_path / f"tto{len(obs)}.csv"
+        assert main(["tto", "--config", str(config_path), "--out", str(tto_out),
+                     "--trace", str(tto_trace), str(run_dir / "fused.jsonl"), *obs]) == 0
+        assert tto_out.read_bytes() == (run_dir / "refined.jsonl").read_bytes()
+        assert tto_trace.read_bytes() == (run_dir / "trace.csv").read_bytes()
+
 
 def test_decode_subcommand(tmp_path, skel):
     from dualpose.camera import CameraIntrinsics
@@ -175,12 +188,14 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     assert code == 2
 
 
-def test_config_corruption_rates_round_trip(tmp_path):
-    config = RunConfig.default()
-    config.corruption = {"mask_rate": 0.2, "shift_sigma_mm": 15.0, "drop_rate": 0.1}
+def test_config_with_legacy_corruption_rates_loads(tmp_path):
+    # Older configs carried corrupt_pair rates in the fusion section.
+    data = RunConfig.default().to_dict()
+    data["fusion"].update({"mask_rate": 0.2, "shift_sigma_mm": 15.0, "drop_rate": 0.1})
     path = tmp_path / "config.json"
-    save_config(config, path)
+    path.write_text(json.dumps(data))
     from dualpose.frames_io import load_config
 
     loaded = load_config(path)
-    assert loaded.corruption == config.corruption
+    assert loaded.fusion == RunConfig.default().fusion
+    assert loaded.to_dict() == RunConfig.default().to_dict()

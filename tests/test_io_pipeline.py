@@ -204,6 +204,30 @@ def test_run_pipeline_zero_noise_recovers_gt(tmp_path, skel):
     assert result.report.pck == 100.0
 
 
+def test_run_pipeline_keeps_exact_motion_across_a_gap(tmp_path, skel):
+    # One labeled person at exactly 20 mm/frame, absent on frames 10-19.
+    # Each contiguous run is a fixed point of every loss term; smoothing
+    # across the gap as if the frames were consecutive would move it.
+    base = rest_pose() + (0.0, 0.0, 4000.0)
+    frames = list(range(10)) + list(range(20, 30))
+    poses = {t: pose3d_camera(base + (20.0 * t, 0.0, 0.0)) for t in frames}
+    paths = {}
+    for name in ("td", "bu"):
+        paths[name] = tmp_path / f"{name}.jsonl"
+        write_frames([poses_to_record(t, name, [poses[t]], [0]) for t in frames],
+                     paths[name])
+    result = run_pipeline(RunConfig.default(), paths["td"], bu_path=paths["bu"],
+                          trace_path=tmp_path / "trace.csv")
+    for rec in result.refined_records:
+        assert rec.persons[0].person_id == 0
+        np.testing.assert_allclose(rec.persons[0].joints, poses[rec.frame_index].joints,
+                                   atol=1e-6)
+    assert sorted(result.traces) == ["0@0", "0@20"]
+    keys = {line.split(",")[0]
+            for line in (tmp_path / "trace.csv").read_text().splitlines()[1:]}
+    assert keys == {"0@0", "0@20"}
+
+
 def test_run_pipeline_reduces_noise(tmp_path, skel):
     spec = make_benchmark_spec(seed=4, num_frames=40)
     paths, data = write_scene_files(tmp_path, skel, spec=spec)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dualpose.camera import project
+from dualpose.pipeline import write_traces
 from dualpose.errors import InsufficientHistoryError, MisalignedFramesError
 from dualpose.skeleton import (
     Frame,
@@ -400,11 +401,16 @@ def test_optimize_rejects_steps_past_image_plane(skel, cam):
 def test_optimize_trace_csv(tmp_path, skel, cam):
     seq, joints = consistent_sequence(skel, t_count=8)
     cfg = TtoConfig(iters_per_stage=3)
-    _, state = optimize(seq, None, cam, cfg, skel, trace_path=tmp_path / "trace.csv")
+    _, state = optimize(seq, None, cam, cfg, skel)
+    write_traces({seq.person_id: state.trace}, tmp_path / "trace.csv")
     text = (tmp_path / "trace.csv").read_text()
     lines = text.strip().splitlines()
-    assert lines[0] == "iteration,stage,l_traj,l_rep,l_bone,total"
+    assert lines[0] == "track,iteration,stage,l_traj,l_rep,l_bone,total"
     assert len(lines) == 1 + len(state.trace)
+    first = state.trace[0]
+    assert lines[1] == ",".join(str(v) for v in (
+        seq.person_id, first.iteration, first.stage, repr(first.l_traj),
+        repr(first.l_rep), repr(first.l_bone), repr(first.total)))
 
 
 def test_config_validation():
