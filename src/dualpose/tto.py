@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .camera import CameraIntrinsics
 from .errors import (
@@ -151,23 +150,161 @@ def fit_trajectory(history: np.ndarray, order: int) -> np.ndarray:
     return weights @ history
 
 
-def _trajectory_residuals(positions: np.ndarray, windows: dict[int, int]
-                          ) -> tuple[float, list[tuple[int, np.ndarray, np.ndarray]]]:
-    """Trajectory loss and, per enabled order with enough frames, the
-    (window, extrapolation weights, residual) it was summed from."""
-    t_total, k, _ = positions.shape
-    loss = 0.0
-    parts = []
-    for order, w in sorted(windows.items()):
-        if t_total <= w:
-            continue
-        weights = extrapolation_weights(w, order)
-        windows_view = sliding_window_view(positions, w, axis=0)  # (T-w+1, K, 3, w)
-        pred = np.tensordot(windows_view[: t_total - w], weights, axes=([3], [0]))
-        res = positions[w:] - pred
-        loss += float(np.sum(res * res)) / k
-        parts.append((w, weights, res))
-    return loss, parts
+class _Objective:
+    """The TTO loss terms of one track of fixed shape, skeleton and
+    observations, with everything that does not depend on the joints
+    computed once.
+
+    Each term method evaluates one loss term and keeps its residuals; the
+    matching ``*_grad`` method builds that term's gradient from them, so a
+    point is evaluated once whether or not its gradient is needed.
+    ``value`` and ``grad`` do this for the whole objective.
+    """
+
+    def __init__(self, shape: tuple[int, int], windows: dict[int, int] | None = None,
+                 bones: np.ndarray | None = None, uv: np.ndarray | None = None,
+                 conf: np.ndarray | None = None, cam: CameraIntrinsics | None = None):
+        t_count, k = shape
+        self.k = k
+        self.coeff = coeff = 2.0 / k
+        # (window, taps, gradient taps, rows) per enabled order with enough
+        # frames: row t predicts frame t + window from frames t .. t+window-1
+        self.orders = []
+        for order, w in sorted((windows or {}).items()):
+            if t_count > w:
+                taps = extrapolation_weights(w, order).tolist()
+                self.orders.append((w, taps, [coeff * x for x in taps], t_count - w))
+        bones = np.zeros((0, 2), dtype=np.intp) if bones is None else np.asarray(bones)
+        self.parents = bones[:, 0]
+        self.children = bones[:, 1]
+        self.scatter = _bone_scatter_rounds(bones)
+        if uv is not None:
+            self.obs_u = np.ascontiguousarray(uv[..., 0])
+            self.obs_v = np.ascontiguousarray(uv[..., 1])
+            self.conf = conf
+            self.rep_weight = conf * coeff
+            self.cam = cam
+
+    def value(self, positions: np.ndarray, latents: np.ndarray
+              ) -> tuple[float, float, float]:
+        """(trajectory, reprojection, bone) loss at the given point."""
+        # the depth check runs first, so a candidate behind the camera costs
+        # no other term
+        l_rep = self.reprojection(positions)
+        return self.trajectory(positions), l_rep, self.bone(positions, latents)
+
+    def grad(self, c_rep: float, c_bone: float) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient of L_traj + c_rep*L_rep + c_bone*L_bone w.r.t. joints and
+        latents at the point of the last ``value`` call."""
+        g_bone, g_latents = self.bone_grad()
+        grad_pos = self.trajectory_grad() + c_rep * self.reprojection_grad() \
+            + c_bone * g_bone
+        return grad_pos, c_bone * g_latents
+
+    def trajectory(self, positions: np.ndarray) -> float:
+        self.positions = positions
+        self.traj_res = []
+        loss = 0.0
+        for w, taps, _, rows in self.orders:
+            pred = taps[0] * positions[:rows]
+            for j in range(1, w):
+                pred += taps[j] * positions[j:j + rows]
+            res = positions[w:] - pred
+            loss += float(np.sum(res * res)) / self.k
+            self.traj_res.append(res)
+        return loss
+
+    def trajectory_grad(self) -> np.ndarray:
+        grad = np.zeros_like(self.positions)
+        for (w, _, grad_taps, rows), res in zip(self.orders, self.traj_res):
+            grad[w:] += self.coeff * res
+            for j in range(w):
+                grad[j:j + rows] -= grad_taps[j] * res
+        return grad
+
+    def bone(self, positions: np.ndarray, latents: np.ndarray) -> float:
+        self.positions = positions
+        diff = np.take(positions, self.children, axis=1) \
+            - np.take(positions, self.parents, axis=1)  # (T, nB, 3)
+        sq = diff * diff
+        # the sum np.linalg.norm forms, without its reduction overhead
+        self.bone_lengths = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+        self.bone_diff = diff
+        self.bone_res = self.bone_lengths - latents
+        return float(np.sum(self.bone_res * self.bone_res))
+
+    def bone_grad(self) -> tuple[np.ndarray, np.ndarray]:
+        unit = self.bone_diff / np.maximum(self.bone_lengths, 1e-12)[..., None]
+        per_bone = (2.0 * self.bone_res)[..., None] * unit
+        # scatter joint-major, so each group moves whole (T, 3) blocks
+        per_bone = np.ascontiguousarray(per_bone.transpose(1, 0, 2))
+        t_count = self.positions.shape[0]
+        grad = np.zeros((self.k, t_count, 3))
+        for sign, joints, bones in self.scatter:
+            if sign > 0:
+                grad[joints] += per_bone[bones]
+            else:
+                grad[joints] -= per_bone[bones]
+        grad = np.ascontiguousarray(grad.transpose(1, 0, 2))
+        return grad, -2.0 * self.bone_res.sum(axis=0)
+
+    def reprojection(self, positions: np.ndarray) -> float:
+        self.positions = positions
+        z = positions[..., 2]
+        if np.any(z <= 0):
+            raise BehindCameraError("reprojection encountered a joint with z <= 0")
+        cam = self.cam
+        self.ru = cam.fx * positions[..., 0] / z + cam.cx - self.obs_u
+        self.rv = cam.fy * positions[..., 1] / z + cam.cy - self.obs_v
+        return float(np.sum(self.conf * (self.ru * self.ru + self.rv * self.rv)) / self.k)
+
+    def reprojection_grad(self) -> np.ndarray:
+        positions, cam = self.positions, self.cam
+        x = positions[..., 0]
+        y = positions[..., 1]
+        z = positions[..., 2]
+        w = self.rep_weight
+        grad = np.empty_like(positions)
+        grad[..., 0] = w * self.ru * (cam.fx / z)
+        grad[..., 1] = w * self.rv * (cam.fy / z)
+        grad[..., 2] = -w * (self.ru * cam.fx * x + self.rv * cam.fy * y) / (z * z)
+        return grad
+
+
+def _bone_scatter_rounds(bones: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Index groups that scatter per-bone gradients onto joints.
+
+    Bone i adds its gradient to its child and subtracts it from its parent.
+    Round r holds every joint's r-th update in bone order, as a child group
+    (sign +1) and a parent group (sign -1) of (sign, joints, bones), so no
+    joint repeats within a group and each joint receives its updates in the
+    same order as a loop over the bones.  Any bones array works: trees in any
+    order, and joints shared by several bones.
+    """
+    rounds: list[dict[int, tuple[list[int], list[int]]]] = []
+    seen: dict[int, int] = {}
+    for i, (parent, child) in enumerate(np.asarray(bones).tolist()):
+        for joint, sign in ((child, 1), (parent, -1)):
+            r = seen.get(joint, 0)
+            seen[joint] = r + 1
+            if r == len(rounds):
+                rounds.append({1: ([], []), -1: ([], [])})
+            rounds[r][sign][0].append(joint)
+            rounds[r][sign][1].append(i)
+    return [(sign, np.array(joints, dtype=np.intp), np.array(ids, dtype=np.intp))
+            for groups in rounds for sign, (joints, ids) in groups.items() if joints]
+
+
+def _consecutive_joints(seq: TrackSequence) -> np.ndarray:
+    """Joint array (T, K, 3) of a track whose frames are consecutive."""
+    idx, joints, _ = seq.as_arrays()
+    if np.any(np.diff(idx) != 1):
+        raise MisalignedFramesError(
+            f"track {seq.person_id!r} does not cover consecutive frames "
+            f"({idx[0]}..{idx[-1]}, {len(idx)} frames); the trajectory term needs "
+            "consecutive frames, so split it with pipeline.contiguous_runs first"
+        )
+    return joints
 
 
 def trajectory_loss_grad(positions: np.ndarray, windows: dict[int, int]
@@ -179,31 +316,18 @@ def trajectory_loss_grad(positions: np.ndarray, windows: dict[int, int]
     the preceding window.  Frames with insufficient history contribute 0.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    t_total, k, _ = positions.shape
-    loss, parts = _trajectory_residuals(positions, windows)
-    grad = np.zeros_like(positions)
-    coeff = 2.0 / k
-    for w, weights, res in parts:
-        grad[w:] += coeff * res
-        for j in range(w):
-            grad[j:j + t_total - w] -= coeff * weights[j] * res
-    return loss, grad
+    objective = _Objective(positions.shape[:2], windows=windows)
+    loss = objective.trajectory(positions)
+    return loss, objective.trajectory_grad()
 
 
 def trajectory_loss(seq: TrackSequence, cfg: TtoConfig) -> float:
-    """Trajectory residual loss of a track under the configured windows."""
-    _, joints, _ = seq.as_arrays()
-    loss, _ = trajectory_loss_grad(joints, cfg.window_map())
+    """Trajectory residual loss of a track under the configured windows.
+
+    The track's frames must be consecutive (``MisalignedFramesError``
+    otherwise)."""
+    loss, _ = trajectory_loss_grad(_consecutive_joints(seq), cfg.window_map())
     return loss
-
-
-def _bone_residuals(positions: np.ndarray, bones: np.ndarray, latents: np.ndarray
-                    ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Bone loss with the bone vectors, lengths and length residuals."""
-    diff = positions[:, bones[:, 1]] - positions[:, bones[:, 0]]  # (T, nB, 3)
-    lengths = np.linalg.norm(diff, axis=-1)
-    resid = lengths - latents
-    return float(np.sum(resid * resid)), diff, lengths, resid
 
 
 def bone_loss_grad(positions: np.ndarray, bones: np.ndarray, latents: np.ndarray
@@ -214,15 +338,9 @@ def bone_loss_grad(positions: np.ndarray, bones: np.ndarray, latents: np.ndarray
     the optimal latent is the per-bone temporal mean length.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    loss, diff, lengths, resid = _bone_residuals(positions, bones, latents)
-    unit = diff / np.maximum(lengths, 1e-12)[..., None]
-    per_bone = (2.0 * resid)[..., None] * unit
-    grad_pos = np.zeros_like(positions)
-    for i, (parent, child) in enumerate(bones):
-        grad_pos[:, child] += per_bone[:, i]
-        grad_pos[:, parent] -= per_bone[:, i]
-    grad_latents = -2.0 * resid.sum(axis=0)
-    return loss, grad_pos, grad_latents
+    objective = _Objective(positions.shape[:2], bones=bones)
+    loss = objective.bone(positions, latents)
+    return (loss, *objective.bone_grad())
 
 
 def bone_loss(seq: TrackSequence, latents: np.ndarray, skel: SkeletonSpec) -> float:
@@ -239,19 +357,6 @@ def optimal_bone_latents(seq: TrackSequence, skel: SkeletonSpec) -> np.ndarray:
     return bone_lengths_of(joints, skel).mean(axis=0)
 
 
-def _reprojection_residuals(positions: np.ndarray, obs_uv: np.ndarray,
-                           obs_conf: np.ndarray, cam: CameraIntrinsics
-                           ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Reprojection loss with the u and v pixel residuals."""
-    k = positions.shape[1]
-    z = positions[..., 2]
-    if np.any(z <= 0):
-        raise BehindCameraError("reprojection encountered a joint with z <= 0")
-    ru = cam.fx * positions[..., 0] / z + cam.cx - obs_uv[..., 0]
-    rv = cam.fy * positions[..., 1] / z + cam.cy - obs_uv[..., 1]
-    return float(np.sum(obs_conf * (ru * ru + rv * rv)) / k), ru, rv
-
-
 def reprojection_loss_grad(positions: np.ndarray, obs_uv: np.ndarray,
                            obs_conf: np.ndarray, cam: CameraIntrinsics
                            ) -> tuple[float, np.ndarray]:
@@ -261,16 +366,9 @@ def reprojection_loss_grad(positions: np.ndarray, obs_uv: np.ndarray,
     residual.  All joint depths must be positive.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    loss, ru, rv = _reprojection_residuals(positions, obs_uv, obs_conf, cam)
-    x = positions[..., 0]
-    y = positions[..., 1]
-    z = positions[..., 2]
-    w = obs_conf * (2.0 / positions.shape[1])
-    grad = np.empty_like(positions)
-    grad[..., 0] = w * ru * (cam.fx / z)
-    grad[..., 1] = w * rv * (cam.fy / z)
-    grad[..., 2] = -w * (ru * cam.fx * x + rv * cam.fy * y) / (z * z)
-    return loss, grad
+    objective = _Objective(positions.shape[:2], uv=obs_uv, conf=obs_conf, cam=cam)
+    loss = objective.reprojection(positions)
+    return loss, objective.reprojection_grad()
 
 
 def _observation_arrays(seq: TrackSequence,
@@ -296,36 +394,26 @@ def _observation_arrays(seq: TrackSequence,
     return uv, conf
 
 
+def _track_objective(seq: TrackSequence, positions: np.ndarray,
+                     observations: dict[int, Pose2D] | None,
+                     cam: CameraIntrinsics, cfg: TtoConfig, skel: SkeletonSpec
+                     ) -> _Objective:
+    uv, conf = _observation_arrays(seq, observations, positions.shape[1])
+    return _Objective(positions.shape[:2], windows=cfg.window_map(),
+                      bones=skel.bone_array, uv=uv, conf=conf, cam=cam)
+
+
 def tto_loss(seq: TrackSequence, observations: dict[int, Pose2D] | None,
              cam: CameraIntrinsics, state: TtoState, cfg: TtoConfig,
              stage: int, skel: SkeletonSpec) -> float:
-    """Combined objective L_traj + c_rep(stage)*L_rep + c_bone*L_bone."""
-    _, joints, _ = seq.as_arrays()
-    uv, conf = _observation_arrays(seq, observations, joints.shape[1])
-    l_traj, l_rep, l_bone = _loss_terms(joints, state.bone_latents, uv, conf, cam,
-                                        skel.bone_array, cfg.window_map())
+    """Combined objective L_traj + c_rep(stage)*L_rep + c_bone*L_bone.
+
+    The track's frames must be consecutive (``MisalignedFramesError``
+    otherwise)."""
+    joints = _consecutive_joints(seq)
+    objective = _track_objective(seq, joints, observations, cam, cfg, skel)
+    l_traj, l_rep, l_bone = objective.value(joints, state.bone_latents)
     return l_traj + cfg.c_rep(stage) * l_rep + cfg.c_bone * l_bone
-
-
-def _loss_terms(positions: np.ndarray, latents: np.ndarray, uv: np.ndarray,
-                conf: np.ndarray, cam: CameraIntrinsics, bones: np.ndarray,
-                windows: dict[int, int]) -> tuple[float, float, float]:
-    """Value-only evaluation of the three loss terms (backtracking path)."""
-    l_traj, _ = _trajectory_residuals(positions, windows)
-    l_rep, _, _ = _reprojection_residuals(positions, uv, conf, cam)
-    l_bone, _, _, _ = _bone_residuals(positions, bones, latents)
-    return l_traj, l_rep, l_bone
-
-
-def _value_and_grad(positions: np.ndarray, latents: np.ndarray, uv: np.ndarray,
-                    conf: np.ndarray, cam: CameraIntrinsics, bones: np.ndarray,
-                    windows: dict[int, int], c_rep: float, c_bone: float):
-    l_traj, g_traj = trajectory_loss_grad(positions, windows)
-    l_rep, g_rep = reprojection_loss_grad(positions, uv, conf, cam)
-    l_bone, g_bone_pos, g_latents = bone_loss_grad(positions, bones, latents)
-    total = l_traj + c_rep * l_rep + c_bone * l_bone
-    grad_pos = g_traj + c_rep * g_rep + c_bone * g_bone_pos
-    return (l_traj, l_rep, l_bone, total), grad_pos, c_bone * g_latents
 
 
 def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
@@ -337,13 +425,11 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
     ``two_stage``).  A step that would increase the stage loss is halved
     until it does not, so the accepted loss trace is non-increasing within
     each stage.  Bone latents are projected to >= 0 after every step.
+    The track's frames must be consecutive (``MisalignedFramesError``
+    otherwise; ``pipeline.contiguous_runs`` splits a track at its gaps).
     """
-    _, positions, _ = seq.as_arrays()
-    positions = positions.copy()
-    k = positions.shape[1]
-    bones = skel.bone_array
-    windows = cfg.window_map()
-    uv, conf = _observation_arrays(seq, observations, k)
+    positions = _consecutive_joints(seq).copy()
+    objective = _track_objective(seq, positions, observations, cam, cfg, skel)
     latents = bone_lengths_of(positions[0], skel)
     state = TtoState(positions=positions, bone_latents=latents, trace=[])
 
@@ -352,8 +438,9 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
     for stage in stages:
         c_rep = cfg.c_rep(stage)
         step = cfg.step_size
-        comps, grad_pos, grad_lat = _value_and_grad(
-            positions, latents, uv, conf, cam, bones, windows, c_rep, cfg.c_bone)
+        comps = objective.value(positions, latents)
+        comps = (*comps, comps[0] + c_rep * comps[1] + cfg.c_bone * comps[2])
+        grad_pos, grad_lat = objective.grad(c_rep, cfg.c_bone)
         for _ in range(cfg.iters_per_stage):
             if not (np.all(np.isfinite(grad_pos)) and np.all(np.isfinite(grad_lat))):
                 raise NumericFailureError(
@@ -364,8 +451,7 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
                 cand_pos = positions - step * grad_pos
                 cand_lat = np.maximum(latents - step * grad_lat, 0.0)
                 try:
-                    cand_comps = _loss_terms(cand_pos, cand_lat, uv, conf, cam,
-                                             bones, windows)
+                    cand_comps = objective.value(cand_pos, cand_lat)
                 except BehindCameraError:
                     # overshoot past the image plane counts as a rejected step
                     step *= 0.5
@@ -380,9 +466,8 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
                 positions = cand_pos
                 latents = cand_lat
                 comps = (*cand_comps, cand_total)
-                _, grad_pos, grad_lat = _value_and_grad(
-                    positions, latents, uv, conf, cam, bones, windows,
-                    c_rep, cfg.c_bone)
+                # the objective still holds the residuals of this candidate
+                grad_pos, grad_lat = objective.grad(c_rep, cfg.c_bone)
                 step = min(step * STEP_GROWTH, MAX_STEP)
             state.trace.append(TraceRow(
                 iteration=iteration, stage=stage,
@@ -392,4 +477,3 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
     state.positions = positions
     state.bone_latents = latents
     return seq.with_joints(positions), state
-

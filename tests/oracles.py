@@ -185,3 +185,47 @@ def f1_loops(pred_set, gt_set, threshold_m, root_index):
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
+
+
+def trajectory_loss_grad_loops(positions, stencils):
+    """Trajectory loss and gradient by explicit loops over orders, frames and
+    taps.  ``stencils`` maps each order to its extrapolation weights; the
+    window is their length."""
+    positions = np.asarray(positions, dtype=float)
+    t_count, k, _ = positions.shape
+    loss = 0.0
+    grad = np.zeros_like(positions)
+    for order in sorted(stencils):
+        weights = stencils[order]
+        w = len(weights)
+        for t in range(w, t_count):
+            pred = np.zeros((k, 3))
+            for j in range(w):
+                pred += weights[j] * positions[t - w + j]
+            res = positions[t] - pred
+            loss += float(np.sum(res * res)) / k
+            grad[t] += (2.0 / k) * res
+            for j in range(w):
+                grad[t - w + j] -= (2.0 / k) * weights[j] * res
+    return loss, grad
+
+
+def bone_loss_grad_loops(positions, bones, latents):
+    """Bone-length loss and gradients by loops over frames and bones, each
+    bone adding its gradient to its child and subtracting it from its
+    parent in turn."""
+    positions = np.asarray(positions, dtype=float)
+    loss = 0.0
+    grad = np.zeros_like(positions)
+    grad_latents = np.zeros(len(bones))
+    for t in range(positions.shape[0]):
+        for i, (parent, child) in enumerate(bones):
+            d = positions[t, child] - positions[t, parent]
+            length = float(np.sqrt(d @ d))
+            r = length - latents[i]
+            loss += r * r
+            g = 2.0 * r * d / max(length, 1e-12)
+            grad[t, child] += g
+            grad[t, parent] -= g
+            grad_latents[i] -= 2.0 * r
+    return loss, grad, grad_latents

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualpose.camera import project
-from dualpose.pipeline import write_traces
+from dualpose.pipeline import contiguous_runs, write_traces
 from dualpose.errors import InsufficientHistoryError, MisalignedFramesError
 from dualpose.skeleton import (
     Frame,
@@ -27,6 +27,8 @@ from dualpose.tto import (
     trajectory_loss_grad,
     tto_loss,
 )
+
+from oracles import bone_loss_grad_loops, trajectory_loss_grad_loops
 
 
 def make_track(joints, conf=None):
@@ -154,6 +156,61 @@ def test_trajectory_short_sequence_contributes_zero():
     assert not grad.any()
 
 
+def gapped_linear_track():
+    """Exact 20 mm/frame motion on frames 0-9 and 20-29: each run is a fixed
+    point of every loss term, but not if the gap were closed up."""
+    base = rest_pose() + (0.0, 0.0, 4000.0)
+    frames = list(range(10)) + list(range(20, 30))
+    return TrackSequence(person_id=0, frames={
+        t: Pose3D(joints=base + (20.0 * t, 0.0, 0.0), conf=np.ones(15),
+                  frame=Frame.CAMERA_CENTRIC)
+        for t in frames
+    })
+
+
+def test_gapped_track_rejected_by_trajectory_and_optimize(skel, cam):
+    seq = gapped_linear_track()
+    with pytest.raises(MisalignedFramesError, match="pipeline.contiguous_runs"):
+        trajectory_loss(seq, TtoConfig())
+    with pytest.raises(MisalignedFramesError, match="pipeline.contiguous_runs"):
+        optimize(seq, None, cam, TtoConfig(iters_per_stage=5), skel)
+    joints = seq.as_arrays()[1]
+    state = TtoState(positions=joints, bone_latents=bone_lengths_of(joints[0], skel))
+    with pytest.raises(MisalignedFramesError, match="pipeline.contiguous_runs"):
+        tto_loss(seq, None, cam, state, TtoConfig(), stage=1, skel=skel)
+    # each contiguous run is exact motion: zero loss, and optimize keeps it
+    for run in contiguous_runs(seq):
+        assert trajectory_loss(run, TtoConfig()) < 1e-12
+        refined, _ = optimize(run, None, cam, TtoConfig(iters_per_stage=20), skel)
+        np.testing.assert_allclose(refined.as_arrays()[1], run.as_arrays()[1],
+                                   atol=1e-6)
+
+
+# Loss and gradients against the loop oracles.  The vectorized core adds in
+# another order, so they agree to float64 rounding: within 1e-12 relative to
+# the largest magnitude of each compared quantity.
+ORACLE_REL = 1e-12
+
+
+def assert_close_to_oracle(value, expected):
+    value, expected = np.asarray(value), np.asarray(expected)
+    assert value.shape == expected.shape
+    assert np.max(np.abs(value - expected)) <= ORACLE_REL * np.max(np.abs(expected))
+
+
+def test_trajectory_loss_grad_matches_loop_oracle():
+    rng = np.random.default_rng(94)
+    for windows, t_count in (({1: 2, 2: 5, 3: 5}, 30), ({1: 3, 3: 4}, 12),
+                             ({2: 6}, 7), ({1: 2, 2: 5, 3: 5}, 5)):
+        joints = 4000.0 + 80.0 * rng.standard_normal((t_count, 6, 3))
+        stencils = {o: extrapolation_weights(w, o) for o, w in windows.items()
+                    if t_count > w}
+        loss, grad = trajectory_loss_grad(joints, windows)
+        expected_loss, expected_grad = trajectory_loss_grad_loops(joints, stencils)
+        assert loss == pytest.approx(expected_loss, rel=ORACLE_REL)
+        assert_close_to_oracle(grad, expected_grad)
+
+
 # --- bone loss ------------------------------------------------------------
 
 def test_bone_loss_zero_for_matching_latents(skel):
@@ -198,6 +255,23 @@ def test_bone_loss_rigid_invariance(skel):
     moved = joints @ q.T + np.array([900.0, -40.0, 1200.0])
     rotated, _, _ = bone_loss_grad(moved, skel.bone_array, latents)
     assert rotated == pytest.approx(base, rel=1e-9)
+
+
+def test_bone_loss_grad_matches_loop_oracle(skel):
+    rng = np.random.default_rng(95)
+    tree = skel.bone_array
+    shuffled = tree[rng.permutation(len(tree))]
+    # joint 0 is the parent of three bones and joint 1 the child of three
+    shared = np.array([[0, 1], [0, 2], [2, 1], [0, 3], [3, 1], [1, 4]])
+    for bones, k in ((tree, 15), (tree[::-1], 15), (shuffled, 15), (shared, 5)):
+        joints = 4000.0 + 150.0 * rng.standard_normal((9, k, 3))
+        latents = np.abs(np.linalg.norm(joints[0, bones[:, 1]] - joints[0, bones[:, 0]],
+                                        axis=-1) + 20.0 * rng.standard_normal(len(bones)))
+        loss, grad_pos, grad_lat = bone_loss_grad(joints, bones, latents)
+        expected = bone_loss_grad_loops(joints, bones, latents)
+        assert loss == pytest.approx(expected[0], rel=ORACLE_REL)
+        assert_close_to_oracle(grad_pos, expected[1])
+        assert_close_to_oracle(grad_lat, expected[2])
 
 
 # --- gradient checks ------------------------------------------------------
