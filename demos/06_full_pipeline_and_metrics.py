@@ -16,24 +16,24 @@ from dualpose.skeleton import default_skeleton
 from dualpose.synth import benchmark_camera, generate, make_benchmark_spec
 
 skel = default_skeleton()
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="dualpose_demo_"))
-
 spec = make_benchmark_spec(seed=1, num_frames=60)
 data = generate(spec, benchmark_camera(), skel)
 ids = list(range(spec.num_persons))
 gt_frames = data.gt_frames()
 
-paths = {}
-for name, frames in (("gt", gt_frames), ("td", data.noisy_td),
-                     ("bu", data.noisy_bu), ("obs", data.obs_2d)):
-    paths[name] = workdir / f"{name}.jsonl"
-    write_frames([poses_to_record(t, name, frames[t], ids)
-                  for t in range(spec.num_frames)], paths[name])
-print("scene files in", workdir)
+with tempfile.TemporaryDirectory(prefix="dualpose_demo_") as tmp:
+    workdir = pathlib.Path(tmp)
+    paths = {}
+    for name, frames in (("gt", gt_frames), ("td", data.noisy_td),
+                         ("bu", data.noisy_bu), ("obs", data.obs_2d)):
+        paths[name] = workdir / f"{name}.jsonl"
+        write_frames([poses_to_record(t, name, frames[t], ids)
+                      for t in range(spec.num_frames)], paths[name])
+    print("scene files in", workdir)
 
-config = RunConfig.from_dict({"tto": {"iters_per_stage": 200}})
-result = run_pipeline(config, paths["td"], bu_path=paths["bu"],
-                      gt_path=paths["gt"], obs_path=paths["obs"])
+    config = RunConfig.from_dict({"tto": {"iters_per_stage": 200}})
+    result = run_pipeline(config, paths["td"], bu_path=paths["bu"],
+                          gt_path=paths["gt"], obs_path=paths["obs"])
 
 fused = [[p.to_pose3d() for p in rec.persons] for rec in result.fused_records]
 before = evaluate_frames(fused, gt_frames, skel)

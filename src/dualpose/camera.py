@@ -22,14 +22,6 @@ class CameraIntrinsics:
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
 
-    def to_dict(self) -> dict:
-        return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraIntrinsics":
-        return cls(fx=float(d["fx"]), fy=float(d["fy"]),
-                   cx=float(d["cx"]), cy=float(d["cy"]))
-
 
 def project(points: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
     """Project (..., 3) camera-space mm points to (..., 2) pixel coordinates.

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import DualPoseError, NumericFailureError, SchemaError
+from .errors import DualPoseError, NumericFailureError
 from .frames_io import (
     RunConfig,
     load_config,
@@ -23,6 +23,7 @@ from .frames_io import (
 from .heatmaps import decode_poses, read_stack, write_stack
 from .metrics import evaluate_frames
 from .pipeline import (
+    aligned_frames,
     match_frames,
     pose_map_to_records,
     records_to_obs_map,
@@ -61,8 +62,8 @@ def _cmd_synth(args) -> int:
     data = generate(
         spec, config.camera, config.skeleton,
         render_heatmaps=bool(args.heatmaps),
-        heatmap_grid=(int(heat.get("width", 128)), int(heat.get("height", 96))),
-        heatmap_sigma_px=float(heat.get("sigma_px", 2.0)),
+        heatmap_grid=(heat.width, heat.height),
+        heatmap_sigma_px=heat.sigma_px,
     )
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -89,12 +90,8 @@ def _cmd_decode(args) -> int:
     records = []
     for frame_idx, path in enumerate(sorted(args.stacks)):
         stack = read_stack(path)
-        poses = decode_poses(
-            stack, config.camera, config.skeleton,
-            theta_peak=float(heat.get("theta_peak", 0.3)),
-            theta_tag=float(heat.get("theta_tag", 1.0)),
-            sampling=heat.get("sampling", "bilinear"),
-        )
+        poses = decode_poses(stack, config.camera, config.skeleton,
+                             theta_peak=heat.theta_peak, theta_tag=heat.theta_tag)
         records.append(poses_to_record(frame_idx, "bu", poses))
     write_frames(records, args.out)
     print(f"decoded {len(records)} stacks -> {args.out}")
@@ -154,15 +151,8 @@ def _cmd_eval(args) -> int:
     k = config.skeleton.num_joints
     pred_map = records_to_pose_map(read_frames(args.pred, k))
     gt_map = records_to_pose_map(read_frames(args.gt, k))
-    indices = sorted(gt_map)
-    missing = [i for i in indices if i not in pred_map]
-    if missing:
-        raise SchemaError(f"predictions missing for frames {missing[:5]}")
-    report = evaluate_frames(
-        [pred_map[i][0] for i in indices],
-        [gt_map[i][0] for i in indices],
-        config.skeleton, config.metrics,
-    )
+    report = evaluate_frames(*aligned_frames(pred_map, gt_map), config.skeleton,
+                             config.metrics)
     report.to_json(args.out)
     report.to_csv(Path(args.out).with_suffix(".csv"))
     print(f"mpjpe={report.mpjpe_mm:.3f}mm pck={report.pck:.2f}% "

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -29,7 +31,8 @@ from .skeleton import (
     default_skeleton,
 )
 from .fusion import FusionStrategy
-from .synth import MotionSpec, SceneSpec
+from .heatmaps import HeatmapConfig
+from .synth import SceneSpec, benchmark_camera
 from .tto import TtoConfig
 
 SOURCES_3D = ("td", "bu", "gt", "fused")
@@ -199,7 +202,11 @@ def frames_by_index(records: list[FrameRecord]) -> dict[int, FrameRecord]:
 
 @dataclass
 class RunConfig:
-    """Bundle of all sub-configurations driving the processing chain."""
+    """Bundle of all sub-configurations driving the processing chain.
+
+    The JSON form mirrors the dataclass fields, section by section (see
+    ``from_dict``).
+    """
 
     skeleton: SkeletonSpec
     camera: CameraIntrinsics
@@ -210,14 +217,14 @@ class RunConfig:
     seed: int = 0
     linker_gate_mm: float = DEFAULT_LINKER_GATE_MM
     scene: SceneSpec | None = None
-    heatmap: dict = field(default_factory=dict)
+    heatmap: HeatmapConfig = field(default_factory=HeatmapConfig)
 
     @classmethod
     def default(cls) -> "RunConfig":
         skel = default_skeleton()
         return cls(
             skeleton=skel,
-            camera=CameraIntrinsics(fx=1100.0, fy=1100.0, cx=640.0, cy=360.0),
+            camera=benchmark_camera(),
             match=MatchConfig(tau_match=default_tau_match(skel.num_joints)),
             fusion=FusionStrategy.linear(),
             tto=TtoConfig(),
@@ -226,121 +233,116 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        base = cls.default()
-        skel = base.skeleton
-        if "skeleton" in d:
-            s = d["skeleton"]
-            skel = SkeletonSpec(
-                joint_names=tuple(s["joint_names"]),
-                bones=tuple((int(p), int(c)) for p, c in s["bones"]),
-                root_index=int(s["root_index"]),
-                oks_sigma=np.array(s["oks_sigma"]) if "oks_sigma" in s else None,
-            )
-        camera = CameraIntrinsics.from_dict(d["camera"]) if "camera" in d else base.camera
-        match = base.match
-        if "match" in d:
-            m = d["match"]
-            match = MatchConfig(
-                scale=float(m.get("scale", 1.0)),
-                fixed_scale_mm=m.get("fixed_scale_mm"),
-                sigma_override=np.array(m["sigma_override"]) if m.get("sigma_override") else None,
-                tau_match=float(m.get("tau_match", default_tau_match(skel.num_joints))),
-                distance_mode=m.get("distance_mode", "3d"),
-                camera=camera if m.get("distance_mode") == "2d" else None,
-            )
-        fusion = base.fusion
-        if "fusion" in d:
-            f = d["fusion"]
-            fusion = FusionStrategy(variant=f.get("variant", "linear"),
-                                    alpha=float(f.get("alpha", 0.5)))
-        tto = TtoConfig.from_dict(d["tto"]) if "tto" in d else base.tto
-        thresholds = MetricThresholds.from_dict(d["metrics"]) if "metrics" in d \
-            else base.metrics
-        scene = None
-        if "scene" in d:
-            s = d["scene"]
-            motions = tuple(
-                MotionSpec(
-                    kind=m.get("kind", "constant"),
-                    root_coeffs=tuple(tuple(row) for row in m["root_coeffs"]),
-                    body_scale=float(m.get("body_scale", 1.0)),
-                    yaw_rate=float(m.get("yaw_rate", 0.0)),
-                    swing_amplitude_mm=float(m.get("swing_amplitude_mm", 0.0)),
-                    swing_period_frames=float(m.get("swing_period_frames", 40.0)),
-                )
-                for m in s["motions"]
-            )
-            scene = SceneSpec(
-                num_persons=int(s["num_persons"]),
-                num_frames=int(s["num_frames"]),
-                motions=motions,
-                sigma_3d_mm=float(s.get("sigma_3d_mm", 0.0)),
-                sigma_2d_px=float(s.get("sigma_2d_px", 0.0)),
-                conf_base=float(s.get("conf_base", 1.0)),
-                conf_jitter=float(s.get("conf_jitter", 0.0)),
-                drop_prob=float(s.get("drop_prob", 0.0)),
-                seed=int(s.get("seed", d.get("seed", 0))),
-            )
-        return cls(
-            skeleton=skel,
-            camera=camera,
-            match=match,
-            fusion=fusion,
-            tto=tto,
-            metrics=thresholds,
-            seed=int(d.get("seed", 0)),
-            linker_gate_mm=float(d.get("linker_gate_mm", DEFAULT_LINKER_GATE_MM)),
-            scene=scene,
-            heatmap=dict(d.get("heatmap", {})),
+        """Build a config from its JSON form.
+
+        A key absent from the file takes its field's default; an absent
+        section, the section of ``RunConfig.default()``.  Derived values:
+        an absent ``match.tau_match`` is ``default_tau_match`` of the
+        skeleton's joint count, ``match.camera`` is the config camera in
+        2D distance mode, and an absent ``scene.seed`` is the top-level seed.
+        """
+        d = _json_object(d, "config")
+        config = _from_json(cls, {k: v for k, v in d.items() if k not in ("match", "scene")},
+                            "config", **vars(cls.default()))
+        match = _json_object(d.get("match", {}), "config.match")
+        config.match = _from_json(
+            MatchConfig, match, "config.match",
+            tau_match=default_tau_match(config.skeleton.num_joints),
+            camera=config.camera if match.get("distance_mode") == "2d" else None,
         )
+        if d.get("scene") is not None:
+            config.scene = _from_json(SceneSpec, d["scene"], "config.scene",
+                                      seed=config.seed)
+        return config
 
     def to_dict(self) -> dict:
-        out = {
-            "seed": self.seed,
-            "skeleton": {
-                "joint_names": list(self.skeleton.joint_names),
-                "bones": [list(b) for b in self.skeleton.bones],
-                "root_index": self.skeleton.root_index,
-                "oks_sigma": [float(s) for s in self.skeleton.oks_sigma],
-            },
-            "camera": self.camera.to_dict(),
-            "match": {
-                "scale": self.match.scale,
-                "fixed_scale_mm": self.match.fixed_scale_mm,
-                "sigma_override": None if self.match.sigma_override is None
-                else [float(s) for s in self.match.sigma_override],
-                "tau_match": self.match.tau_match,
-                "distance_mode": self.match.distance_mode,
-            },
-            "fusion": {"variant": self.fusion.variant, "alpha": self.fusion.alpha},
-            "tto": self.tto.to_dict(),
-            "metrics": self.metrics.to_dict(),
-            "linker_gate_mm": self.linker_gate_mm,
-            "heatmap": self.heatmap,
-        }
-        if self.scene is not None:
-            out["scene"] = {
-                "num_persons": self.scene.num_persons,
-                "num_frames": self.scene.num_frames,
-                "motions": [
-                    {
-                        "kind": m.kind,
-                        "root_coeffs": [list(row) for row in m.root_coeffs],
-                        "body_scale": m.body_scale,
-                        "yaw_rate": m.yaw_rate,
-                        "swing_amplitude_mm": m.swing_amplitude_mm,
-                        "swing_period_frames": m.swing_period_frames,
-                    }
-                    for m in self.scene.motions
-                ],
-                "sigma_3d_mm": self.scene.sigma_3d_mm,
-                "sigma_2d_px": self.scene.sigma_2d_px,
-                "conf_base": self.scene.conf_base,
-                "conf_jitter": self.scene.conf_jitter,
-                "drop_prob": self.scene.drop_prob,
-                "seed": self.scene.seed,
-            }
-        return out
+        return _to_json(self)
+
+
+# Fields never written to a config file: derived from other settings, or
+# holding code.
+_UNSAVED = {MatchConfig: ("camera",), FusionStrategy: ("integrator",)}
+
+# Keys of removed settings that older config files carry: the value that
+# left behavior unchanged, and where the setting lives now.
+_REMOVED = {
+    MatchConfig: {
+        "scale": (1.0, "the OKS scale is match.fixed_scale_mm, or the TD pose's box"),
+        "sigma_override": (None, "the matching sigmas are skeleton.oks_sigma"),
+    },
+    HeatmapConfig: {
+        "sampling": ("bilinear", "heatmaps are always sampled bilinearly"),
+    },
+}
+
+
+def _to_json(value):
+    """JSON form of a config value: dataclasses by their saved fields."""
+    if is_dataclass(value):
+        skip = _UNSAVED.get(type(value), ())
+        return {f.name: _to_json(getattr(value, f.name))
+                for f in fields(value) if f.name not in skip}
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def _json_object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{path}: expected an object")
+    return value
+
+
+def _from_json(cls, data, path: str, **defaults):
+    """Build dataclass ``cls`` from its JSON object ``data``.
+
+    Each saved field present in ``data`` is coerced to the field's type;
+    an absent one takes ``defaults``, else the field default.  Unknown keys
+    are ignored.
+    """
+    data = _json_object(data, path)
+    for key, (old_default, moved) in _REMOVED.get(cls, {}).items():
+        if key in data and data[key] != old_default:
+            raise SchemaError(f"{path}.{key} was removed: {moved}")
+    hints = get_type_hints(cls)
+    skip = _UNSAVED.get(cls, ())
+    kwargs = dict(defaults)
+    for f in fields(cls):
+        if f.name in data and f.name not in skip:
+            kwargs[f.name] = _coerce(hints[f.name], data[f.name], f"{path}.{f.name}")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _coerce(tp, value, path: str):
+    """``value`` read from JSON as type ``tp``."""
+    if is_dataclass(tp):
+        return _from_json(tp, value, path)
+    args = get_args(tp)
+    if get_origin(tp) in (Union, UnionType):
+        if value is None and type(None) in args:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _coerce(tp, value, path)
+    if tp is np.ndarray or get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise SchemaError(f"{path}: expected a list")
+        if tp is np.ndarray:
+            return np.array([_validate_number(v, f"{path}[{i}]") for i, v in enumerate(value)])
+        if args[-1] is not Ellipsis and len(value) != len(args):
+            raise SchemaError(f"{path}: expected {len(args)} entries, got {len(value)}")
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return tuple(_coerce(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+    if tp is float:
+        return _validate_number(value, path)
+    if tp is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if tp in (int, bool, str):
+        if not isinstance(value, tp) or (tp is int and isinstance(value, bool)):
+            raise SchemaError(f"{path}: expected {tp.__name__}, got {value!r}")
+    return value
 
 
 def load_config(path) -> RunConfig:
@@ -351,7 +353,7 @@ def load_config(path) -> RunConfig:
             raise SchemaError(f"{path}: malformed JSON config: {exc}") from exc
     try:
         return RunConfig.from_dict(data)
-    except (KeyError, TypeError) as exc:
+    except SchemaError as exc:
         raise SchemaError(f"{path}: invalid config: {exc}") from exc
 
 

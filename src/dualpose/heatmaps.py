@@ -19,9 +19,21 @@ from .skeleton import Frame, Pose2D, Pose3D, SkeletonSpec
 MAGIC = b"PHMS"
 FORMAT_VERSION = 1
 
+DEFAULT_GRID = (128, 96)  # (width, height) px
 DEFAULT_PEAK_THRESHOLD = 0.3
 DEFAULT_TAG_THRESHOLD = 1.0
 DEFAULT_SIGMA_PX = 2.0
+
+
+@dataclass(frozen=True)
+class HeatmapConfig:
+    """Heatmap grid and Gaussian width for rendering, thresholds for decoding."""
+
+    width: int = DEFAULT_GRID[0]
+    height: int = DEFAULT_GRID[1]
+    sigma_px: float = DEFAULT_SIGMA_PX
+    theta_peak: float = DEFAULT_PEAK_THRESHOLD
+    theta_tag: float = DEFAULT_TAG_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -81,17 +93,6 @@ def bilinear_sample(grid: np.ndarray, u: float, v: float) -> float:
     return float(top * (1.0 - fy) + bot * fy)
 
 
-def nearest_sample(grid: np.ndarray, u: float, v: float) -> float:
-    """Nearest-cell lookup of a (H, W) grid at pixel (u, v)."""
-    h, w = grid.shape
-    if not (0.0 <= u <= w - 1 and 0.0 <= v <= h - 1):
-        raise OutOfGridError(f"sample ({u}, {v}) outside grid {w}x{h}")
-    return float(grid[int(round(v)), int(round(u))])
-
-
-_SAMPLERS = {"bilinear": bilinear_sample, "nearest": nearest_sample}
-
-
 def extract_peaks(stack: HeatmapStack, theta_peak: float = DEFAULT_PEAK_THRESHOLD
                   ) -> list[list[tuple[float, float, float]]]:
     """Per-joint sub-pixel peak candidates (u, v, score).
@@ -140,8 +141,8 @@ def extract_peaks(stack: HeatmapStack, theta_peak: float = DEFAULT_PEAK_THRESHOL
 
 
 def group_by_tags(peaks: list[list[tuple[float, float, float]]],
-                  tag_maps: np.ndarray, theta_tag: float = DEFAULT_TAG_THRESHOLD,
-                  sampling: str = "bilinear") -> list[Pose2D]:
+                  tag_maps: np.ndarray, theta_tag: float = DEFAULT_TAG_THRESHOLD
+                  ) -> list[Pose2D]:
     """Greedy grouping of joint peaks into persons by ID-tag proximity.
 
     Each peak joins the existing group whose running mean tag is nearest and
@@ -150,12 +151,11 @@ def group_by_tags(peaks: list[list[tuple[float, float, float]]],
     """
     if theta_tag <= 0:
         raise ValueError("theta_tag must be positive")
-    sample = _SAMPLERS[sampling]
     k = len(peaks)
     groups: list[dict] = []  # {"joints": {k: (u, v, score)}, "tag_sum", "n"}
     for joint in range(k):
         for (u, v, score) in peaks[joint]:
-            tag = sample(tag_maps[joint], u, v)
+            tag = bilinear_sample(tag_maps[joint], u, v)
             best = None
             best_dist = None
             for g in groups:
@@ -183,21 +183,20 @@ def group_by_tags(peaks: list[list[tuple[float, float, float]]],
     return poses
 
 
-def retrieve_depths(pose2d: Pose2D, stack: HeatmapStack, skel: SkeletonSpec,
-                    sampling: str = "bilinear") -> tuple[float, np.ndarray]:
+def retrieve_depths(pose2d: Pose2D, stack: HeatmapStack, skel: SkeletonSpec
+                    ) -> tuple[float, np.ndarray]:
     """Read (root depth, per-joint relative depths) at the pose's joints.
 
     The root depth map is sampled at the root joint; each relative-depth
     map is sampled at its own joint.  Raises OutOfGridError for joints
     outside the grid.
     """
-    sample = _SAMPLERS[sampling]
     ru, rv = pose2d.joints[skel.root_index]
-    z_root = sample(stack.root_depth_map, ru, rv)
+    z_root = bilinear_sample(stack.root_depth_map, ru, rv)
     z_rel = np.empty(pose2d.num_joints)
     for k in range(pose2d.num_joints):
         u, v = pose2d.joints[k]
-        z_rel[k] = sample(stack.rel_depth_maps[k], u, v)
+        z_rel[k] = bilinear_sample(stack.rel_depth_maps[k], u, v)
     return z_root, z_rel
 
 
@@ -267,8 +266,7 @@ def render_stack(poses: list[Pose3D], cam: CameraIntrinsics, skel: SkeletonSpec,
 
 def decode_stack(stack: HeatmapStack, skel: SkeletonSpec,
                  theta_peak: float = DEFAULT_PEAK_THRESHOLD,
-                 theta_tag: float = DEFAULT_TAG_THRESHOLD,
-                 sampling: str = "bilinear"
+                 theta_tag: float = DEFAULT_TAG_THRESHOLD
                  ) -> list[tuple[Pose2D, float, np.ndarray]]:
     """Full decode: peaks -> person groups -> depth retrieval.
 
@@ -277,20 +275,19 @@ def decode_stack(stack: HeatmapStack, skel: SkeletonSpec,
     depth is unreadable).
     """
     peaks = extract_peaks(stack, theta_peak)
-    grouped = group_by_tags(peaks, stack.tag_maps, theta_tag, sampling)
+    grouped = group_by_tags(peaks, stack.tag_maps, theta_tag)
     out = []
     for pose in grouped:
         if pose.conf[skel.root_index] <= 0.0:
             continue
-        z_root, z_rel = retrieve_depths(pose, stack, skel, sampling)
+        z_root, z_rel = retrieve_depths(pose, stack, skel)
         out.append((pose, z_root, z_rel))
     return out
 
 
 def decode_poses(stack: HeatmapStack, cam: CameraIntrinsics, skel: SkeletonSpec,
                  theta_peak: float = DEFAULT_PEAK_THRESHOLD,
-                 theta_tag: float = DEFAULT_TAG_THRESHOLD,
-                 sampling: str = "bilinear") -> list[Pose3D]:
+                 theta_tag: float = DEFAULT_TAG_THRESHOLD) -> list[Pose3D]:
     """Decode a stack into camera-centric 3D poses.
 
     Joint depth = root depth + relative depth; each joint is back-projected
@@ -298,8 +295,7 @@ def decode_poses(stack: HeatmapStack, cam: CameraIntrinsics, skel: SkeletonSpec,
     point stays finite (their confidence remains 0).
     """
     out = []
-    for pose2d, z_root, z_rel in decode_stack(stack, skel, theta_peak,
-                                              theta_tag, sampling):
+    for pose2d, z_root, z_rel in decode_stack(stack, skel, theta_peak, theta_tag):
         depths = z_root + np.where(pose2d.conf > 0.0, z_rel, 0.0)
         joints = back_project(pose2d.joints, depths, cam)
         out.append(Pose3D(joints=joints, conf=pose2d.conf,

@@ -28,24 +28,20 @@ def default_tau_match(num_joints: int) -> float:
 class MatchConfig:
     """Parameters controlling pose similarity and assignment.
 
-    ``scale`` multiplies the per-pair OKS scale; the scale itself defaults to
-    the square root of the TD pose's axis-aligned x-y bounding-box area (the
-    metric-space analog of image-box normalization), unless ``fixed_scale_mm``
-    pins it.  ``tau_match`` is the minimum similarity for a valid pair; pairs
-    below it are demoted to unmatched.  ``distance_mode`` selects 3D mm
-    distances (default) or projected 2D pixel distances (requires ``camera``).
+    The per-pair OKS scale is the square root of the TD pose's axis-aligned
+    x-y bounding-box area (the metric-space analog of image-box
+    normalization), unless ``fixed_scale_mm`` pins it.  ``tau_match`` is
+    the minimum similarity for a valid pair; pairs below it are demoted to
+    unmatched.  ``distance_mode`` selects 3D mm distances (default) or
+    projected 2D pixel distances (requires ``camera``).
     """
 
-    scale: float = 1.0
     fixed_scale_mm: float | None = None
-    sigma_override: np.ndarray | None = None
     tau_match: float = 1.5
     distance_mode: str = "3d"
     camera: CameraIntrinsics | None = None
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
         if self.fixed_scale_mm is not None and self.fixed_scale_mm <= 0:
             raise ValueError("fixed_scale_mm must be positive")
         if self.tau_match < 0:
@@ -54,11 +50,6 @@ class MatchConfig:
             raise ValueError("distance_mode must be '3d' or '2d'")
         if self.distance_mode == "2d" and self.camera is None:
             raise ValueError("distance_mode '2d' requires a camera")
-        if self.sigma_override is not None:
-            sigma = np.asarray(self.sigma_override, dtype=np.float64)
-            if np.any(sigma <= 0):
-                raise ValueError("sigma_override entries must be positive")
-            object.__setattr__(self, "sigma_override", sigma)
 
 
 @dataclass(frozen=True)
@@ -90,10 +81,10 @@ def oks(joint_a, joint_b, s: float, sigma: float) -> float:
 def pair_scale_mm(p_td: Pose3D, cfg: MatchConfig) -> float:
     """OKS scale for a pose pair, from the TD pose's x-y extent."""
     if cfg.fixed_scale_mm is not None:
-        return cfg.scale * cfg.fixed_scale_mm
+        return cfg.fixed_scale_mm
     ext = p_td.joints.max(axis=0) - p_td.joints.min(axis=0)
     area = ext[0] * ext[1]
-    return cfg.scale * max(float(np.sqrt(max(area, 0.0))), MIN_SCALE_MM)
+    return max(float(np.sqrt(max(area, 0.0))), MIN_SCALE_MM)
 
 
 def _joint_positions(pose: Pose3D, cfg: MatchConfig) -> np.ndarray:
@@ -102,17 +93,20 @@ def _joint_positions(pose: Pose3D, cfg: MatchConfig) -> np.ndarray:
     return pose.joints
 
 
-def pose_similarity(p_bu: Pose3D, p_td: Pose3D, cfg: MatchConfig) -> float:
+def pose_similarity(p_bu: Pose3D, p_td: Pose3D, cfg: MatchConfig,
+                    sigma: np.ndarray | None = None) -> float:
     """Confidence-weighted sum over joints of OKS between two poses.
 
     Sim = sum_k min(c_bu[k], c_td[k]) * exp(-d_k^2 / (2 s^2 sigma_k^2)).
+    ``sigma`` holds the per-joint OKS sigmas (a skeleton's ``oks_sigma``);
+    it defaults to ``default_oks_sigmas`` of the joint count.
     """
     if p_bu.frame is not Frame.CAMERA_CENTRIC or p_td.frame is not Frame.CAMERA_CENTRIC:
         raise FrameMismatchError("pose similarity is defined on camera-centric poses")
     if p_bu.num_joints != p_td.num_joints:
         raise ValueError("poses must share one skeleton")
     k = p_td.num_joints
-    sigma = cfg.sigma_override if cfg.sigma_override is not None else default_oks_sigmas(k)
+    sigma = default_oks_sigmas(k) if sigma is None else np.asarray(sigma)
     if sigma.shape != (k,):
         raise ValueError(f"sigma must have shape ({k},)")
     s = pair_scale_mm(p_td, cfg)
@@ -124,16 +118,18 @@ def pose_similarity(p_bu: Pose3D, p_td: Pose3D, cfg: MatchConfig) -> float:
     return float(np.sum(w * kern))
 
 
-def similarity_matrix(td: list[Pose3D], bu: list[Pose3D], cfg: MatchConfig) -> np.ndarray:
+def similarity_matrix(td: list[Pose3D], bu: list[Pose3D], cfg: MatchConfig,
+                      sigma: np.ndarray | None = None) -> np.ndarray:
     """(len(td), len(bu)) matrix of pose similarities."""
     sim = np.zeros((len(td), len(bu)), dtype=np.float64)
     for i, p_td in enumerate(td):
         for j, p_bu in enumerate(bu):
-            sim[i, j] = pose_similarity(p_bu, p_td, cfg)
+            sim[i, j] = pose_similarity(p_bu, p_td, cfg, sigma)
     return sim
 
 
-def match_sets(td: list[Pose3D], bu: list[Pose3D], cfg: MatchConfig) -> MatchResult:
+def match_sets(td: list[Pose3D], bu: list[Pose3D], cfg: MatchConfig,
+               sigma: np.ndarray | None = None) -> MatchResult:
     """Optimal assignment between the TD and BU pose sets.
 
     Maximizes total similarity via the Hungarian algorithm, then demotes
@@ -147,7 +143,7 @@ def match_sets(td: list[Pose3D], bu: list[Pose3D], cfg: MatchConfig) -> MatchRes
             unmatched_td=tuple(range(len(td))),
             unmatched_bu=tuple(range(len(bu))),
         )
-    sim = similarity_matrix(td, bu, cfg)
+    sim = similarity_matrix(td, bu, cfg, sigma)
     rows, cols = linear_sum_assignment(-sim)
     pairs = []
     matched_td, matched_bu = set(), set()

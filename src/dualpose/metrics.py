@@ -36,27 +36,6 @@ class MetricThresholds:
     ap_root_radius_mm: float = DEFAULT_AP_ROOT_RADIUS_MM
     f1_thresholds_m: tuple[float, ...] = DEFAULT_F1_THRESHOLDS_M
 
-    def to_dict(self) -> dict:
-        return {
-            "pck_mm": self.pck_mm,
-            "auc_max_mm": self.auc_max_mm,
-            "auc_step_mm": self.auc_step_mm,
-            "pck_abs_mm": self.pck_abs_mm,
-            "ap_root_radius_mm": self.ap_root_radius_mm,
-            "f1_thresholds_m": list(self.f1_thresholds_m),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricThresholds":
-        return cls(
-            pck_mm=float(d.get("pck_mm", DEFAULT_PCK_THRESHOLD_MM)),
-            auc_max_mm=float(d.get("auc_max_mm", DEFAULT_AUC_MAX_MM)),
-            auc_step_mm=float(d.get("auc_step_mm", DEFAULT_AUC_STEP_MM)),
-            pck_abs_mm=float(d.get("pck_abs_mm", DEFAULT_PCK_ABS_THRESHOLD_MM)),
-            ap_root_radius_mm=float(d.get("ap_root_radius_mm", DEFAULT_AP_ROOT_RADIUS_MM)),
-            f1_thresholds_m=tuple(d.get("f1_thresholds_m", DEFAULT_F1_THRESHOLDS_M)),
-        )
-
 
 @dataclass
 class MetricReport:

@@ -124,7 +124,8 @@ def match_frames(config: RunConfig, td_map: PoseMap, bu_map: PoseMap):
     for frame_idx in sorted(set(td_map) | set(bu_map)):
         td = td_map.get(frame_idx, ([], []))
         bu = bu_map.get(frame_idx, ([], []))
-        yield frame_idx, td, bu, match_sets(td[0], bu[0], config.match)
+        yield frame_idx, td, bu, match_sets(td[0], bu[0], config.match,
+                                            config.skeleton.oks_sigma)
 
 
 def fuse_sources(config: RunConfig, td_map: PoseMap, bu_map: PoseMap) -> PoseMap:
@@ -201,6 +202,21 @@ def refine_tracks(frames: PoseMap, obs_map: ObsMap | None, config: RunConfig
     return refined, traces
 
 
+def aligned_frames(pred: PoseMap, gt: PoseMap
+                   ) -> tuple[list[list[Pose3D]], list[list[Pose3D]]]:
+    """Prediction and ground-truth pose lists of every GT frame, in frame order.
+
+    Raises MisalignedFramesError when a GT frame has no prediction record.
+    """
+    missing = sorted(set(gt) - set(pred))
+    if missing:
+        raise MisalignedFramesError(
+            f"ground truth covers frames absent from predictions: {missing[:5]}"
+        )
+    indices = sorted(gt)
+    return [pred[i][0] for i in indices], [gt[i][0] for i in indices]
+
+
 def run_pipeline(config: RunConfig, td_path, bu_path=None, gt_path=None,
                  obs_path=None, trace_path=None) -> PipelineResult:
     """Execute match -> fuse -> link -> refine -> evaluate on frame files.
@@ -237,14 +253,7 @@ def run_pipeline(config: RunConfig, td_path, bu_path=None, gt_path=None,
     report = None
     if gt_path is not None:
         gt_map = records_to_pose_map(read_frames(gt_path, num_joints))
-        missing = sorted(set(gt_map) - set(refined))
-        if missing:
-            raise MisalignedFramesError(
-                f"ground truth covers frames absent from predictions: {missing[:5]}"
-            )
-        pred_frames = [refined[idx][0] for idx in sorted(gt_map)]
-        gt_frames = [gt_map[idx][0] for idx in sorted(gt_map)]
-        report = evaluate_frames(pred_frames, gt_frames, config.skeleton,
+        report = evaluate_frames(*aligned_frames(refined, gt_map), config.skeleton,
                                  config.metrics)
 
     return PipelineResult(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraIntrinsics, project, rotate_points_about_y
-from .heatmaps import HeatmapStack, render_stack
+from .heatmaps import DEFAULT_GRID, DEFAULT_SIGMA_PX, HeatmapStack, render_stack
 from .skeleton import (
     Frame,
     Pose2D,
@@ -39,7 +39,7 @@ class MotionSpec:
     """
 
     kind: str = "constant"
-    root_coeffs: tuple = ((0.0, 0.0, 3000.0),)
+    root_coeffs: tuple[tuple[float, float, float], ...] = ((0.0, 0.0, 3000.0),)
     body_scale: float = 1.0
     yaw_rate: float = 0.0
     swing_amplitude_mm: float = 0.0
@@ -148,8 +148,9 @@ def _gt_joints(spec: SceneSpec, skel: SkeletonSpec, rng: np.random.Generator
 
 
 def generate(spec: SceneSpec, cam: CameraIntrinsics, skel: SkeletonSpec,
-             render_heatmaps: bool = False, heatmap_grid: tuple[int, int] = (128, 96),
-             heatmap_sigma_px: float = 2.0) -> SceneData:
+             render_heatmaps: bool = False,
+             heatmap_grid: tuple[int, int] = DEFAULT_GRID,
+             heatmap_sigma_px: float = DEFAULT_SIGMA_PX) -> SceneData:
     """Build a scene: exact tracks, noisy TD/BU estimates, 2D observations.
 
     Noisy sources are ground truth plus independent Gaussian 3D noise;

@@ -68,29 +68,6 @@ class TtoConfig:
     def c_rep(self, stage: int) -> float:
         return self.c_rep_stage1 if stage == 1 else self.c_rep_stage2
 
-    def to_dict(self) -> dict:
-        return {
-            "windows": list(self.windows),
-            "c_rep_stage1": self.c_rep_stage1,
-            "c_rep_stage2": self.c_rep_stage2,
-            "c_bone": self.c_bone,
-            "iters_per_stage": self.iters_per_stage,
-            "step_size": self.step_size,
-            "two_stage": self.two_stage,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TtoConfig":
-        return cls(
-            windows=tuple(d.get("windows", (2, 5, 5))),
-            c_rep_stage1=float(d.get("c_rep_stage1", 0.1)),
-            c_rep_stage2=float(d.get("c_rep_stage2", 100.0)),
-            c_bone=float(d.get("c_bone", 1.0)),
-            iters_per_stage=int(d.get("iters_per_stage", 300)),
-            step_size=float(d.get("step_size", 1e-3)),
-            two_stage=bool(d.get("two_stage", True)),
-        )
-
 
 @dataclass
 class TraceRow:

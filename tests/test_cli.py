@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from dualpose.cli import main
 from dualpose.frames_io import RunConfig, save_config
@@ -199,3 +200,21 @@ def test_config_with_legacy_corruption_rates_loads(tmp_path):
     loaded = load_config(path)
     assert loaded.fusion == RunConfig.default().fusion
     assert loaded.to_dict() == RunConfig.default().to_dict()
+
+
+def test_eval_and_run_reject_gt_frames_without_prediction(tmp_path, capsys):
+    config_path, _ = write_config(tmp_path, num_frames=6, iters=3)
+    scene = tmp_path / "scene"
+    main(["synth", "--config", str(config_path), "--out", str(scene)])
+    td = tmp_path / "td_short.jsonl"
+    td.write_text("".join((scene / "td.jsonl").read_text().splitlines(True)[:4]))
+    code = main(["eval", "--config", str(config_path), "--out", str(tmp_path / "r.json"),
+                 str(td), str(scene / "gt.jsonl")])
+    eval_err = capsys.readouterr().err
+    with pytest.warns(UserWarning, match="passthrough"):
+        code_run = main(["run", "--config", str(config_path), "--out",
+                         str(tmp_path / "out"), str(td), "--gt", str(scene / "gt.jsonl")])
+    run_err = capsys.readouterr().err
+    assert code == code_run == 1
+    for err in (eval_err, run_err):
+        assert "ground truth covers frames absent from predictions: [4, 5]" in err

@@ -2,10 +2,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dualpose.errors import SchemaError
+from dualpose.errors import MisalignedFramesError, SchemaError
 from dualpose.frames_io import (
     FrameRecord,
     PersonRecord,
@@ -16,8 +16,9 @@ from dualpose.frames_io import (
     save_config,
     write_frames,
 )
+from dualpose.matching import default_tau_match, pose_similarity
 from dualpose.metrics import evaluate_frames
-from dualpose.pipeline import link_tracks, run_pipeline
+from dualpose.pipeline import aligned_frames, link_tracks, match_frames, run_pipeline
 from dualpose.skeleton import pose3d_camera, rest_pose
 from dualpose.synth import benchmark_camera, generate, make_benchmark_spec
 
@@ -131,19 +132,163 @@ def test_obs_records_are_2d(tmp_path):
     assert pose.joints.shape == (1, 2)
 
 
-def test_config_round_trip(tmp_path):
-    config = RunConfig.default()
+# A non-default value for every saved config field; int-valued floats
+# come back as floats.
+_reals = st.one_of(st.integers(1, 400).map(float),
+                   st.floats(1e-3, 400.0, allow_nan=False, allow_infinity=False))
+_windows = st.tuples(st.sampled_from([0, 2, 3]), st.sampled_from([0, 3, 5, 7]),
+                     st.sampled_from([0, 4, 6]))
+_tto = st.fixed_dictionaries({
+    "windows": _windows.map(list), "c_rep_stage1": _reals, "c_rep_stage2": _reals,
+    "c_bone": _reals, "iters_per_stage": st.integers(1, 1000), "step_size": _reals,
+    "two_stage": st.booleans(),
+})
+_metrics = st.fixed_dictionaries({
+    "pck_mm": _reals, "auc_max_mm": _reals, "auc_step_mm": _reals,
+    "pck_abs_mm": _reals, "ap_root_radius_mm": _reals,
+    "f1_thresholds_m": st.lists(_reals, min_size=1, max_size=4),
+})
+_match = st.fixed_dictionaries({
+    "fixed_scale_mm": st.one_of(st.none(), _reals),
+    "tau_match": _reals, "distance_mode": st.sampled_from(["3d", "2d"]),
+})
+_fusion = st.fixed_dictionaries({
+    "variant": st.sampled_from(["hard", "linear", "weighted"]),
+    "alpha": st.floats(0.0, 1.0),
+})
+_motion = st.builds(
+    lambda kind, coeffs, scale, yaw, swing, period: {
+        "kind": kind,
+        "root_coeffs": coeffs[:{"constant": 1, "linear": 2, "polynomial": 4,
+                                "sinusoidal": 2}[kind]],
+        "body_scale": scale, "yaw_rate": yaw,
+        "swing_amplitude_mm": swing if kind == "sinusoidal" else 0.0,
+        "swing_period_frames": period,
+    },
+    st.sampled_from(["constant", "linear", "polynomial", "sinusoidal"]),
+    st.lists(st.lists(_reals, min_size=3, max_size=3), min_size=4, max_size=4),
+    _reals, _reals, _reals, _reals,
+)
+_scene = st.lists(_motion, min_size=1, max_size=3).flatmap(lambda motions: st.fixed_dictionaries({
+    "num_persons": st.just(len(motions)), "num_frames": st.integers(1, 500),
+    "motions": st.just(motions), "sigma_3d_mm": _reals, "sigma_2d_px": _reals,
+    "conf_base": st.floats(0.0, 1.0), "conf_jitter": st.floats(0.0, 1.0),
+    "drop_prob": st.floats(0.0, 1.0), "seed": st.integers(0, 2**31),
+}))
+_heatmap = st.fixed_dictionaries({
+    "width": st.integers(2, 512), "height": st.integers(2, 512), "sigma_px": _reals,
+    "theta_peak": _reals, "theta_tag": _reals,
+})
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tto=_tto, metrics=_metrics, match=_match, fusion=_fusion, scene=_scene,
+       heatmap=_heatmap, seed=st.integers(0, 2**31), gate=_reals)
+def test_config_round_trip(tmp_path, tto, metrics, match, fusion, scene, heatmap,
+                           seed, gate):
+    config = RunConfig.from_dict({
+        "tto": tto, "metrics": metrics, "match": match, "fusion": fusion,
+        "scene": scene, "heatmap": heatmap, "seed": seed, "linker_gate_mm": gate,
+    })
     path = tmp_path / "config.json"
     save_config(config, path)
     loaded = load_config(path)
-    assert loaded.skeleton.joint_names == config.skeleton.joint_names
     assert loaded.camera == config.camera
     assert loaded.tto == config.tto
-    assert loaded.match.tau_match == config.match.tau_match
     assert loaded.metrics == config.metrics
-    d1 = loaded.to_dict()
-    d2 = config.to_dict()
+    assert loaded.scene == config.scene
+    assert loaded.match == config.match
+    d1, d2 = loaded.to_dict(), config.to_dict()
     assert d1 == d2
+    # json.dumps tells 3 from 3.0: int-valued floats must stay floats.
+    assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+    assert json.dumps(d1, sort_keys=True) == json.dumps(json.loads(path.read_text()),
+                                                         sort_keys=True)
+    assert isinstance(loaded.tto.c_bone, float) and isinstance(loaded.scene.seed, int)
+
+
+def _five_joint_skeleton() -> dict:
+    return {"joint_names": ["root", "a", "b", "c", "d"],
+            "bones": [[0, 1], [1, 2], [0, 3], [3, 4]], "root_index": 0}
+
+
+@pytest.mark.parametrize("extra", [{}, {"match": {}}, {"match": {"distance_mode": "3d"}}])
+def test_absent_tau_match_follows_skeleton_joint_count(extra):
+    config = RunConfig.from_dict({"skeleton": _five_joint_skeleton(), **extra})
+    assert config.match.tau_match == default_tau_match(5) == 0.5
+    explicit = RunConfig.from_dict({"skeleton": _five_joint_skeleton(),
+                                    "match": {"tau_match": 2.0}})
+    assert explicit.match.tau_match == 2.0
+
+
+def test_skeleton_oks_sigma_is_the_matching_sigma(skel):
+    # One noisy TD/BU pair; every similarity term reads skeleton.oks_sigma.
+    rng = np.random.default_rng(7)
+    td = random_camera_pose(rng, skel, spread_mm=0.0)
+    bu = pose3d_camera(td.joints + 40.0 * rng.standard_normal(td.joints.shape))
+    maps = ({0: ([td], [0])}, {0: ([bu], [0])})
+    data = RunConfig.default().to_dict()
+    base = RunConfig.from_dict(data)
+    data["skeleton"]["oks_sigma"] = [10.0 * s for s in data["skeleton"]["oks_sigma"]]
+    wide = RunConfig.from_dict(data)
+    (_, _, _, m_base), = match_frames(base, *maps)
+    (_, _, _, m_wide), = match_frames(wide, *maps)
+    sim_base, sim_wide = m_base.pairs[0][2], m_wide.pairs[0][2]
+    assert sim_base == pytest.approx(
+        pose_similarity(bu, td, base.match, skel.oks_sigma), abs=1e-12)
+    assert sim_wide == pytest.approx(
+        pose_similarity(bu, td, base.match, 10.0 * skel.oks_sigma), abs=1e-12)
+    assert sim_wide > sim_base + 0.5
+
+
+def test_config_with_removed_keys_at_their_old_defaults_loads(tmp_path):
+    # Configs saved before these settings were removed carry them.
+    data = RunConfig.default().to_dict()
+    data["match"].update({"scale": 1.0, "sigma_override": None})
+    data["heatmap"]["sampling"] = "bilinear"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert load_config(path).to_dict() == RunConfig.default().to_dict()
+
+
+@pytest.mark.parametrize("section, key, value, moved_to", [
+    ("match", "scale", 2.0, "match.fixed_scale_mm"),
+    ("match", "sigma_override", [0.05] * 15, "skeleton.oks_sigma"),
+    ("heatmap", "sampling", "nearest", "bilinear"),
+])
+def test_config_with_removed_key_set_is_rejected(tmp_path, section, key, value, moved_to):
+    data = RunConfig.default().to_dict()
+    data[section][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match=f"{section}.{key} was removed") as info:
+        load_config(path)
+    assert moved_to in str(info.value)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("tto", "iters_per_stage", "300"),
+    ("tto", "two_stage", 1),
+    ("tto", "windows", [2, 5]),
+    ("metrics", "pck_mm", None),
+    ("tto", "step_size", -1.0),
+])
+def test_config_rejects_mistyped_or_invalid_values(section, key, value):
+    data = RunConfig.default().to_dict()
+    data[section][key] = value
+    with pytest.raises(SchemaError, match=f"{section}"):
+        RunConfig.from_dict(data)
+
+
+def test_aligned_frames_requires_a_prediction_for_every_gt_frame(skel):
+    rng = np.random.default_rng(8)
+    gt = {t: ([random_camera_pose(rng, skel)], [0]) for t in range(3)}
+    pred = {t: gt[t] for t in (0, 2)}
+    with pytest.raises(MisalignedFramesError, match=r"absent from predictions: \[1\]"):
+        aligned_frames(pred, gt)
+    pred_frames, gt_frames = aligned_frames({**pred, 1: gt[1], 5: gt[0]}, gt)
+    assert gt_frames == [gt[t][0] for t in range(3)] == pred_frames
 
 
 def test_config_rejects_malformed(tmp_path):

@@ -186,6 +186,6 @@ def test_tau_match_demotes_low_similarity(skel):
 
 def test_match_config_validation():
     with pytest.raises(ValueError):
-        MatchConfig(scale=0.0)
+        MatchConfig(fixed_scale_mm=0.0)
     with pytest.raises(ValueError):
         MatchConfig(distance_mode="2d")  # no camera supplied
