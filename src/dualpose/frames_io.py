@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import chain
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -39,6 +40,10 @@ SOURCES_3D = ("td", "bu", "gt", "fused")
 SOURCES = SOURCES_3D + ("obs",)
 
 DEFAULT_LINKER_GATE_MM = 500.0
+
+# The Python types json.loads gives JSON numbers; bool, a subclass of int,
+# is not one of them.
+_NUMBER_TYPES = {float, int}
 
 
 @dataclass
@@ -80,9 +85,40 @@ class FrameRecord:
 def _validate_number(value, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise SchemaError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise SchemaError(f"{path}: value is out of the float64 range") from None
+    if not math.isfinite(number):
         raise SchemaError(f"{path}: value must be finite")
-    return float(value)
+    return number
+
+
+def _number_array(values: list, path: str, nested: bool) -> np.ndarray:
+    """``values``, a list of JSON numbers (``nested``: of equal-length lists
+    of them), as a float64 array.
+
+    One type scan and one conversion when every entry is a finite float or
+    int (bools excluded); otherwise each entry is validated in turn, so the
+    SchemaError names the first bad one as ``path[k]``.
+    """
+    items = chain.from_iterable(values) if nested else values
+    if set(map(type, items)) <= _NUMBER_TYPES:
+        try:
+            array = np.array(values, dtype=np.float64)
+        except OverflowError:  # an int beyond the float64 range
+            pass
+        else:
+            if np.isfinite(array).all():
+                return array
+    if nested:
+        return np.array([[_validate_number(c, f"{path}[{k}]") for c in row]
+                         for k, row in enumerate(values)])
+    return np.array([_validate_number(c, f"{path}[{k}]") for k, c in enumerate(values)])
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_person(obj, path: str, expect_dim: int | None,
@@ -104,19 +140,15 @@ def _parse_person(obj, path: str, expect_dim: int | None,
         raise SchemaError(
             f"{path}.joints: expected {expect_dim or '2 or 3'}-element joints, got {dim}"
         )
-    joints = np.array([
-        [_validate_number(c, f"{path}.joints[{k}]") for c in joint]
-        for k, joint in enumerate(joints_raw)
-    ])
+    joints = _number_array(joints_raw, f"{path}.joints", nested=True)
     conf_raw = obj.get("conf")
     if not isinstance(conf_raw, list) or len(conf_raw) != len(joints_raw):
         raise SchemaError(f"{path}.conf: expected {len(joints_raw)} confidences")
-    conf = np.array([_validate_number(c, f"{path}.conf[{k}]")
-                     for k, c in enumerate(conf_raw)])
-    if np.any(conf < 0.0) or np.any(conf > 1.0):
+    conf = _number_array(conf_raw, f"{path}.conf", nested=False)
+    if not ((conf >= 0.0) & (conf <= 1.0)).all():
         raise SchemaError(f"{path}.conf: confidences must lie in [0, 1]")
     person_id = obj.get("person_id")
-    if person_id is not None and not isinstance(person_id, int):
+    if person_id is not None and not _is_int(person_id):
         raise SchemaError(f"{path}.person_id: expected an integer or null")
     return PersonRecord(joints=joints, conf=conf, person_id=person_id)
 
@@ -125,7 +157,7 @@ def parse_frame_record(obj, line_no: int, num_joints: int | None = None) -> Fram
     where = f"line {line_no}"
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected a JSON object")
-    if not isinstance(obj.get("frame_index"), int):
+    if not _is_int(obj.get("frame_index")):
         raise SchemaError(f"{where}: frame_index: expected an integer")
     source = obj.get("source")
     if source not in SOURCES:
@@ -163,8 +195,8 @@ def read_frames(path, num_joints: int | None = None) -> list[FrameRecord]:
 def _person_to_dict(person: PersonRecord) -> dict:
     return {
         "person_id": person.person_id,
-        "joints": [[float(c) for c in joint] for joint in person.joints],
-        "conf": [float(c) for c in person.conf],
+        "joints": np.asarray(person.joints, dtype=np.float64).tolist(),
+        "conf": np.asarray(person.conf, dtype=np.float64).tolist(),
     }
 
 

@@ -68,6 +68,11 @@ class MatchResult:
         return total
 
 
+def _oks_kernel(d2, s, sigma):
+    """exp(-d^2 / (2 s^2 sigma^2)), elementwise over broadcast arrays."""
+    return np.exp(-d2 / (2.0 * s * s * sigma * sigma))
+
+
 def oks(joint_a, joint_b, s: float, sigma: float) -> float:
     """Object keypoint similarity: exp(-d^2 / (2 s^2 sigma^2))."""
     if s <= 0 or sigma <= 0:
@@ -75,57 +80,63 @@ def oks(joint_a, joint_b, s: float, sigma: float) -> float:
     a = np.asarray(joint_a, dtype=np.float64)
     b = np.asarray(joint_b, dtype=np.float64)
     d2 = float(np.sum((a - b) ** 2))
-    return float(np.exp(-d2 / (2.0 * s * s * sigma * sigma)))
+    return float(_oks_kernel(d2, s, sigma))
 
 
-def pair_scale_mm(p_td: Pose3D, cfg: MatchConfig) -> float:
-    """OKS scale for a pose pair, from the TD pose's x-y extent."""
+def _pair_scales(td_joints: np.ndarray, cfg: MatchConfig) -> np.ndarray:
+    """(P,) OKS scales of (P, K, 3) TD poses, from each pose's x-y extent."""
     if cfg.fixed_scale_mm is not None:
-        return cfg.fixed_scale_mm
-    ext = p_td.joints.max(axis=0) - p_td.joints.min(axis=0)
-    area = ext[0] * ext[1]
-    return max(float(np.sqrt(max(area, 0.0))), MIN_SCALE_MM)
+        return np.full(len(td_joints), cfg.fixed_scale_mm, dtype=np.float64)
+    ext = td_joints.max(axis=1) - td_joints.min(axis=1)
+    area = ext[:, 0] * ext[:, 1]
+    return np.maximum(np.sqrt(np.maximum(area, 0.0)), MIN_SCALE_MM)
 
 
-def _joint_positions(pose: Pose3D, cfg: MatchConfig) -> np.ndarray:
+def _joint_positions(joints: np.ndarray, cfg: MatchConfig) -> np.ndarray:
     if cfg.distance_mode == "2d":
-        return project(pose.joints, cfg.camera)
-    return pose.joints
+        return project(joints, cfg.camera)
+    return joints
 
 
 def pose_similarity(p_bu: Pose3D, p_td: Pose3D, cfg: MatchConfig,
                     sigma: np.ndarray | None = None) -> float:
-    """Confidence-weighted sum over joints of OKS between two poses.
-
-    Sim = sum_k min(c_bu[k], c_td[k]) * exp(-d_k^2 / (2 s^2 sigma_k^2)).
-    ``sigma`` holds the per-joint OKS sigmas (a skeleton's ``oks_sigma``);
-    it defaults to ``default_oks_sigmas`` of the joint count.
-    """
-    if p_bu.frame is not Frame.CAMERA_CENTRIC or p_td.frame is not Frame.CAMERA_CENTRIC:
-        raise FrameMismatchError("pose similarity is defined on camera-centric poses")
-    if p_bu.num_joints != p_td.num_joints:
-        raise ValueError("poses must share one skeleton")
-    k = p_td.num_joints
-    sigma = default_oks_sigmas(k) if sigma is None else np.asarray(sigma)
-    if sigma.shape != (k,):
-        raise ValueError(f"sigma must have shape ({k},)")
-    s = pair_scale_mm(p_td, cfg)
-    a = _joint_positions(p_bu, cfg)
-    b = _joint_positions(p_td, cfg)
-    d2 = np.sum((a - b) ** 2, axis=-1)
-    kern = np.exp(-d2 / (2.0 * s * s * sigma * sigma))
-    w = np.minimum(p_bu.conf, p_td.conf)
-    return float(np.sum(w * kern))
+    """Similarity of one BU/TD pose pair: the 1x1 ``similarity_matrix``."""
+    return float(similarity_matrix([p_td], [p_bu], cfg, sigma)[0, 0])
 
 
 def similarity_matrix(td: list[Pose3D], bu: list[Pose3D], cfg: MatchConfig,
                       sigma: np.ndarray | None = None) -> np.ndarray:
-    """(len(td), len(bu)) matrix of pose similarities."""
-    sim = np.zeros((len(td), len(bu)), dtype=np.float64)
-    for i, p_td in enumerate(td):
-        for j, p_bu in enumerate(bu):
-            sim[i, j] = pose_similarity(p_bu, p_td, cfg, sigma)
-    return sim
+    """(len(td), len(bu)) matrix of pose similarities, all pairs at once.
+
+    Sim[i, j] = sum_k min(c_bu[k], c_td[k]) * exp(-d_k^2 / (2 s^2 sigma_k^2)),
+    a confidence-weighted sum over joints of the OKS between TD pose i and
+    BU pose j, with s the OKS scale of TD pose i (``MatchConfig``).
+    ``sigma`` holds the per-joint OKS sigmas (a skeleton's ``oks_sigma``);
+    it defaults to ``default_oks_sigmas`` of the joint count.
+    """
+    if not td or not bu:
+        return np.zeros((len(td), len(bu)), dtype=np.float64)
+    poses = (*td, *bu)
+    if any(p.frame is not Frame.CAMERA_CENTRIC for p in poses):
+        raise FrameMismatchError("pose similarity is defined on camera-centric poses")
+    k = td[0].num_joints
+    if any(p.num_joints != k for p in poses):
+        raise ValueError("poses must share one skeleton")
+    sigma = default_oks_sigmas(k) if sigma is None else np.asarray(sigma)
+    if sigma.shape != (k,):
+        raise ValueError(f"sigma must have shape ({k},)")
+    # Axes (td, bu, joint[, coordinate]).  Each entry's sums run over its own
+    # pair's elements in the same order as for a lone pair, so an entry does
+    # not depend on the other poses of the sets.
+    td_joints = np.stack([p.joints for p in td])
+    s = _pair_scales(td_joints, cfg)[:, None, None]
+    a = _joint_positions(np.stack([p.joints for p in bu]), cfg)[None]
+    b = _joint_positions(td_joints, cfg)[:, None]
+    d2 = np.sum((a - b) ** 2, axis=-1)
+    kern = _oks_kernel(d2, s, sigma)
+    w = np.minimum(np.stack([p.conf for p in bu])[None],
+                   np.stack([p.conf for p in td])[:, None])
+    return np.sum(w * kern, axis=-1)
 
 
 def match_sets(td: list[Pose3D], bu: list[Pose3D], cfg: MatchConfig,

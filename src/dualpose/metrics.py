@@ -317,6 +317,42 @@ def ap_root_pooled(scenes: list[tuple[list[Pose3D], list[Pose3D]]],
     return ap / num_gt
 
 
+def _f1_matches(pred_set: list[Pose3D], gt_set: list[Pose3D], skel: SkeletonSpec
+                ) -> tuple[np.ndarray, int, int]:
+    """The threshold-free part of the F1 counts of one frame.
+
+    Persons are paired by minimum-total root distance (Hungarian).  Returns
+    (camera-centric joint distances of the pairs, concatenated in pair
+    order; joints of unmatched predictions; joints of unmatched
+    ground-truth persons).
+    """
+    pairs: list[tuple[int, int]] = []
+    if pred_set and gt_set:
+        pred_roots = _roots(pred_set, skel)
+        gt_roots = _roots(gt_set, skel)
+        d = np.linalg.norm(pred_roots[:, None, :] - gt_roots[None, :, :], axis=-1)
+        rows, cols = linear_sum_assignment(d)
+        pairs = list(zip(rows.tolist(), cols.tolist()))
+    diffs = [pred_set[i].joints - gt_set[j].joints for i, j in pairs]
+    dists = np.linalg.norm(np.concatenate(diffs), axis=-1) if diffs else np.zeros(0)
+    matched_pred = {i for i, _ in pairs}
+    matched_gt = {j for _, j in pairs}
+    extra = sum(p.num_joints for i, p in enumerate(pred_set) if i not in matched_pred)
+    missed = sum(g.num_joints for j, g in enumerate(gt_set) if j not in matched_gt)
+    return dists, extra, missed
+
+
+def _f1_tally(matches: tuple[np.ndarray, int, int],
+              threshold_m: float) -> tuple[int, int, int]:
+    """(TP, FP, FN) of one frame's ``_f1_matches`` at a threshold in meters."""
+    if threshold_m <= 0:
+        raise ValueError("threshold must be positive")
+    dists, extra, missed = matches
+    hits = int(np.sum(dists < threshold_m * 1000.0))
+    misses = dists.size - hits
+    return hits, misses + extra, misses + missed
+
+
 def f1_counts(pred_set: list[Pose3D], gt_set: list[Pose3D], threshold_m: float,
               skel: SkeletonSpec) -> tuple[int, int, int]:
     """(TP, FP, FN) joint counts at a threshold given in meters.
@@ -326,33 +362,7 @@ def f1_counts(pred_set: list[Pose3D], gt_set: list[Pose3D], threshold_m: float,
     Joints of unmatched ground-truth persons are FNs; joints of unmatched
     predictions are FPs.
     """
-    if threshold_m <= 0:
-        raise ValueError("threshold must be positive")
-    threshold_mm = threshold_m * 1000.0
-    pred_roots = _roots(pred_set, skel)
-    gt_roots = _roots(gt_set, skel)
-    tp = fp = fn = 0
-    pairs: list[tuple[int, int]] = []
-    if len(pred_set) and len(gt_set):
-        d = np.linalg.norm(pred_roots[:, None, :] - gt_roots[None, :, :], axis=-1)
-        rows, cols = linear_sum_assignment(d)
-        pairs = list(zip(rows.tolist(), cols.tolist()))
-    matched_pred = {i for i, _ in pairs}
-    matched_gt = {j for _, j in pairs}
-    for i, j in pairs:
-        dists = np.linalg.norm(pred_set[i].joints - gt_set[j].joints, axis=-1)
-        hits = int(np.sum(dists < threshold_mm))
-        misses = pred_set[i].num_joints - hits
-        tp += hits
-        fp += misses
-        fn += misses
-    for i, p in enumerate(pred_set):
-        if i not in matched_pred:
-            fp += p.num_joints
-    for j, g in enumerate(gt_set):
-        if j not in matched_gt:
-            fn += g.num_joints
-    return tp, fp, fn
+    return _f1_tally(_f1_matches(pred_set, gt_set, skel), threshold_m)
 
 
 def f1_from_counts(tp: int, fp: int, fn: int) -> float:
@@ -400,8 +410,9 @@ def evaluate_frames(pred_frames: list[list[Pose3D]],
         pair_dists.append(rel)
         pair_abs_dists.append(abs_dists)
         pa_values.extend(pa_mpjpe(preds[i], gts[j]) for i, j in pairs)
+        f1_matches = _f1_matches(preds, gts, skel)
         for t in th.f1_thresholds_m:
-            tp, fp, fn = f1_counts(preds, gts, t, skel)
+            tp, fp, fn = _f1_tally(f1_matches, t)
             f1_acc[t][0] += tp
             f1_acc[t][1] += fp
             f1_acc[t][2] += fn

@@ -177,7 +177,8 @@ def rest_pose(scale: float = 1.0) -> np.ndarray:
 
 
 def _validate_conf(conf: np.ndarray) -> None:
-    if np.any(~np.isfinite(conf)) or np.any(conf < 0.0) or np.any(conf > 1.0):
+    # NaN fails both comparisons and +-inf one of them.
+    if not ((conf >= 0.0) & (conf <= 1.0)).all():
         raise ValueError("confidences must be finite and within [0, 1]")
 
 
@@ -195,7 +196,7 @@ class Pose2D:
             raise ValueError(f"joints must be (K, 2), got {joints.shape}")
         if conf.shape != (joints.shape[0],):
             raise ValueError("conf must be (K,) matching joints")
-        if not np.all(np.isfinite(joints)):
+        if not np.isfinite(joints).all():
             raise ValueError("joint coordinates must be finite")
         _validate_conf(conf)
         object.__setattr__(self, "joints", _frozen_array(joints))
@@ -221,7 +222,7 @@ class Pose3D:
             raise ValueError(f"joints must be (K, 3), got {joints.shape}")
         if conf.shape != (joints.shape[0],):
             raise ValueError("conf must be (K,) matching joints")
-        if not np.all(np.isfinite(joints)):
+        if not np.isfinite(joints).all():
             raise ValueError("joint coordinates must be finite")
         _validate_conf(conf)
         if not isinstance(self.frame, Frame):

@@ -138,8 +138,9 @@ def ap_root_loops(pred_set, gt_set, radius_mm, root_index):
     return ap / len(gt_set)
 
 
-def f1_loops(pred_set, gt_set, threshold_m, root_index):
-    """F1 with exhaustive optimal person pairing (small sets only)."""
+def f1_counts_loops(pred_set, gt_set, threshold_m, root_index):
+    """(TP, FP, FN) joint counts with exhaustive optimal person pairing
+    (small sets only)."""
     thr = threshold_m * 1000.0
     n_p, n_g = len(pred_set), len(gt_set)
     best_pairs = []
@@ -180,6 +181,12 @@ def f1_loops(pred_set, gt_set, threshold_m, root_index):
     for j in range(n_g):
         if j not in used_g:
             fn += gt_set[j].joints.shape[0]
+    return tp, fp, fn
+
+
+def f1_loops(pred_set, gt_set, threshold_m, root_index):
+    """F1 with exhaustive optimal person pairing (small sets only)."""
+    tp, fp, fn = f1_counts_loops(pred_set, gt_set, threshold_m, root_index)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     if precision + recall == 0:
@@ -229,3 +236,30 @@ def bone_loss_grad_loops(positions, bones, latents):
             grad[t, parent] -= g
             grad_latents[i] -= 2.0 * r
     return loss, grad, grad_latents
+
+
+def similarity_matrix_loops(td, bu, cfg, sigma):
+    """Pose similarities one TD/BU pair at a time:
+    sum_k min(c_bu[k], c_td[k]) * exp(-d_k^2 / (2 s^2 sigma_k^2)), with s
+    ``cfg.fixed_scale_mm`` or the square root of the TD pose's x-y box area
+    (at least 1 mm), and d in mm or, in 2D mode, in projected pixels."""
+    def positions(joints):
+        if cfg.distance_mode != "2d":
+            return joints
+        cam = cfg.camera
+        z = joints[:, 2]
+        return np.stack([cam.fx * joints[:, 0] / z + cam.cx,
+                         cam.fy * joints[:, 1] / z + cam.cy], axis=-1)
+
+    sim = np.zeros((len(td), len(bu)))
+    for i, p_td in enumerate(td):
+        for j, p_bu in enumerate(bu):
+            if cfg.fixed_scale_mm is not None:
+                s = cfg.fixed_scale_mm
+            else:
+                ext = p_td.joints.max(axis=0) - p_td.joints.min(axis=0)
+                s = max(float(np.sqrt(max(ext[0] * ext[1], 0.0))), 1.0)
+            d2 = np.sum((positions(p_bu.joints) - positions(p_td.joints)) ** 2, axis=-1)
+            kern = np.exp(-d2 / (2.0 * s * s * sigma * sigma))
+            sim[i, j] = float(np.sum(np.minimum(p_bu.conf, p_td.conf) * kern))
+    return sim

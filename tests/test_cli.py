@@ -218,3 +218,15 @@ def test_eval_and_run_reject_gt_frames_without_prediction(tmp_path, capsys):
     assert code == code_run == 1
     for err in (eval_err, run_err):
         assert "ground truth covers frames absent from predictions: [4, 5]" in err
+
+
+def test_huge_number_in_frames_exits_1_naming_the_field(tmp_path, capsys):
+    joints = ", ".join(["[0.0, 0.0, 1000.0]"] * 14 + ["[1, 2, 1%s]" % ("0" * 400)])
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text('{"frame_index": 0, "source": "fused", "persons": [{"person_id": 0, '
+                    '"joints": [%s], "conf": [%s]}]}\n' % (joints, ", ".join(["1"] * 15)))
+    code = main(["eval", "--out", str(tmp_path / "r.json"), str(pred), str(pred)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "line 1: persons[0].joints[14]: value is out of the float64 range" in err

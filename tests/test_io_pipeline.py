@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,111 @@ def test_obs_records_are_2d(tmp_path):
     assert not rec.persons[0].is_3d
     pose = rec.persons[0].to_pose2d()
     assert pose.joints.shape == (1, 2)
+
+
+def _frame_line(source, dim, frame_index=0, num_persons=2, num_joints=4):
+    """One valid frame record as a dict: ``dim``-element joints."""
+    persons = [{"person_id": i,
+                "joints": [[100.0 * i + 10.0 * k + c + 1.0 for c in range(dim)]
+                           for k in range(num_joints)],
+                "conf": [0.5] * num_joints}
+               for i in range(num_persons)]
+    return {"frame_index": frame_index, "source": source, "persons": persons}
+
+
+# json.dumps writes float("nan") and float("inf") as the NaN / Infinity tokens.
+BAD_NUMBERS = {
+    "bool": (True, "expected a number, got True"),
+    "string": ("1.5", "expected a number, got '1.5'"),
+    "null": (None, "expected a number, got None"),
+    "nan_token": (float("nan"), "value must be finite"),
+    "infinity_token": (float("inf"), "value must be finite"),
+    "minus_infinity_token": (float("-inf"), "value must be finite"),
+    "nested_list": ([0.5], "expected a number, got [0.5]"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_NUMBERS))
+@pytest.mark.parametrize("field", ["joints", "conf"])
+@pytest.mark.parametrize("source, dim", [("td", 3), ("obs", 2)])
+def test_bad_number_is_named_by_line_and_field(tmp_path, source, dim, field, bad):
+    value, message = BAD_NUMBERS[bad]
+    record = _frame_line(source, dim, frame_index=1)
+    if field == "joints":
+        record["persons"][1]["joints"][2][dim - 1] = value
+    else:
+        record["persons"][1]["conf"][2] = value
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(_frame_line(source, dim)) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(SchemaError) as info:
+        read_frames(path)
+    assert f"line 2: persons[1].{field}[2]: {message}" in str(info.value)
+
+
+def test_huge_integer_literal_is_a_schema_error(tmp_path):
+    huge = "1" + "0" * 400
+    for field, text in (
+        ("joints[1]", '"joints": [[0.0, 0.0, 1000.0], [1, 2, %s]], "conf": [1, 1]' % huge),
+        ("conf[1]", '"joints": [[0.0, 0.0, 1000.0], [1, 2, 3]], "conf": [1, %s]' % huge),
+    ):
+        path = tmp_path / "huge.jsonl"
+        path.write_text('{"frame_index": 0, "source": "td", "persons": [{%s}]}\n' % text)
+        with pytest.raises(SchemaError,
+                           match=rf"line 1: persons\[0\]\.{re.escape(field)}: value is out"):
+            read_frames(path)
+    config = RunConfig.default().to_dict()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config).replace('"c_bone": 1.0', f'"c_bone": {huge}'))
+    with pytest.raises(SchemaError, match=r"config\.tto\.c_bone: value is out"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("key, where", [("frame_index", "frame_index"),
+                                        ("person_id", r"persons\[0\]\.person_id")])
+def test_bool_frame_index_or_person_id_rejected(tmp_path, key, where):
+    record = _frame_line("td", 3, num_persons=1)
+    if key == "frame_index":
+        record["frame_index"] = True
+    else:
+        record["persons"][0]["person_id"] = False
+    path = tmp_path / "bool.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(SchemaError, match=rf"line 1: {where}: expected an integer"):
+        read_frames(path)
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310,
+               1e308, -1e308, 1.7976931348623157e308, 3.0, -42.0, 2.0 ** 53, 1e16)
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+CONFIDENCE = st.one_of(st.sampled_from((0.0, -0.0, 1.0, 5e-324, 0.5)),
+                       st.floats(min_value=0.0, max_value=1.0))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dim=st.sampled_from([2, 3]), num_joints=st.integers(1, 4),
+       num_persons=st.integers(0, 3), data=st.data())
+def test_write_read_is_bit_exact(tmp_path_factory, dim, num_joints, num_persons, data):
+    persons = []
+    for _ in range(num_persons):
+        joints = data.draw(st.lists(FINITE, min_size=num_joints * dim,
+                                    max_size=num_joints * dim))
+        conf = data.draw(st.lists(CONFIDENCE, min_size=num_joints, max_size=num_joints))
+        persons.append(PersonRecord(joints=np.array(joints).reshape(num_joints, dim),
+                                    conf=np.array(conf), person_id=data.draw(
+                                        st.one_of(st.none(), st.integers(-5, 5)))))
+    rec = FrameRecord(frame_index=data.draw(st.integers(0, 10 ** 6)),
+                      source="obs" if dim == 2 else "gt", persons=persons)
+    path = tmp_path_factory.mktemp("bits") / "one.jsonl"
+    write_frames([rec], path)
+    (loaded,) = read_frames(path)
+    assert (loaded.frame_index, loaded.source) == (rec.frame_index, rec.source)
+    assert len(loaded.persons) == num_persons
+    for a, b in zip(rec.persons, loaded.persons):
+        for x, y in ((a.joints, b.joints), (a.conf, b.conf)):
+            assert y.dtype == np.float64 and y.shape == x.shape
+            assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+        assert a.person_id == b.person_id
 
 
 # A non-default value for every saved config field; int-valued floats

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualpose.camera import CameraIntrinsics
 from dualpose.errors import FrameMismatchError
 from dualpose.matching import (
     MatchConfig,
@@ -14,9 +15,10 @@ from dualpose.matching import (
     pose_similarity,
     similarity_matrix,
 )
-from dualpose.skeleton import pose3d_person
+from dualpose.skeleton import default_oks_sigmas, pose3d_camera, pose3d_person
 
-from conftest import random_point_pose
+from conftest import random_camera_pose, random_point_pose
+from oracles import similarity_matrix_loops
 
 
 def brute_force_best_total(sim: np.ndarray) -> float:
@@ -121,6 +123,79 @@ def test_pose_similarity_requires_camera_frame(skel):
     centered = pose3d_person(np.zeros((skel.num_joints, 3)))
     with pytest.raises(FrameMismatchError):
         pose_similarity(centered, centered, MatchConfig())
+
+
+def _similarity_sets(rng, skel, n_td, n_bu, zero_conf=False):
+    """TD poses and BU poses near them (plus far ones), with random confidences."""
+    k = skel.num_joints
+    td = [random_camera_pose(rng, skel, center=(rng.uniform(-2000, 2000), 0.0,
+                                                rng.uniform(3000, 6000)),
+                             conf=rng.random(k))
+          for _ in range(n_td)]
+    bu = []
+    for j in range(n_bu):
+        if j < n_td:  # a noisy copy of TD pose j
+            bu.append(pose3d_camera(td[j].joints + 10.0 * rng.standard_normal((k, 3)),
+                                    rng.random(k)))
+        else:  # a person no TD pose saw
+            bu.append(random_camera_pose(rng, skel, center=(rng.uniform(-2000, 2000), 0.0,
+                                                            5000.0),
+                                         conf=rng.random(k)))
+    if zero_conf:
+        for poses in (td, bu):
+            if poses:
+                conf = poses[0].conf.copy()
+                conf[::2] = 0.0
+                poses[0] = pose3d_camera(poses[0].joints, conf)
+                poses[-1] = pose3d_camera(poses[-1].joints, np.zeros(k))
+    return td, bu
+
+
+SIMILARITY_VARIANTS = {
+    "box_scale": (MatchConfig(), None),
+    "fixed_scale": (MatchConfig(fixed_scale_mm=450.0), None),
+    "2d": (MatchConfig(distance_mode="2d",
+                       camera=CameraIntrinsics(fx=1100.0, fy=1050.0, cx=640.0, cy=360.0)),
+           None),
+    "custom_sigma": (MatchConfig(), np.linspace(0.02, 0.3, 15)),
+    "zero_conf": (MatchConfig(), None),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(SIMILARITY_VARIANTS))
+@pytest.mark.parametrize("n_td, n_bu", [(0, 0), (0, 3), (4, 0), (1, 1), (5, 3), (3, 7)])
+def test_similarity_matrix_equals_pair_loop_oracle(skel, variant, n_td, n_bu):
+    cfg, sigma = SIMILARITY_VARIANTS[variant]
+    rng = np.random.default_rng(40 + 10 * n_td + n_bu)
+    td, bu = _similarity_sets(rng, skel, n_td, n_bu, zero_conf=variant == "zero_conf")
+    expected = similarity_matrix_loops(
+        td, bu, cfg, default_oks_sigmas(skel.num_joints) if sigma is None else sigma)
+    sim = similarity_matrix(td, bu, cfg, sigma)
+    assert sim.shape == (n_td, n_bu)
+    assert sim.dtype == np.float64
+    assert np.array_equal(sim, expected)  # the same arithmetic, so bit-equal
+    if n_td and n_bu:
+        assert pose_similarity(bu[-1], td[0], cfg, sigma) == expected[0, -1]
+        if variant != "zero_conf":
+            assert sim.max() > 1.0  # near pairs score well above underflow
+
+
+def test_similarity_matrix_rejects_person_centric_and_mixed_joint_counts(skel):
+    rng = np.random.default_rng(41)
+    k = skel.num_joints
+    td, bu = _similarity_sets(rng, skel, 2, 3)
+    centered = pose3d_person(np.zeros((k, 3)))
+    with pytest.raises(FrameMismatchError):
+        similarity_matrix(td, bu + [centered], MatchConfig())
+    with pytest.raises(FrameMismatchError):
+        similarity_matrix([centered] + td, bu, MatchConfig())
+    short = random_point_pose(rng, k - 1)
+    with pytest.raises(ValueError, match="share one skeleton"):
+        similarity_matrix(td, bu + [short], MatchConfig())
+    with pytest.raises(ValueError, match="share one skeleton"):
+        similarity_matrix(td + [short], bu, MatchConfig())
+    with pytest.raises(ValueError, match="sigma"):
+        similarity_matrix(td, bu, MatchConfig(), np.ones(k - 1))
 
 
 def test_match_identity_on_same_sets(skel):

@@ -10,6 +10,7 @@ from dualpose.metrics import (
     evaluate_frames,
     f1_at,
     f1_counts,
+    f1_from_counts,
     greedy_root_match,
     mpjpe,
     pa_mpjpe,
@@ -20,6 +21,7 @@ from dualpose.metrics import (
 from dualpose.skeleton import Frame, Pose3D, pose3d_camera, pose3d_person, rest_pose
 
 from conftest import random_camera_pose, random_point_pose
+from oracles import f1_counts_loops
 from oracles import horn_similarity_mpjpe as horn_similarity_oracle
 
 
@@ -263,6 +265,37 @@ def test_f1_counts_oracle(skel):
     assert tp == exp_tp
     assert fp == 30 - exp_tp
     assert fn == 30 - exp_tp
+
+
+def test_shared_assignment_f1_counts_equal_per_threshold_oracle(skel):
+    # evaluate_frames pairs persons once per frame for all thresholds; the
+    # oracle pairs them again for each threshold, by exhaustive search.
+    rng = np.random.default_rng(122)
+    thresholds = (0.05, 0.1, 0.2, 0.4, 1.2)
+    pred_frames, gt_frames = [], []
+    totals = {t: np.zeros(3, dtype=int) for t in thresholds}
+    for _ in range(16):
+        gts = [random_camera_pose(rng, skel, center=(rng.uniform(-3000, 3000), 0.0,
+                                                     rng.uniform(3000, 7000)))
+               for _ in range(int(rng.integers(0, 5)))]
+        preds = [pose3d_camera(g.joints + rng.normal(0.0, 60.0, (skel.num_joints, 3)))
+                 for g in gts if rng.random() < 0.8]
+        preds += [random_camera_pose(rng, skel, center=(rng.uniform(-3000, 3000), 0.0, 5000.0))
+                  for _ in range(int(rng.integers(0, 2)))]
+        rng.shuffle(preds)
+        pred_frames.append(preds)
+        gt_frames.append(gts)
+        for t in thresholds:
+            expected = f1_counts_loops(preds, gts, t, skel.root_index)
+            assert f1_counts(preds, gts, t, skel) == expected
+            totals[t] += expected
+    report = evaluate_frames(pred_frames, gt_frames, skel,
+                             MetricThresholds(f1_thresholds_m=thresholds))
+    assert report.f1_at == {t: f1_from_counts(*map(int, totals[t])) for t in thresholds}
+    # every threshold sees hits and misses, so the shared distances matter
+    assert all(0 < totals[t][0] < totals[t][0] + totals[t][1] for t in thresholds[:3])
+    with pytest.raises(ValueError, match="threshold"):
+        evaluate_frames(pred_frames, gt_frames, skel, MetricThresholds(f1_thresholds_m=(0.0,)))
 
 
 def test_greedy_root_match_prefers_nearest():
