@@ -35,7 +35,7 @@ with tempfile.TemporaryDirectory(prefix="dualpose_demo_") as tmp:
     result = run_pipeline(config, paths["td"], bu_path=paths["bu"],
                           gt_path=paths["gt"], obs_path=paths["obs"])
 
-fused = [[p.to_pose3d() for p in rec.persons] for rec in result.fused_records]
+fused = [rec.persons for rec in result.fused_records]
 before = evaluate_frames(fused, gt_frames, skel)
 after = result.report
 

@@ -22,7 +22,6 @@ from .errors import (
 )
 from .frames_io import (
     FrameRecord,
-    PersonRecord,
     RunConfig,
     load_config,
     poses_to_record,
@@ -32,7 +31,6 @@ from .frames_io import (
 )
 from .fusion import (
     FusionStrategy,
-    MlpIntegrator,
     PlausibilityScorers,
     corrupt_pair,
     discriminator_loss,

@@ -35,15 +35,16 @@ from .pipeline import (
 from .synth import generate, make_benchmark_spec
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, trace: bool = False) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON run configuration (defaults apply if omitted)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the configured seed")
     parser.add_argument("--out", type=Path, required=True,
                         help="output file or directory")
-    parser.add_argument("--trace", type=Path, default=None,
-                        help="CSV loss-trace output path")
+    if trace:
+        parser.add_argument("--trace", type=Path, default=None,
+                            help="CSV loss-trace output path")
 
 
 def _load(args) -> RunConfig:
@@ -68,15 +69,11 @@ def _cmd_synth(args) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     ids = list(range(spec.num_persons))
-    gt_frames = data.gt_frames()
-    write_frames([poses_to_record(t, "gt", gt_frames[t], ids)
-                  for t in range(data.num_frames)], out / "gt.jsonl")
-    write_frames([poses_to_record(t, "td", data.noisy_td[t], ids)
-                  for t in range(data.num_frames)], out / "td.jsonl")
-    write_frames([poses_to_record(t, "bu", data.noisy_bu[t], ids)
-                  for t in range(data.num_frames)], out / "bu.jsonl")
-    write_frames([poses_to_record(t, "obs", data.obs_2d[t], ids)
-                  for t in range(data.num_frames)], out / "obs.jsonl")
+    sources = {"gt": data.gt_frames(), "td": data.noisy_td, "bu": data.noisy_bu,
+               "obs": data.obs_2d}
+    for source, frames in sources.items():
+        write_frames([poses_to_record(t, source, poses, ids)
+                      for t, poses in enumerate(frames)], out / f"{source}.jsonl")
     if data.heatmaps is not None:
         for t, stack in enumerate(data.heatmaps):
             write_stack(stack, out / f"frame{t:05d}.phms")
@@ -210,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fuse)
 
     p = sub.add_parser("tto", help="refine pose sequences by optimization")
-    _add_common(p)
+    _add_common(p, trace=True)
     p.add_argument("poses", type=Path, help="fused 3D pose frames")
     p.add_argument("--obs", type=Path, default=None, help="2D observations")
     p.set_defaults(func=_cmd_tto)
@@ -222,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("run", help="full chain: match, fuse, refine, evaluate")
-    _add_common(p)
+    _add_common(p, trace=True)
     p.add_argument("td", type=Path)
     p.add_argument("bu", type=Path, nargs="?", default=None)
     p.add_argument("--gt", type=Path, default=None)

@@ -47,39 +47,33 @@ _NUMBER_TYPES = {float, int}
 
 
 @dataclass
-class PersonRecord:
-    """One person in one frame: joints, confidences, optional identity."""
-
-    joints: np.ndarray            # (K, 2) px or (K, 3) mm
-    conf: np.ndarray              # (K,)
-    person_id: int | None = None
-
-    @property
-    def is_3d(self) -> bool:
-        return self.joints.shape[1] == 3
-
-    def to_pose3d(self) -> Pose3D:
-        if not self.is_3d:
-            raise SchemaError("record holds 2D joints, not a 3D pose")
-        return Pose3D(joints=self.joints, conf=self.conf, frame=Frame.CAMERA_CENTRIC)
-
-    def to_pose2d(self) -> Pose2D:
-        if self.is_3d:
-            raise SchemaError("record holds 3D joints, not a 2D pose")
-        return Pose2D(joints=self.joints, conf=self.conf)
-
-
-@dataclass
 class FrameRecord:
-    """All persons of one source at one frame index."""
+    """All persons of one source at one frame index.
+
+    ``persons`` are camera-centric Pose3D objects, or Pose2D for the 2D
+    observation source ``obs``; ``ids[i]`` is the person id of
+    ``persons[i]``, None when unlabeled (the default).  ``origin`` is where
+    the record was read, ``"<path>: line N"``, and empty for a record built
+    in memory.
+    """
 
     frame_index: int
     source: str
-    persons: list[PersonRecord] = field(default_factory=list)
+    persons: list[Pose3D | Pose2D] = field(default_factory=list)
+    ids: list[int | None] | None = None
+    origin: str = ""
 
     def __post_init__(self):
         if self.source not in SOURCES:
             raise SchemaError(f"unknown source {self.source!r}; expected one of {SOURCES}")
+        if self.ids is None:
+            self.ids = [None] * len(self.persons)
+        if len(self.ids) != len(self.persons):
+            raise ValueError(f"{len(self.persons)} persons but {len(self.ids)} ids")
+
+    def error(self, message: str) -> SchemaError:
+        """A SchemaError about this record, naming where it was read."""
+        return SchemaError(f"{self.origin}: {message}" if self.origin else message)
 
 
 def _validate_number(value, path: str) -> float:
@@ -94,35 +88,31 @@ def _validate_number(value, path: str) -> float:
     return number
 
 
-def _number_array(values: list, path: str, nested: bool) -> np.ndarray:
-    """``values``, a list of JSON numbers (``nested``: of equal-length lists
-    of them), as a float64 array.
-
-    One type scan and one conversion when every entry is a finite float or
-    int (bools excluded); otherwise each entry is validated in turn, so the
-    SchemaError names the first bad one as ``path[k]``.
-    """
-    items = chain.from_iterable(values) if nested else values
-    if set(map(type, items)) <= _NUMBER_TYPES:
-        try:
-            array = np.array(values, dtype=np.float64)
-        except OverflowError:  # an int beyond the float64 range
-            pass
-        else:
-            if np.isfinite(array).all():
-                return array
-    if nested:
-        return np.array([[_validate_number(c, f"{path}[{k}]") for c in row]
-                         for k, row in enumerate(values)])
-    return np.array([_validate_number(c, f"{path}[{k}]") for k, c in enumerate(values)])
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_person(obj, path: str, expect_dim: int | None,
-                  num_joints: int | None) -> PersonRecord:
+def _pose(source: str, joints, conf) -> Pose3D | Pose2D:
+    if source == "obs":
+        return Pose2D(joints=joints, conf=conf)
+    return Pose3D(joints=joints, conf=conf, frame=Frame.CAMERA_CENTRIC)
+
+
+def _checked_numbers(joints_raw: list, conf_raw, path: str) -> tuple[list, list]:
+    """A person's joints and confidences, checked entry by entry in file
+    order, so the SchemaError names the first bad one as ``path...[k]``."""
+    joints = [[_validate_number(c, f"{path}.joints[{k}]") for c in row]
+              for k, row in enumerate(joints_raw)]
+    if not isinstance(conf_raw, list) or len(conf_raw) != len(joints_raw):
+        raise SchemaError(f"{path}.conf: expected {len(joints_raw)} confidences")
+    conf = [_validate_number(c, f"{path}.conf[{k}]") for k, c in enumerate(conf_raw)]
+    if not all(0.0 <= c <= 1.0 for c in conf):
+        raise SchemaError(f"{path}.conf: confidences must lie in [0, 1]")
+    return joints, conf
+
+
+def _parse_person(obj, path: str, source: str,
+                  num_joints: int | None) -> tuple[Pose3D | Pose2D, int | None]:
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object")
     joints_raw = obj.get("joints")
@@ -135,26 +125,28 @@ def _parse_person(obj, path: str, expect_dim: int | None,
     dims = {len(j) if isinstance(j, list) else -1 for j in joints_raw}
     if len(dims) != 1 or dims & {-1}:
         raise SchemaError(f"{path}.joints: joints must all be [x, y] or [x, y, z]")
-    dim = dims.pop()
-    if dim not in (2, 3) or (expect_dim is not None and dim != expect_dim):
-        raise SchemaError(
-            f"{path}.joints: expected {expect_dim or '2 or 3'}-element joints, got {dim}"
-        )
-    joints = _number_array(joints_raw, f"{path}.joints", nested=True)
+    dim, expect_dim = dims.pop(), 2 if source == "obs" else 3
+    if dim != expect_dim:
+        raise SchemaError(f"{path}.joints: expected {expect_dim}-element joints, got {dim}")
+    # The pose constructor is the one check of an accepted person's numbers;
+    # only a person it rejects is walked entry by entry to name the bad one.
     conf_raw = obj.get("conf")
-    if not isinstance(conf_raw, list) or len(conf_raw) != len(joints_raw):
-        raise SchemaError(f"{path}.conf: expected {len(joints_raw)} confidences")
-    conf = _number_array(conf_raw, f"{path}.conf", nested=False)
-    if not ((conf >= 0.0) & (conf <= 1.0)).all():
-        raise SchemaError(f"{path}.conf: confidences must lie in [0, 1]")
+    pose = None
+    if isinstance(conf_raw, list) and \
+            set(map(type, chain(conf_raw, *joints_raw))) <= _NUMBER_TYPES:
+        try:
+            pose = _pose(source, joints_raw, conf_raw)
+        except (OverflowError, ValueError):  # OverflowError: an int beyond float64
+            pass
+    if pose is None:
+        pose = _pose(source, *_checked_numbers(joints_raw, conf_raw, path))
     person_id = obj.get("person_id")
     if person_id is not None and not _is_int(person_id):
         raise SchemaError(f"{path}.person_id: expected an integer or null")
-    return PersonRecord(joints=joints, conf=conf, person_id=person_id)
+    return pose, person_id
 
 
-def parse_frame_record(obj, line_no: int, num_joints: int | None = None) -> FrameRecord:
-    where = f"line {line_no}"
+def _parse_record(obj, where: str, num_joints: int | None) -> FrameRecord:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected a JSON object")
     if not _is_int(obj.get("frame_index")):
@@ -165,18 +157,19 @@ def parse_frame_record(obj, line_no: int, num_joints: int | None = None) -> Fram
     persons_raw = obj.get("persons")
     if not isinstance(persons_raw, list):
         raise SchemaError(f"{where}: persons: expected a list")
-    expect_dim = 2 if source == "obs" else 3
-    persons = [
-        _parse_person(p, f"{where}: persons[{i}]", expect_dim, num_joints)
-        for i, p in enumerate(persons_raw)
-    ]
-    return FrameRecord(frame_index=obj["frame_index"], source=source, persons=persons)
+    persons, ids = [], []
+    for i, p in enumerate(persons_raw):
+        pose, person_id = _parse_person(p, f"{where}: persons[{i}]", source, num_joints)
+        persons.append(pose)
+        ids.append(person_id)
+    return FrameRecord(obj["frame_index"], source, persons, ids, origin=where)
 
 
 def read_frames(path, num_joints: int | None = None) -> list[FrameRecord]:
-    """Read a JSON-lines frame file; returns records in file order.
+    """Read a JSON-lines frame file; returns records in file order, each
+    holding its persons' poses and ids.
 
-    Schema violations raise SchemaError naming the line and field.
+    Schema violations raise SchemaError naming the file, line and field.
     """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -184,20 +177,13 @@ def read_frames(path, num_joints: int | None = None) -> list[FrameRecord]:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}: line {line_no}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}: line {line_no}: malformed JSON: {exc}") from exc
-            records.append(parse_frame_record(obj, line_no, num_joints))
+                raise SchemaError(f"{where}: malformed JSON: {exc}") from exc
+            records.append(_parse_record(obj, where, num_joints))
     return records
-
-
-def _person_to_dict(person: PersonRecord) -> dict:
-    return {
-        "person_id": person.person_id,
-        "joints": np.asarray(person.joints, dtype=np.float64).tolist(),
-        "conf": np.asarray(person.conf, dtype=np.float64).tolist(),
-    }
 
 
 def write_frames(records: list[FrameRecord], path) -> None:
@@ -207,7 +193,9 @@ def write_frames(records: list[FrameRecord], path) -> None:
             obj = {
                 "frame_index": rec.frame_index,
                 "source": rec.source,
-                "persons": [_person_to_dict(p) for p in rec.persons],
+                "persons": [{"person_id": pid, "joints": pose.joints.tolist(),
+                             "conf": pose.conf.tolist()}
+                            for pose, pid in zip(rec.persons, rec.ids)],
             }
             fh.write(json.dumps(obj, allow_nan=False))
             fh.write("\n")
@@ -215,21 +203,8 @@ def write_frames(records: list[FrameRecord], path) -> None:
 
 def poses_to_record(frame_index: int, source: str, poses, ids=None) -> FrameRecord:
     """Bundle Pose3D or Pose2D objects into one frame record."""
-    persons = []
-    for i, pose in enumerate(poses):
-        pid = ids[i] if ids is not None else None
-        persons.append(PersonRecord(joints=np.asarray(pose.joints),
-                                    conf=np.asarray(pose.conf), person_id=pid))
-    return FrameRecord(frame_index=frame_index, source=source, persons=persons)
-
-
-def frames_by_index(records: list[FrameRecord]) -> dict[int, FrameRecord]:
-    out: dict[int, FrameRecord] = {}
-    for rec in records:
-        if rec.frame_index in out:
-            raise SchemaError(f"duplicate frame_index {rec.frame_index}")
-        out[rec.frame_index] = rec
-    return dict(sorted(out.items()))
+    return FrameRecord(frame_index, source, list(poses),
+                       None if ids is None else list(ids))
 
 
 @dataclass

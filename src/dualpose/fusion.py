@@ -76,13 +76,12 @@ def fuse_pair(p_td: Pose3D, p_bu: Pose3D, strategy: FusionStrategy,
               skel: SkeletonSpec) -> Pose3D:
     """Combine one matched TD/BU pair into a single camera-centric pose.
 
-    Output confidences are the per-joint maximum of the two inputs.
+    A pluggable integrator's pose is returned as it is; the closed-form
+    variants take the per-joint maximum of the two inputs' confidences.
     """
     _require_camera_centric(p_td, p_bu)
     if p_td.num_joints != p_bu.num_joints:
         raise ValueError("poses must share one skeleton")
-    conf = np.maximum(p_td.conf, p_bu.conf)
-
     if strategy.variant == "pluggable":
         return strategy.integrator(p_td, p_bu)
 
@@ -110,6 +109,7 @@ def fuse_pair(p_td: Pose3D, p_bu: Pose3D, strategy: FusionStrategy,
         a = strategy.alpha
         joints = a * p_td.joints + (1.0 - a) * p_bu.joints
 
+    conf = np.maximum(p_td.conf, p_bu.conf)
     return Pose3D(joints=joints, conf=conf, frame=Frame.CAMERA_CENTRIC)
 
 
@@ -322,49 +322,3 @@ def reference_scorers(skel: SkeletonSpec, **kwargs) -> PlausibilityScorers:
         d1=single_pose_scorer(skel),
         d2=pair_pose_scorer(skel, **kwargs),
     )
-
-
-class MlpIntegrator:
-    """Three fully connected layers mapping a pose pair to a fused pose.
-
-    Shipped untrained: weights are small random values under a fixed seed
-    unless loaded from an .npz checkpoint.  Intended as the pluggable
-    integrator slot for a learned fusion model.
-    """
-
-    def __init__(self, num_joints: int, hidden: int = 256, seed: int = 0):
-        self.num_joints = num_joints
-        in_dim = 2 * (num_joints * 3 + num_joints)
-        out_dim = num_joints * 3
-        rng = np.random.default_rng(seed)
-        dims = [in_dim, hidden, hidden, out_dim]
-        self.weights = []
-        self.biases = []
-        for a, b in zip(dims[:-1], dims[1:]):
-            self.weights.append(rng.standard_normal((a, b)) * np.sqrt(2.0 / a))
-            self.biases.append(np.zeros(b))
-
-    def load(self, path) -> None:
-        data = np.load(path)
-        self.weights = [data[f"w{i}"] for i in range(3)]
-        self.biases = [data[f"b{i}"] for i in range(3)]
-
-    def save(self, path) -> None:
-        arrays = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            arrays[f"w{i}"] = w
-            arrays[f"b{i}"] = b
-        np.savez(path, **arrays)
-
-    def __call__(self, p_td: Pose3D, p_bu: Pose3D) -> Pose3D:
-        x = np.concatenate([
-            p_td.joints.ravel(), p_td.conf,
-            p_bu.joints.ravel(), p_bu.conf,
-        ])
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = x @ w + b
-            if i < 2:
-                x = np.maximum(x, 0.0)
-        joints = x.reshape(self.num_joints, 3)
-        conf = np.maximum(p_td.conf, p_bu.conf)
-        return Pose3D(joints=joints, conf=conf, frame=Frame.CAMERA_CENTRIC)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -57,18 +57,9 @@ class MetricReport:
     extra_persons: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "mpjpe_mm": self.mpjpe_mm,
-            "pa_mpjpe_mm": self.pa_mpjpe_mm,
-            "pck": self.pck,
-            "pck_abs": self.pck_abs,
-            "auc_rel": self.auc_rel,
-            "ap_root": self.ap_root,
-            "f1_at": {repr(t): v for t, v in self.f1_at.items()},
-            "matched_persons": self.matched_persons,
-            "missed_persons": self.missed_persons,
-            "extra_persons": self.extra_persons,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["f1_at"] = {repr(t): v for t, v in self.f1_at.items()}
+        return out
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -79,17 +70,12 @@ class MetricReport:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["metric", "value"])
-            writer.writerow(["mpjpe_mm", repr(self.mpjpe_mm)])
-            writer.writerow(["pa_mpjpe_mm", repr(self.pa_mpjpe_mm)])
-            writer.writerow(["pck", repr(self.pck)])
-            writer.writerow(["pck_abs", repr(self.pck_abs)])
-            writer.writerow(["auc_rel", repr(self.auc_rel)])
-            writer.writerow(["ap_root", repr(self.ap_root)])
-            for t in sorted(self.f1_at):
-                writer.writerow([f"f1_at_{t}m", repr(self.f1_at[t])])
-            writer.writerow(["matched_persons", self.matched_persons])
-            writer.writerow(["missed_persons", self.missed_persons])
-            writer.writerow(["extra_persons", self.extra_persons])
+            for f in fields(self):
+                if f.name == "f1_at":
+                    writer.writerows([f"f1_at_{t}m", repr(self.f1_at[t])]
+                                     for t in sorted(self.f1_at))
+                else:
+                    writer.writerow([f.name, repr(getattr(self, f.name))])
 
 
 def _check_pair(pred: Pose3D, gt: Pose3D) -> None:

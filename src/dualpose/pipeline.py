@@ -12,7 +12,6 @@ from .errors import MisalignedFramesError, SchemaError
 from .frames_io import (
     FrameRecord,
     RunConfig,
-    frames_by_index,
     poses_to_record,
     read_frames,
 )
@@ -37,13 +36,25 @@ class PipelineResult:
     traces: dict[int | str, list[TraceRow]]
 
 
-def records_to_pose_map(records: list[FrameRecord]) -> PoseMap:
+def _record_map(records: list[FrameRecord], obs: bool) -> dict:
+    """Each record's (persons, ids) by frame index, in frame order.
+
+    Every record must be a 2D observation record if ``obs``, else a 3D one,
+    and each frame index may occur once.
+    """
     out = {}
-    for idx, rec in frames_by_index(records).items():
-        poses = [p.to_pose3d() for p in rec.persons]
-        ids = [p.person_id for p in rec.persons]
-        out[idx] = (poses, ids)
-    return out
+    for rec in records:
+        if (rec.source == "obs") != obs:
+            raise rec.error("record holds 3D joints, not a 2D pose" if obs
+                            else "record holds 2D joints, not a 3D pose")
+        if rec.frame_index in out:
+            raise rec.error(f"duplicate frame_index {rec.frame_index}")
+        out[rec.frame_index] = (rec.persons, rec.ids)
+    return dict(sorted(out.items()))
+
+
+def records_to_pose_map(records: list[FrameRecord]) -> PoseMap:
+    return _record_map(records, obs=False)
 
 
 def pose_map_to_records(frames: PoseMap, source: str) -> list[FrameRecord]:
@@ -52,11 +63,7 @@ def pose_map_to_records(frames: PoseMap, source: str) -> list[FrameRecord]:
 
 
 def records_to_obs_map(records: list[FrameRecord]) -> ObsMap:
-    out = {}
-    for idx, rec in frames_by_index(records).items():
-        out[idx] = ([p.to_pose2d() for p in rec.persons],
-                    [p.person_id for p in rec.persons])
-    return out
+    return _record_map(records, obs=True)
 
 
 def link_tracks(frames: PoseMap, root_index: int, gate_mm: float) -> list[TrackSequence]:

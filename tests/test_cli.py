@@ -137,7 +137,7 @@ def test_decode_subcommand(tmp_path, skel):
     records = read_frames(out, skel.num_joints)
     assert len(records) == 1
     assert len(records[0].persons) == 1
-    decoded = records[0].persons[0].to_pose3d()
+    decoded = records[0].persons[0]
     # decode contract: 0.5 px; at fx=40 and z~4000 that is ~50 mm laterally
     assert np.max(np.abs(decoded.joints - pose.joints)) < 50.5
 
@@ -230,3 +230,55 @@ def test_huge_number_in_frames_exits_1_naming_the_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "line 1: persons[0].joints[14]: value is out of the float64 range" in err
+
+
+@pytest.mark.parametrize("command, inputs", [("synth", 0), ("decode", 1), ("match", 2),
+                                             ("fuse", 2), ("eval", 2)])
+def test_trace_flag_is_only_for_tto_and_run(tmp_path, capsys, command, inputs):
+    missing = [str(tmp_path / f"missing{i}") for i in range(inputs)]
+    with pytest.raises(SystemExit) as info:
+        main([command, "--out", str(tmp_path / "out"), *missing,
+              "--trace", str(tmp_path / "trace.csv")])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --trace" in capsys.readouterr().err
+
+
+def _bad_obs_number(scene):
+    lines = (scene / "obs.jsonl").read_text().splitlines(True)
+    record = json.loads(lines[2])
+    record["persons"][1]["joints"][3][0] = "x"
+    lines[2] = json.dumps(record) + "\n"
+    (scene / "obs.jsonl").write_text("".join(lines))
+    return (["run", str(scene / "td.jsonl"), str(scene / "bu.jsonl"),
+             "--obs", str(scene / "obs.jsonl")],
+            f"{scene / 'obs.jsonl'}: line 3: persons[1].joints[3]: "
+            "expected a number, got 'x'")
+
+
+def _repeated_frame(scene):
+    td = scene / "td.jsonl"
+    td.write_text(td.read_text() + td.read_text().splitlines(True)[0])
+    return (["fuse", str(td), str(scene / "bu.jsonl")],
+            f"{td}: line 5: duplicate frame_index 0")
+
+
+def _obs_as_3d(scene):
+    return (["fuse", str(scene / "obs.jsonl"), str(scene / "bu.jsonl")],
+            f"{scene / 'obs.jsonl'}: line 1: record holds 2D joints, not a 3D pose")
+
+
+def _3d_as_obs(scene):
+    return (["tto", str(scene / "td.jsonl"), "--obs", str(scene / "td.jsonl")],
+            f"{scene / 'td.jsonl'}: line 1: record holds 3D joints, not a 2D pose")
+
+
+@pytest.mark.parametrize("case", [_bad_obs_number, _repeated_frame, _obs_as_3d, _3d_as_obs],
+                         ids=lambda case: case.__name__.strip("_"))
+def test_frame_file_errors_name_file_and_line(tmp_path, capsys, case):
+    config_path, _ = write_config(tmp_path, num_frames=4, iters=3)
+    scene = tmp_path / "scene"
+    assert main(["synth", "--config", str(config_path), "--out", str(scene)]) == 0
+    argv, message = case(scene)
+    capsys.readouterr()
+    assert main([*argv, "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

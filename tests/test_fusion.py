@@ -6,7 +6,6 @@ import pytest
 from dualpose.errors import DomainError, FrameMismatchError, ScorerContractError
 from dualpose.fusion import (
     FusionStrategy,
-    MlpIntegrator,
     PlausibilityScorers,
     corrupt_pair,
     discriminator_loss,
@@ -258,14 +257,20 @@ def test_discriminator_with_reference_scorers_end_to_end(skel):
     assert loss <= 0.0
 
 
-def test_mlp_integrator_shapes_and_pluggable(skel):
+def test_pluggable_integrator_pose_is_returned_unchanged(skel):
     rng = np.random.default_rng(58)
     td = random_camera_pose(rng, skel)
     bu = random_camera_pose(rng, skel)
-    integrator = MlpIntegrator(num_joints=skel.num_joints, hidden=32, seed=0)
+    own = random_camera_pose(rng, skel, conf=rng.random(skel.num_joints))
+    calls = []
+
+    def integrator(p_td, p_bu):
+        calls.append((p_td, p_bu))
+        return own
+
     out = fuse_pair(td, bu, FusionStrategy.pluggable(integrator), skel)
-    assert out.joints.shape == (skel.num_joints, 3)
-    assert np.allclose(out.conf, np.maximum(td.conf, bu.conf))
+    assert out is own
+    assert len(calls) == 1 and calls[0][0] is td and calls[0][1] is bu
 
 
 def test_strategy_validation():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dualpose.errors import MisalignedFramesError, SchemaError
 from dualpose.frames_io import (
     FrameRecord,
-    PersonRecord,
     RunConfig,
     load_config,
     poses_to_record,
@@ -20,7 +19,7 @@ from dualpose.frames_io import (
 from dualpose.matching import default_tau_match, pose_similarity
 from dualpose.metrics import evaluate_frames
 from dualpose.pipeline import aligned_frames, link_tracks, match_frames, run_pipeline
-from dualpose.skeleton import pose3d_camera, rest_pose
+from dualpose.skeleton import Frame, Pose2D, Pose3D, pose3d_camera, rest_pose
 from dualpose.synth import benchmark_camera, generate, make_benchmark_spec
 
 from conftest import random_camera_pose
@@ -66,10 +65,10 @@ def test_write_read_round_trip(tmp_path, skel):
     for a, b in zip(records, loaded):
         assert a.frame_index == b.frame_index
         assert a.source == b.source
+        assert a.ids == b.ids
         for pa, pb in zip(a.persons, b.persons):
             assert np.array_equal(pa.joints, pb.joints)  # bit-exact floats
             assert np.array_equal(pa.conf, pb.conf)
-            assert pa.person_id == pb.person_id
 
 
 @settings(max_examples=25, deadline=None)
@@ -79,9 +78,8 @@ def test_write_read_round_trip(tmp_path, skel):
 def test_float_round_trip_precision(tmp_path_factory, values):
     tmp = tmp_path_factory.mktemp("floats")
     joints = np.array(values).reshape(2, 3)
-    rec = FrameRecord(frame_index=0, source="gt", persons=[
-        PersonRecord(joints=joints, conf=np.array([0.5, 1.0]), person_id=None)
-    ])
+    rec = FrameRecord(frame_index=0, source="gt",
+                      persons=[pose3d_camera(joints, conf=np.array([0.5, 1.0]))])
     path = tmp / "one.jsonl"
     write_frames([rec], path)
     loaded = read_frames(path)
@@ -128,9 +126,10 @@ def test_obs_records_are_2d(tmp_path):
     path.write_text(json.dumps(
         {"frame_index": 0, "source": "obs", "persons": persons}) + "\n")
     rec = read_frames(path)[0]
-    assert not rec.persons[0].is_3d
-    pose = rec.persons[0].to_pose2d()
+    (pose,) = rec.persons
+    assert isinstance(pose, Pose2D)
     assert pose.joints.shape == (1, 2)
+    assert rec.ids == [0]
 
 
 def _frame_line(source, dim, frame_index=0, num_persons=2, num_joints=4):
@@ -220,22 +219,25 @@ def test_write_read_is_bit_exact(tmp_path_factory, dim, num_joints, num_persons,
     for _ in range(num_persons):
         joints = data.draw(st.lists(FINITE, min_size=num_joints * dim,
                                     max_size=num_joints * dim))
+        joints = np.array(joints).reshape(num_joints, dim)
         conf = data.draw(st.lists(CONFIDENCE, min_size=num_joints, max_size=num_joints))
-        persons.append(PersonRecord(joints=np.array(joints).reshape(num_joints, dim),
-                                    conf=np.array(conf), person_id=data.draw(
-                                        st.one_of(st.none(), st.integers(-5, 5)))))
+        persons.append(Pose2D(joints, conf) if dim == 2
+                       else Pose3D(joints, conf, Frame.CAMERA_CENTRIC))
+    ids = data.draw(st.lists(st.one_of(st.none(), st.integers(-5, 5)),
+                             min_size=num_persons, max_size=num_persons))
     rec = FrameRecord(frame_index=data.draw(st.integers(0, 10 ** 6)),
-                      source="obs" if dim == 2 else "gt", persons=persons)
+                      source="obs" if dim == 2 else "gt", persons=persons, ids=ids)
     path = tmp_path_factory.mktemp("bits") / "one.jsonl"
     write_frames([rec], path)
     (loaded,) = read_frames(path)
     assert (loaded.frame_index, loaded.source) == (rec.frame_index, rec.source)
     assert len(loaded.persons) == num_persons
+    assert loaded.ids == rec.ids
     for a, b in zip(rec.persons, loaded.persons):
+        assert type(a) is type(b)
         for x, y in ((a.joints, b.joints), (a.conf, b.conf)):
             assert y.dtype == np.float64 and y.shape == x.shape
             assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
-        assert a.person_id == b.person_id
 
 
 # A non-default value for every saved config field; int-valued floats
@@ -470,7 +472,7 @@ def test_run_pipeline_keeps_exact_motion_across_a_gap(tmp_path, skel):
     result = run_pipeline(RunConfig.default(), paths["td"], bu_path=paths["bu"],
                           trace_path=tmp_path / "trace.csv")
     for rec in result.refined_records:
-        assert rec.persons[0].person_id == 0
+        assert rec.ids == [0]
         np.testing.assert_allclose(rec.persons[0].joints, poses[rec.frame_index].joints,
                                    atol=1e-6)
     assert sorted(result.traces) == ["0@0", "0@20"]
@@ -489,8 +491,7 @@ def test_run_pipeline_reduces_noise(tmp_path, skel):
                           gt_path=paths["gt"], obs_path=paths["obs"])
     # input error: evaluate the fused (pre-refinement) frames
     gt_frames = data.gt_frames()
-    fused_frames = [[p.to_pose3d() for p in rec.persons]
-                    for rec in result.fused_records]
+    fused_frames = [rec.persons for rec in result.fused_records]
     before = evaluate_frames(fused_frames, gt_frames, skel)
     after = result.report
     assert after.mpjpe_mm < before.mpjpe_mm
