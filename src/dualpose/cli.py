@@ -35,16 +35,28 @@ from .pipeline import (
 from .synth import generate, make_benchmark_spec
 
 
-def _add_common(parser: argparse.ArgumentParser, trace: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser, trace: bool = False,
+                out_dir: bool = False) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON run configuration (defaults apply if omitted)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the configured seed")
     parser.add_argument("--out", type=Path, required=True,
-                        help="output file or directory")
+                        help="output directory" if out_dir else "output file")
+    parser.set_defaults(out_dir=out_dir)
     if trace:
         parser.add_argument("--trace", type=Path, default=None,
                             help="CSV loss-trace output path")
+
+
+def _make_output_dirs(args) -> None:
+    """Create the directory of every output (``--out`` itself when it names
+    a directory), so a bad output path fails before any work is done."""
+    dirs = [args.out if args.out_dir else args.out.parent]
+    if getattr(args, "trace", None) is not None:
+        dirs.append(args.trace.parent)
+    for path in dirs:
+        path.mkdir(parents=True, exist_ok=True)
 
 
 def _load(args) -> RunConfig:
@@ -56,8 +68,7 @@ def _load(args) -> RunConfig:
     return config
 
 
-def _cmd_synth(args) -> int:
-    config = _load(args)
+def _cmd_synth(args, config: RunConfig) -> int:
     spec = config.scene or make_benchmark_spec(config.seed)
     heat = config.heatmap
     data = generate(
@@ -67,7 +78,6 @@ def _cmd_synth(args) -> int:
         heatmap_sigma_px=heat.sigma_px,
     )
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     ids = list(range(spec.num_persons))
     sources = {"gt": data.gt_frames(), "td": data.noisy_td, "bu": data.noisy_bu,
                "obs": data.obs_2d}
@@ -81,8 +91,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_decode(args) -> int:
-    config = _load(args)
+def _cmd_decode(args, config: RunConfig) -> int:
     heat = config.heatmap
     records = []
     for frame_idx, path in enumerate(sorted(args.stacks)):
@@ -95,8 +104,7 @@ def _cmd_decode(args) -> int:
     return 0
 
 
-def _cmd_match(args) -> int:
-    config = _load(args)
+def _cmd_match(args, config: RunConfig) -> int:
     k = config.skeleton.num_joints
     td_map = records_to_pose_map(read_frames(args.td, k))
     bu_map = records_to_pose_map(read_frames(args.bu, k))
@@ -115,12 +123,11 @@ def _cmd_match(args) -> int:
     return 0
 
 
-def _cmd_fuse(args) -> int:
+def _cmd_fuse(args, config: RunConfig) -> int:
     # Imported at call time, so that a wrapper installed on
     # pipeline.fuse_sources (perfbench's tracer installs one) is the one called.
     from .pipeline import fuse_sources
 
-    config = _load(args)
     k = config.skeleton.num_joints
     td_map = records_to_pose_map(read_frames(args.td, k))
     bu_map = records_to_pose_map(read_frames(args.bu, k))
@@ -130,8 +137,7 @@ def _cmd_fuse(args) -> int:
     return 0
 
 
-def _cmd_tto(args) -> int:
-    config = _load(args)
+def _cmd_tto(args, config: RunConfig) -> int:
     k = config.skeleton.num_joints
     pose_map = records_to_pose_map(read_frames(args.poses, k))
     obs_map = records_to_obs_map(read_frames(args.obs, k)) if args.obs else None
@@ -143,8 +149,7 @@ def _cmd_tto(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    config = _load(args)
+def _cmd_eval(args, config: RunConfig) -> int:
     k = config.skeleton.num_joints
     pred_map = records_to_pose_map(read_frames(args.pred, k))
     gt_map = records_to_pose_map(read_frames(args.gt, k))
@@ -157,12 +162,8 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    config = _load(args)
+def _cmd_run(args, config: RunConfig) -> int:
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    if args.trace is not None:
-        args.trace.parent.mkdir(parents=True, exist_ok=True)
     result = run_pipeline(config, args.td, bu_path=args.bu, gt_path=args.gt,
                           obs_path=args.obs, trace_path=args.trace)
     write_frames(result.fused_records, out / "fused.jsonl")
@@ -184,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene as frame files")
-    _add_common(p)
+    _add_common(p, out_dir=True)
     p.add_argument("--heatmaps", action="store_true",
                    help="also render per-frame heatmap stacks")
     p.set_defaults(func=_cmd_synth)
@@ -219,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("run", help="full chain: match, fuse, refine, evaluate")
-    _add_common(p, trace=True)
+    _add_common(p, trace=True, out_dir=True)
     p.add_argument("td", type=Path)
     p.add_argument("bu", type=Path, nargs="?", default=None)
     p.add_argument("--gt", type=Path, default=None)
@@ -233,7 +234,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        config = _load(args)
+        _make_output_dirs(args)
+        return args.func(args, config)
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2

@@ -273,12 +273,14 @@ def run_pipeline(config: RunConfig, td_path, bu_path=None, gt_path=None,
 
 def write_traces(traces: dict[int | str, list[TraceRow]], path) -> None:
     """Write loss traces as CSV: one row per track and optimizer iteration,
-    with columns track, iteration, stage, l_traj, l_rep, l_bone, total."""
+    with columns track, iteration, stage, l_traj, l_rep, l_bone, total,
+    step, halvings."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["track", "iteration", "stage", "l_traj", "l_rep",
-                         "l_bone", "total"])
+                         "l_bone", "total", "step", "halvings"])
         for key in sorted(traces, key=str):
             for row in traces[key]:
                 writer.writerow([key, row.iteration, row.stage, repr(row.l_traj),
-                                 repr(row.l_rep), repr(row.l_bone), repr(row.total)])
+                                 repr(row.l_rep), repr(row.l_bone), repr(row.total),
+                                 repr(row.step), row.halvings])

@@ -8,10 +8,13 @@ two-stage reprojection-coefficient schedule.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from .camera import CameraIntrinsics
 from .errors import (
@@ -48,18 +51,21 @@ class TtoConfig:
     def __post_init__(self):
         if len(self.windows) != 3:
             raise ValueError("windows must give lengths for orders 1, 2, 3")
-        for order, w in self.window_map().items():
-            if w < order + 1:
+        for order, w in zip((1, 2, 3), self.windows):
+            if isinstance(w, bool) or not isinstance(w, numbers.Integral) \
+                    or (w != 0 and w < order + 1):
                 raise ValueError(
-                    f"order {order} needs a window of at least {order + 1}, got {w}"
+                    f"windows: order {order} needs an integer window of 0 (off) or "
+                    f"at least {order + 1}, got {w!r}"
                 )
+        # the comparisons are False for NaN, so NaN fails them too
         for name in ("c_rep_stage1", "c_rep_stage2", "c_bone"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if self.iters_per_stage < 1:
             raise ValueError("iters_per_stage must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be finite and positive")
 
     def window_map(self) -> dict[int, int]:
         """Enabled orders mapped to their window lengths."""
@@ -71,7 +77,9 @@ class TtoConfig:
 
 @dataclass
 class TraceRow:
-    """One optimizer iteration: accepted loss and its components."""
+    """One optimizer iteration: accepted loss and its components, the step
+    size of this iteration's update (the last step tried if none was
+    accepted) and how many times the step was halved in this iteration."""
 
     iteration: int
     stage: int
@@ -79,6 +87,8 @@ class TraceRow:
     l_rep: float
     l_bone: float
     total: float
+    step: float
+    halvings: int
 
 
 @dataclass
@@ -132,6 +142,12 @@ class _Objective:
     observations, with everything that does not depend on the joints
     computed once.
 
+    The trajectory residuals are one sparse stencil times the joints and
+    the bone vectors one incidence matrix times the joints, so each term is
+    a few whole-array operations; both operators are cached.  The
+    reprojection term exists only when observations are given; the check
+    that every joint lies in front of the camera runs either way.
+
     Each term method evaluates one loss term and keeps its residuals; the
     matching ``*_grad`` method builds that term's gradient from them, so a
     point is evaluated once whether or not its gradient is needed.
@@ -143,133 +159,136 @@ class _Objective:
                  conf: np.ndarray | None = None, cam: CameraIntrinsics | None = None):
         t_count, k = shape
         self.k = k
+        self.shape = (t_count, k, 3)
         self.coeff = coeff = 2.0 / k
-        # (window, taps, gradient taps, rows) per enabled order with enough
-        # frames: row t predicts frame t + window from frames t .. t+window-1
-        self.orders = []
-        for order, w in sorted((windows or {}).items()):
-            if t_count > w:
-                taps = extrapolation_weights(w, order).tolist()
-                self.orders.append((w, taps, [coeff * x for x in taps], t_count - w))
-        bones = np.zeros((0, 2), dtype=np.intp) if bones is None else np.asarray(bones)
-        self.parents = bones[:, 0]
-        self.children = bones[:, 1]
-        self.scatter = _bone_scatter_rounds(bones)
-        if uv is not None:
+        self.stencil, self.stencil_t = _trajectory_stencil(
+            t_count, tuple(sorted((windows or {}).items())))
+        bones = np.zeros((0, 2), dtype=np.intp) if bones is None \
+            else np.asarray(bones, dtype=np.intp)
+        self.incidence = _bone_incidence(k, bones.tobytes())
+        self.cam = cam
+        if cam is not None:
             self.obs_u = np.ascontiguousarray(uv[..., 0])
             self.obs_v = np.ascontiguousarray(uv[..., 1])
             self.conf = conf
             self.rep_weight = conf * coeff
-            self.cam = cam
 
     def value(self, positions: np.ndarray, latents: np.ndarray
               ) -> tuple[float, float, float]:
         """(trajectory, reprojection, bone) loss at the given point."""
         # the depth check runs first, so a candidate behind the camera costs
         # no other term
-        l_rep = self.reprojection(positions)
+        if self.cam is None:
+            _check_depth(positions)
+            l_rep = 0.0
+        else:
+            l_rep = self.reprojection(positions)
         return self.trajectory(positions), l_rep, self.bone(positions, latents)
 
     def grad(self, c_rep: float, c_bone: float) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of L_traj + c_rep*L_rep + c_bone*L_bone w.r.t. joints and
         latents at the point of the last ``value`` call."""
         g_bone, g_latents = self.bone_grad()
-        grad_pos = self.trajectory_grad() + c_rep * self.reprojection_grad() \
-            + c_bone * g_bone
+        grad_pos = self.trajectory_grad()
+        if self.cam is not None:
+            grad_pos += c_rep * self.reprojection_grad()
+        grad_pos += c_bone * g_bone
         return grad_pos, c_bone * g_latents
 
     def trajectory(self, positions: np.ndarray) -> float:
-        self.positions = positions
-        self.traj_res = []
-        loss = 0.0
-        for w, taps, _, rows in self.orders:
-            pred = taps[0] * positions[:rows]
-            for j in range(1, w):
-                pred += taps[j] * positions[j:j + rows]
-            res = positions[w:] - pred
-            loss += float(np.sum(res * res)) / self.k
-            self.traj_res.append(res)
-        return loss
+        res = self.stencil @ positions.reshape(self.shape[0], -1)
+        self.traj_res = res
+        return float(np.vdot(res, res)) / self.k
 
     def trajectory_grad(self) -> np.ndarray:
-        grad = np.zeros_like(self.positions)
-        for (w, _, grad_taps, rows), res in zip(self.orders, self.traj_res):
-            grad[w:] += self.coeff * res
-            for j in range(w):
-                grad[j:j + rows] -= grad_taps[j] * res
-        return grad
+        return (self.coeff * (self.stencil_t @ self.traj_res)).reshape(self.shape)
 
     def bone(self, positions: np.ndarray, latents: np.ndarray) -> float:
-        self.positions = positions
-        diff = np.take(positions, self.children, axis=1) \
-            - np.take(positions, self.parents, axis=1)  # (T, nB, 3)
+        diff = self.incidence @ positions  # (T, nB, 3): child minus parent
         sq = diff * diff
         # the sum np.linalg.norm forms, without its reduction overhead
         self.bone_lengths = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
         self.bone_diff = diff
-        self.bone_res = self.bone_lengths - latents
-        return float(np.sum(self.bone_res * self.bone_res))
+        self.bone_res = res = self.bone_lengths - latents
+        return float(np.vdot(res, res))
 
     def bone_grad(self) -> tuple[np.ndarray, np.ndarray]:
-        unit = self.bone_diff / np.maximum(self.bone_lengths, 1e-12)[..., None]
-        per_bone = (2.0 * self.bone_res)[..., None] * unit
-        # scatter joint-major, so each group moves whole (T, 3) blocks
-        per_bone = np.ascontiguousarray(per_bone.transpose(1, 0, 2))
-        t_count = self.positions.shape[0]
-        grad = np.zeros((self.k, t_count, 3))
-        for sign, joints, bones in self.scatter:
-            if sign > 0:
-                grad[joints] += per_bone[bones]
-            else:
-                grad[joints] -= per_bone[bones]
-        grad = np.ascontiguousarray(grad.transpose(1, 0, 2))
-        return grad, -2.0 * self.bone_res.sum(axis=0)
+        scale = 2.0 * self.bone_res / np.maximum(self.bone_lengths, 1e-12)
+        per_bone = self.bone_diff * scale[..., None]
+        return self.incidence.T @ per_bone, -2.0 * self.bone_res.sum(axis=0)
 
     def reprojection(self, positions: np.ndarray) -> float:
         self.positions = positions
-        z = positions[..., 2]
-        if np.any(z <= 0):
-            raise BehindCameraError("reprojection encountered a joint with z <= 0")
+        z = _check_depth(positions)
         cam = self.cam
-        self.ru = cam.fx * positions[..., 0] / z + cam.cx - self.obs_u
-        self.rv = cam.fy * positions[..., 1] / z + cam.cy - self.obs_v
-        return float(np.sum(self.conf * (self.ru * self.ru + self.rv * self.rv)) / self.k)
+        self.ru = ru = cam.fx * positions[..., 0] / z + cam.cx - self.obs_u
+        self.rv = rv = cam.fy * positions[..., 1] / z + cam.cy - self.obs_v
+        return float(np.vdot(self.conf, ru * ru + rv * rv)) / self.k
 
     def reprojection_grad(self) -> np.ndarray:
         positions, cam = self.positions, self.cam
-        x = positions[..., 0]
-        y = positions[..., 1]
         z = positions[..., 2]
-        w = self.rep_weight
+        w = self.rep_weight / z
         grad = np.empty_like(positions)
-        grad[..., 0] = w * self.ru * (cam.fx / z)
-        grad[..., 1] = w * self.rv * (cam.fy / z)
-        grad[..., 2] = -w * (self.ru * cam.fx * x + self.rv * cam.fy * y) / (z * z)
+        # d(fx * x / z)/dx = fx / z and d(fx * x / z)/dz = -(fx / z) * x / z
+        grad[..., 0] = g_x = (cam.fx * w) * self.ru
+        grad[..., 1] = g_y = (cam.fy * w) * self.rv
+        grad[..., 2] = -(g_x * positions[..., 0] + g_y * positions[..., 1]) / z
         return grad
 
 
-def _bone_scatter_rounds(bones: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Index groups that scatter per-bone gradients onto joints.
+def _check_depth(positions: np.ndarray) -> np.ndarray:
+    """The joints' depths, after checking that every one is positive."""
+    z = positions[..., 2]
+    if (z <= 0).any():
+        raise BehindCameraError("a joint has z <= 0, at or behind the camera")
+    return z
 
-    Bone i adds its gradient to its child and subtracts it from its parent.
-    Round r holds every joint's r-th update in bone order, as a child group
-    (sign +1) and a parent group (sign -1) of (sign, joints, bones), so no
-    joint repeats within a group and each joint receives its updates in the
-    same order as a loop over the bones.  Any bones array works: trees in any
-    order, and joints shared by several bones.
+
+# one entry per track length and set of windows; bounded, so a process that
+# refines tracks of many lengths does not keep every stencil it ever built
+@lru_cache(maxsize=256)
+def _trajectory_stencil(t_count: int, windows: tuple[tuple[int, int], ...]
+                        ) -> tuple[sparse.csr_array, sparse.csr_array]:
+    """The trajectory stencil S of a track of ``t_count`` frames, and its
+    transpose, as CSR matrices.
+
+    For each enabled (order, window) with ``t_count > window``, in order,
+    row t of that order's block predicts frame t + window from frames
+    t .. t+window-1: it holds +1 at t + window and minus the extrapolation
+    weights at t .. t+window-1, so ``S @ joints`` gives every residual.
+    An order without enough frames has no rows.
     """
-    rounds: list[dict[int, tuple[list[int], list[int]]]] = []
-    seen: dict[int, int] = {}
-    for i, (parent, child) in enumerate(np.asarray(bones).tolist()):
-        for joint, sign in ((child, 1), (parent, -1)):
-            r = seen.get(joint, 0)
-            seen[joint] = r + 1
-            if r == len(rounds):
-                rounds.append({1: ([], []), -1: ([], [])})
-            rounds[r][sign][0].append(joint)
-            rounds[r][sign][1].append(i)
-    return [(sign, np.array(joints, dtype=np.intp), np.array(ids, dtype=np.intp))
-            for groups in rounds for sign, (joints, ids) in groups.items() if joints]
+    cols, vals, row_len = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0, np.intp)]
+    for order, w in windows:
+        if t_count > w:
+            rows = t_count - w
+            cols.append((np.arange(rows)[:, None] + np.arange(w + 1)).ravel())
+            vals.append(np.tile(np.append(-extrapolation_weights(w, order), 1.0), rows))
+            row_len.append(np.full(rows, w + 1))
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(row_len))))
+    stencil = sparse.csr_array((np.concatenate(vals), np.concatenate(cols), indptr),
+                               shape=(len(indptr) - 1, t_count))
+    return stencil, stencil.T.tocsr()
+
+
+@lru_cache(maxsize=None)
+def _bone_incidence(k: int, bones: bytes) -> np.ndarray:
+    """The signed (n_bones, k) incidence matrix B of a skeleton: row i holds
+    +1 at bone i's child and -1 at its parent, so ``B @ joints`` gives the
+    bone vectors of (T, k, 3) joints and ``B.T @ per_bone`` adds each bone's
+    gradient to its child and subtracts it from its parent.
+
+    ``bones`` is the bytes of an (n_bones, 2) intp array of (parent, child).
+    The returned array is cached and read-only.
+    """
+    pairs = np.frombuffer(bones, dtype=np.intp).reshape(-1, 2)
+    rows = np.arange(len(pairs))
+    incidence = np.zeros((len(pairs), k))
+    incidence[rows, pairs[:, 1]] += 1.0
+    incidence[rows, pairs[:, 0]] -= 1.0
+    incidence.setflags(write=False)
+    return incidence
 
 
 def _consecutive_joints(seq: TrackSequence) -> np.ndarray:
@@ -376,8 +395,10 @@ def _track_objective(seq: TrackSequence, positions: np.ndarray,
                      cam: CameraIntrinsics, cfg: TtoConfig, skel: SkeletonSpec
                      ) -> _Objective:
     uv, conf = _observation_arrays(seq, observations, positions.shape[1])
+    # with no observation weight there is no reprojection term to build
+    reprojection = dict(uv=uv, conf=conf, cam=cam) if np.any(conf > 0) else {}
     return _Objective(positions.shape[:2], windows=cfg.window_map(),
-                      bones=skel.bone_array, uv=uv, conf=conf, cam=cam)
+                      bones=skel.bone_array, **reprojection)
 
 
 def tto_loss(seq: TrackSequence, observations: dict[int, Pose2D] | None,
@@ -418,13 +439,16 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
         comps = objective.value(positions, latents)
         comps = (*comps, comps[0] + c_rep * comps[1] + cfg.c_bone * comps[2])
         grad_pos, grad_lat = objective.grad(c_rep, cfg.c_bone)
+        tried = step
         for _ in range(cfg.iters_per_stage):
             if not (np.all(np.isfinite(grad_pos)) and np.all(np.isfinite(grad_lat))):
                 raise NumericFailureError(
                     f"non-finite gradient at stage {stage}, iteration {iteration}"
                 )
             accepted = False
+            halvings = 0
             while step >= MIN_STEP:
+                tried = step
                 cand_pos = positions - step * grad_pos
                 cand_lat = np.maximum(latents - step * grad_lat, 0.0)
                 try:
@@ -432,6 +456,7 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
                 except BehindCameraError:
                     # overshoot past the image plane counts as a rejected step
                     step *= 0.5
+                    halvings += 1
                     continue
                 cand_total = cand_comps[0] + c_rep * cand_comps[1] + \
                     cfg.c_bone * cand_comps[2]
@@ -439,6 +464,7 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
                     accepted = True
                     break
                 step *= 0.5
+                halvings += 1
             if accepted:
                 positions = cand_pos
                 latents = cand_lat
@@ -449,6 +475,7 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
             state.trace.append(TraceRow(
                 iteration=iteration, stage=stage,
                 l_traj=comps[0], l_rep=comps[1], l_bone=comps[2], total=comps[3],
+                step=tried, halvings=halvings,
             ))
             iteration += 1
     state.positions = positions

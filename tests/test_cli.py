@@ -282,3 +282,60 @@ def test_frame_file_errors_name_file_and_line(tmp_path, capsys, case):
     capsys.readouterr()
     assert main([*argv, "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_outputs_go_into_missing_directories(tmp_path, skel):
+    from dualpose.camera import CameraIntrinsics
+    from dualpose.heatmaps import render_stack, write_stack
+    from dualpose.skeleton import pose3d_camera, rest_pose
+
+    config_path, _ = write_config(tmp_path, num_frames=6, iters=3)
+    scene = tmp_path / "scene"
+    assert main(["synth", "--config", str(config_path), "--out", str(scene)]) == 0
+    common = ["--config", str(config_path)]
+    td, bu = str(scene / "td.jsonl"), str(scene / "bu.jsonl")
+    fused, refined = tmp_path / "f" / "fused.jsonl", tmp_path / "x" / "tto.jsonl"
+    trace, report = tmp_path / "y" / "trace.csv", tmp_path / "e" / "report.json"
+    matches = tmp_path / "m" / "matches.json"
+    assert main(["match", *common, "--out", str(matches), td, bu]) == 0
+    assert main(["fuse", *common, "--out", str(fused), td, bu]) == 0
+    assert main(["tto", *common, "--out", str(refined), "--trace", str(trace),
+                 str(fused), "--obs", str(scene / "obs.jsonl")]) == 0
+    assert main(["eval", *common, "--out", str(report), str(refined),
+                 str(scene / "gt.jsonl")]) == 0
+    for path in (matches, fused, refined, trace, report, report.with_suffix(".csv")):
+        assert path.stat().st_size > 0
+    assert trace.read_text().splitlines()[0].endswith(",step,halvings")
+
+    config = RunConfig.default()
+    config.camera = CameraIntrinsics(fx=40.0, fy=40.0, cx=64.0, cy=48.0)
+    save_config(config, tmp_path / "decode.json")
+    stack = tmp_path / "frame.phms"
+    write_stack(render_stack([pose3d_camera(rest_pose() + (0.0, 0.0, 4001.0))],
+                             config.camera, skel, width=128, height=96), stack)
+    decoded = tmp_path / "d" / "decoded.jsonl"
+    assert main(["decode", "--config", str(tmp_path / "decode.json"),
+                 "--out", str(decoded), str(stack)]) == 0
+    assert decoded.stat().st_size > 0
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_unusable_output_directory_fails_before_refinement(tmp_path, monkeypatch,
+                                                          capsys, flag):
+    import dualpose.cli
+
+    config_path, _ = write_config(tmp_path, num_frames=6, iters=3)
+    scene = tmp_path / "scene"
+    assert main(["synth", "--config", str(config_path), "--out", str(scene)]) == 0
+    calls = []
+    monkeypatch.setattr(dualpose.cli, "refine_tracks",
+                        lambda *args: calls.append(args) or ({}, {}))
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    paths = {"--out": tmp_path / "tto.jsonl", "--trace": tmp_path / "trace.csv"}
+    paths[flag] = blocker / "file"
+    code = main(["tto", "--config", str(config_path), "--out", str(paths["--out"]),
+                 "--trace", str(paths["--trace"]), str(scene / "td.jsonl")])
+    assert code == 1
+    assert "not_a_dir" in capsys.readouterr().err
+    assert calls == []

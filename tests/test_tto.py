@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from dualpose.camera import project
 from dualpose.pipeline import contiguous_runs, write_traces
-from dualpose.errors import InsufficientHistoryError, MisalignedFramesError
+from dualpose.errors import InsufficientHistoryError, MisalignedFramesError, SchemaError
+from dualpose.frames_io import RunConfig, load_config
 from dualpose.skeleton import (
     Frame,
     Pose2D,
@@ -14,6 +17,8 @@ from dualpose.skeleton import (
     rest_pose,
 )
 from dualpose.tto import (
+    MAX_STEP,
+    MIN_STEP,
     TtoConfig,
     TtoState,
     bone_loss,
@@ -200,8 +205,11 @@ def assert_close_to_oracle(value, expected):
 
 def test_trajectory_loss_grad_matches_loop_oracle():
     rng = np.random.default_rng(94)
+    # ({3: 4}, 9) has one enabled order; the last three have stencils with
+    # no rows: no enabled order, or a track shorter than every window
     for windows, t_count in (({1: 2, 2: 5, 3: 5}, 30), ({1: 3, 3: 4}, 12),
-                             ({2: 6}, 7), ({1: 2, 2: 5, 3: 5}, 5)):
+                             ({2: 6}, 7), ({1: 2, 2: 5, 3: 5}, 5), ({3: 4}, 9),
+                             ({}, 6), ({1: 2, 2: 5, 3: 5}, 2), ({2: 6}, 6)):
         joints = 4000.0 + 80.0 * rng.standard_normal((t_count, 6, 3))
         stencils = {o: extrapolation_weights(w, o) for o, w in windows.items()
                     if t_count > w}
@@ -451,25 +459,109 @@ def test_optimize_monotone_trace_and_improvement(skel, cam):
     assert state.trace[-1].l_rep == pytest.approx(rep_out, rel=1e-9)
 
 
-def test_optimize_rejects_steps_past_image_plane(skel, cam):
-    # shallow depths with wildly inconsistent observations drive huge
-    # reprojection gradients; overshooting candidates must be halved, not crash
+def image_plane_scene(cam):
+    """Shallow depths with wildly inconsistent observations: huge
+    reprojection gradients, so big steps overshoot past the image plane."""
     rng = np.random.default_rng(93)
     joints = rest_pose()[None] * 0.02 + (0.0, 0.0, 60.0) \
         + 2.0 * rng.standard_normal((8, 15, 3))
     joints[..., 2] = np.abs(joints[..., 2] - 60.0) + 40.0
-    seq = make_track(joints)
     obs = {
         i: Pose2D(joints=project(joints[i], cam) + 200.0, conf=np.ones(15))
         for i in range(8)
     }
-    cfg = TtoConfig(iters_per_stage=60, step_size=1.0)
+    return make_track(joints), obs, TtoConfig(iters_per_stage=60, step_size=1.0)
+
+
+def test_optimize_rejects_steps_past_image_plane(skel, cam):
+    # overshooting candidates must be halved, not crash
+    seq, obs, cfg = image_plane_scene(cam)
     refined, state = optimize(seq, obs, cam, cfg, skel)
     _, out_joints, _ = refined.as_arrays()
     assert np.all(out_joints[..., 2] > 0)
     for stage in {row.stage for row in state.trace}:
         totals = [row.total for row in state.trace if row.stage == stage]
         assert all(b <= a for a, b in zip(totals, totals[1:]))
+
+
+def test_trace_records_step_and_halvings(skel, cam):
+    seq, obs, cfg = image_plane_scene(cam)
+    _, state = optimize(seq, obs, cam, cfg, skel)
+    assert any(row.halvings > 0 for row in state.trace)
+    # replay the step schedule: each row starts from the previous step
+    # (doubled after an accepted one), halves it `halvings` times, and
+    # reports the step it was accepted at, else the last one it tried
+    step, stage, accepted = cfg.step_size, 1, 0
+    for row in state.trace:
+        if row.stage != stage:
+            step, stage = cfg.step_size, row.stage
+        final = step * 0.5 ** row.halvings
+        if final >= MIN_STEP:
+            accepted += 1
+            assert row.step == final
+            step = min(2.0 * final, MAX_STEP)
+        else:
+            if row.halvings:
+                assert row.step == final * 2.0
+            step = final
+        assert row.step >= MIN_STEP
+    assert accepted > 0
+
+
+def test_no_observations_equal_zero_confidence_observations(skel, cam):
+    rng = np.random.default_rng(96)
+    clean = linear_motion_joints(12, skel.num_joints)
+    seq = make_track(clean + 20.0 * rng.standard_normal(clean.shape))
+    zero_conf = {
+        i: Pose2D(joints=project(clean[i], cam) + 50.0, conf=np.zeros(skel.num_joints))
+        for i in range(12)
+    }
+    cfg = TtoConfig(iters_per_stage=30)
+    refined_none, state_none = optimize(seq, None, cam, cfg, skel)
+    refined_zero, state_zero = optimize(seq, zero_conf, cam, cfg, skel)
+    assert np.array_equal(refined_none.as_arrays()[1], refined_zero.as_arrays()[1])
+    assert state_none.trace == state_zero.trace
+    assert all(row.l_rep == 0.0 for row in state_none.trace)
+
+
+def test_no_observations_huge_step_stays_in_front_of_camera(skel, cam):
+    # a rigid track running into the image plane and stopping just short of
+    # it: the trajectory term pulls the last frames to z < 0, so a step that
+    # lowers the loss can cross the plane.  Without observations there is no
+    # reprojection term, but the depth check still rejects such a candidate.
+    z = np.array([40.0, 30.0, 20.0, 10.0, 2.0, 2.0])
+    joints = rest_pose()[None] * 0.05 + z[:, None, None] * (0.0, 0.0, 1.0)
+    cfg = TtoConfig(iters_per_stage=40, step_size=1e6)
+    refined, state = optimize(make_track(joints), None, cam, cfg, skel)
+    assert np.all(refined.as_arrays()[1][..., 2] > 0)
+    assert any(row.halvings > 0 for row in state.trace)
+
+
+def test_optimize_without_trajectory_rows(skel, cam):
+    # a track shorter than every window and windows=(0, 0, 0) both give a
+    # stencil with no rows: the same bone-only descent, with no trajectory loss
+    rng = np.random.default_rng(98)
+    joints = rest_pose()[None] + (0, 0, 4000.0) + 15.0 * rng.standard_normal((2, 15, 3))
+    seq = make_track(joints)
+    short, short_state = optimize(seq, None, cam, TtoConfig(iters_per_stage=15), skel)
+    off, off_state = optimize(seq, None, cam,
+                              TtoConfig(windows=(0, 0, 0), iters_per_stage=15), skel)
+    assert np.array_equal(short.as_arrays()[1], off.as_arrays()[1])
+    assert short_state.trace == off_state.trace
+    assert all(row.l_traj == 0.0 for row in short_state.trace)
+    assert short_state.trace[-1].l_bone < short_state.trace[0].l_bone
+
+
+def test_optimize_single_order_trace_matches_loop_oracle(skel, cam):
+    rng = np.random.default_rng(99)
+    joints = linear_motion_joints(11, skel.num_joints) \
+        + 10.0 * rng.standard_normal((11, skel.num_joints, 3))
+    cfg = TtoConfig(windows=(0, 3, 0), iters_per_stage=15)
+    refined, state = optimize(make_track(joints), None, cam, cfg, skel)
+    out = refined.as_arrays()[1]
+    expected, _ = trajectory_loss_grad_loops(out, {2: extrapolation_weights(3, 2)})
+    assert state.trace[-1].l_traj == pytest.approx(expected, rel=ORACLE_REL)
+    assert state.trace[-1].l_traj < state.trace[0].l_traj
 
 
 def test_optimize_trace_csv(tmp_path, skel, cam):
@@ -479,12 +571,13 @@ def test_optimize_trace_csv(tmp_path, skel, cam):
     write_traces({seq.person_id: state.trace}, tmp_path / "trace.csv")
     text = (tmp_path / "trace.csv").read_text()
     lines = text.strip().splitlines()
-    assert lines[0] == "track,iteration,stage,l_traj,l_rep,l_bone,total"
+    assert lines[0] == "track,iteration,stage,l_traj,l_rep,l_bone,total,step,halvings"
     assert len(lines) == 1 + len(state.trace)
     first = state.trace[0]
     assert lines[1] == ",".join(str(v) for v in (
         seq.person_id, first.iteration, first.stage, repr(first.l_traj),
-        repr(first.l_rep), repr(first.l_bone), repr(first.total)))
+        repr(first.l_rep), repr(first.l_bone), repr(first.total),
+        repr(first.step), first.halvings))
 
 
 def test_config_validation():
@@ -496,3 +589,23 @@ def test_config_validation():
         TtoConfig(iters_per_stage=0)
     cfg = TtoConfig(windows=(2, 0, 0))
     assert cfg.window_map() == {1: 2}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("windows", (-3, 5, 5)), ("windows", (2, -1, 5)), ("windows", (2.5, 5, 5)),
+    ("step_size", float("nan")), ("step_size", float("inf")),
+    ("c_rep_stage1", float("nan")), ("c_rep_stage2", float("inf")),
+    ("c_bone", float("nan")), ("c_bone", float("inf")),
+])
+def test_config_rejects_negative_window_and_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        TtoConfig(**{field: value})
+
+
+def test_config_file_with_negative_window_names_the_field(tmp_path):
+    data = RunConfig.default().to_dict()
+    data["tto"]["windows"] = [-3, 5, 5]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match=r"config\.tto: windows: order 1"):
+        load_config(path)
