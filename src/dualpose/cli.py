@@ -95,7 +95,7 @@ def _cmd_decode(args, config: RunConfig) -> int:
     heat = config.heatmap
     records = []
     for frame_idx, path in enumerate(sorted(args.stacks)):
-        stack = read_stack(path)
+        stack = read_stack(path, config.skeleton.num_joints)
         poses = decode_poses(stack, config.camera, config.skeleton,
                              theta_peak=heat.theta_peak, theta_tag=heat.theta_tag)
         records.append(poses_to_record(frame_idx, "bu", poses))

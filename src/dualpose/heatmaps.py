@@ -66,31 +66,44 @@ class HeatmapStack:
                 f"root_depth_map must have shape {(self.height, self.width)}, got {root.shape}"
             )
         object.__setattr__(self, "root_depth_map", root)
-        if np.any(self.joint_maps < 0.0) or np.any(self.joint_maps > 1.0):
+        # NaN fails both comparisons, so this also rejects non-finite maps
+        if not ((self.joint_maps >= 0.0) & (self.joint_maps <= 1.0)).all():
             raise ValueError("joint_maps values must lie within [0, 1]")
+        for name in ("tag_maps", "rel_depth_maps", "root_depth_map"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} values must be finite")
 
     @property
     def num_joints(self) -> int:
         return self.joint_maps.shape[0]
 
 
-def bilinear_sample(grid: np.ndarray, u: float, v: float) -> float:
-    """Bilinear interpolation of a (H, W) grid at pixel (u, v).
+def bilinear_sample(grid: np.ndarray, u, v):
+    """Bilinear interpolation of (H, W) planes at pixels (u, v).
 
-    Sample points must satisfy 0 <= u <= W-1 and 0 <= v <= H-1.
+    ``grid`` is one plane, sampled at every point of the equal-shape ``u``
+    and ``v``, or a stack (N, H, W) whose plane n is sampled at the points
+    ``u[n]``, ``v[n]``.  Every point must satisfy 0 <= u <= W-1 and
+    0 <= v <= H-1.  A scalar (u, v) on one plane gives a float.
     """
-    h, w = grid.shape
-    if not (0.0 <= u <= w - 1 and 0.0 <= v <= h - 1):
-        raise OutOfGridError(f"sample ({u}, {v}) outside grid {w}x{h}")
-    x0 = min(int(np.floor(u)), w - 2) if w > 1 else 0
-    y0 = min(int(np.floor(v)), h - 2) if h > 1 else 0
-    x1 = min(x0 + 1, w - 1)
-    y1 = min(y0 + 1, h - 1)
+    h, w = grid.shape[-2:]
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    outside = ~((u >= 0.0) & (u <= w - 1) & (v >= 0.0) & (v <= h - 1))
+    if outside.any():
+        first = np.flatnonzero(outside)[0]
+        raise OutOfGridError(f"sample ({u.flat[first]}, {v.flat[first]}) outside grid {w}x{h}")
+    x0 = np.minimum(np.floor(u), max(w - 2, 0)).astype(np.intp)
+    y0 = np.minimum(np.floor(v), max(h - 2, 0)).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
     fx = u - x0
     fy = v - y0
-    top = grid[y0, x0] * (1.0 - fx) + grid[y0, x1] * fx
-    bot = grid[y1, x0] * (1.0 - fx) + grid[y1, x1] * fx
-    return float(top * (1.0 - fy) + bot * fy)
+    plane = (np.arange(len(grid)).reshape(-1, *[1] * (u.ndim - 1)),) if grid.ndim == 3 else ()
+    top = grid[(*plane, y0, x0)] * (1.0 - fx) + grid[(*plane, y0, x1)] * fx
+    bot = grid[(*plane, y1, x0)] * (1.0 - fx) + grid[(*plane, y1, x1)] * fx
+    out = top * (1.0 - fy) + bot * fy
+    return float(out) if out.ndim == 0 else out
 
 
 def extract_peaks(stack: HeatmapStack, theta_peak: float = DEFAULT_PEAK_THRESHOLD
@@ -108,36 +121,30 @@ def extract_peaks(stack: HeatmapStack, theta_peak: float = DEFAULT_PEAK_THRESHOL
     """
     if not 0.0 < theta_peak < 1.0:
         raise ValueError("theta_peak must lie in (0, 1)")
-    h, w = stack.height, stack.width
-    results: list[list[tuple[float, float, float]]] = []
-    for k in range(stack.num_joints):
-        m = stack.joint_maps[k]
-        # Strictly-greater comparison against shifted copies; out-of-bounds
-        # neighbors compare as -inf so border peaks survive.
-        pad = np.full((h + 2, w + 2), -np.inf)
-        pad[1:-1, 1:-1] = m
-        center = pad[1:-1, 1:-1]
-        is_peak = np.ones((h, w), dtype=bool)
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if dy == 0 and dx == 0:
-                    continue
-                neighbor = pad[1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx]
-                is_peak &= center > neighbor
-        is_peak &= m >= theta_peak
-        ys, xs = np.nonzero(is_peak)
-        peaks = []
-        for y, x in zip(ys.tolist(), xs.tolist()):
-            u = float(x)
-            v = float(y)
-            if 0 < x < w - 1:
-                u += 0.25 * np.sign(m[y, x + 1] - m[y, x - 1])
-            if 0 < y < h - 1:
-                v += 0.25 * np.sign(m[y + 1, x] - m[y - 1, x])
-            peaks.append((u, v, float(m[y, x])))
-        peaks.sort(key=lambda p: (-p[2], p[1], p[0]))
-        results.append(peaks)
-    return results
+    m = stack.joint_maps
+    k, h, w = m.shape
+    # Cells above the threshold, each compared strictly against its 8
+    # neighbors in one padded stack; out-of-bounds neighbors are -inf so
+    # border peaks survive.
+    pad = np.full((k, h + 2, w + 2), -np.inf)
+    pad[:, 1:-1, 1:-1] = m
+    js, ys, xs = np.nonzero(m >= theta_peak)
+    score = m[js, ys, xs]
+    is_peak = np.ones(score.shape, dtype=bool)
+    for dy in (0, 1, 2):
+        for dx in (0, 1, 2):
+            if dy != 1 or dx != 1:
+                is_peak &= score > pad[js, ys + dy, xs + dx]
+    js, ys, xs, score = js[is_peak], ys[is_peak], xs[is_peak], score[is_peak]
+    # cells on the border keep their integer coordinate along that axis
+    du = np.sign(m[js, ys, np.minimum(xs + 1, w - 1)] - m[js, ys, np.maximum(xs - 1, 0)])
+    dv = np.sign(m[js, np.minimum(ys + 1, h - 1), xs] - m[js, np.maximum(ys - 1, 0), xs])
+    u = xs + np.where((xs > 0) & (xs < w - 1), 0.25 * du, 0.0)
+    v = ys + np.where((ys > 0) & (ys < h - 1), 0.25 * dv, 0.0)
+    order = np.lexsort((u, v, -score, js))
+    peaks = list(zip(u[order].tolist(), v[order].tolist(), score[order].tolist()))
+    ends = np.cumsum(np.bincount(js, minlength=k)).tolist()
+    return [peaks[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def group_by_tags(peaks: list[list[tuple[float, float, float]]],
@@ -148,14 +155,20 @@ def group_by_tags(peaks: list[list[tuple[float, float, float]]],
     Each peak joins the existing group whose running mean tag is nearest and
     within ``theta_tag`` (among groups still missing that joint); otherwise
     it starts a new group.  Missing joints get position (0, 0) and conf 0.
+    Peaks are placed one by one, since each placement moves a mean tag.
     """
     if theta_tag <= 0:
         raise ValueError("theta_tag must be positive")
     k = len(peaks)
+    # every peak's tag in one call: one row per joint, padded with the
+    # in-grid point (0, 0), whose samples go unused
+    rows = np.zeros((k, max(map(len, peaks), default=0), 3))
+    for joint, joint_peaks in enumerate(peaks):
+        rows[joint, :len(joint_peaks)] = np.reshape(joint_peaks, (-1, 3))
+    tags = bilinear_sample(tag_maps, rows[..., 0], rows[..., 1]).tolist()
     groups: list[dict] = []  # {"joints": {k: (u, v, score)}, "tag_sum", "n"}
-    for joint in range(k):
-        for (u, v, score) in peaks[joint]:
-            tag = bilinear_sample(tag_maps[joint], u, v)
+    for joint, joint_peaks in enumerate(peaks):
+        for (u, v, score), tag in zip(joint_peaks, tags[joint]):
             best = None
             best_dist = None
             for g in groups:
@@ -188,16 +201,13 @@ def retrieve_depths(pose2d: Pose2D, stack: HeatmapStack, skel: SkeletonSpec
     """Read (root depth, per-joint relative depths) at the pose's joints.
 
     The root depth map is sampled at the root joint; each relative-depth
-    map is sampled at its own joint.  Raises OutOfGridError for joints
-    outside the grid.
+    map is sampled at its own joint, all in one gather.  Raises
+    OutOfGridError for joints outside the grid.
     """
-    ru, rv = pose2d.joints[skel.root_index]
-    z_root = bilinear_sample(stack.root_depth_map, ru, rv)
-    z_rel = np.empty(pose2d.num_joints)
-    for k in range(pose2d.num_joints):
-        u, v = pose2d.joints[k]
-        z_rel[k] = bilinear_sample(stack.rel_depth_maps[k], u, v)
-    return z_root, z_rel
+    u, v = pose2d.joints.T
+    root = skel.root_index
+    z_root = bilinear_sample(stack.root_depth_map, u[root], v[root])
+    return z_root, bilinear_sample(stack.rel_depth_maps, u, v)
 
 
 def render_stack(poses: list[Pose3D], cam: CameraIntrinsics, skel: SkeletonSpec,
@@ -318,34 +328,36 @@ def write_stack(stack: HeatmapStack, path) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def read_stack(path) -> HeatmapStack:
-    """Read a stack from the binary tensor format written by write_stack."""
+def read_stack(path, num_joints: int | None = None) -> HeatmapStack:
+    """Read a stack from the binary tensor format written by write_stack.
+
+    Raises SchemaError naming the file for a bad magic or version, a file
+    size that disagrees with the header's K x width x height, a joint count
+    other than ``num_joints`` (when given), and planes that HeatmapStack
+    rejects (non-finite values, joint maps outside [0, 1]).
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     header_size = len(MAGIC) + struct.calcsize("<H3I")
-    if len(blob) < header_size or blob[:4] != MAGIC:
+    if blob[:4] != MAGIC:
         raise SchemaError(f"{path}: not a heatmap stack file (bad magic)")
+    if len(blob) < header_size:
+        raise SchemaError(f"{path}: truncated header, {len(blob)} of {header_size} bytes")
     version, k, width, height = struct.unpack_from("<H3I", blob, 4)
     if version != FORMAT_VERSION:
         raise SchemaError(f"{path}: unsupported version {version}")
     plane = width * height
     expected = header_size + 4 * plane * (3 * k + 1)
     if len(blob) != expected:
-        raise SchemaError(
-            f"{path}: truncated stack, expected {expected} bytes, got {len(blob)}"
-        )
+        raise SchemaError(f"{path}: header K={k}, width={width}, height={height} "
+                          f"needs {expected} bytes, file has {len(blob)}")
+    if num_joints is not None and k != num_joints:
+        raise SchemaError(f"{path}: expected {num_joints} joints, got {k}")
     data = np.frombuffer(blob, dtype="<f4", offset=header_size).astype(np.float64)
-    offset = 0
-
-    def take(count):
-        nonlocal offset
-        chunk = data[offset:offset + count]
-        offset += count
-        return chunk
-
-    joint = take(k * plane).reshape(k, height, width)
-    tag = take(k * plane).reshape(k, height, width)
-    rel = take(k * plane).reshape(k, height, width)
-    root = take(plane).reshape(height, width)
-    return HeatmapStack(width=width, height=height, joint_maps=joint,
-                        tag_maps=tag, rel_depth_maps=rel, root_depth_map=root)
+    joint, tag, rel = data[:3 * k * plane].reshape(3, k, height, width)
+    try:
+        return HeatmapStack(width=width, height=height, joint_maps=joint, tag_maps=tag,
+                            rel_depth_maps=rel,
+                            root_depth_map=data[3 * k * plane:].reshape(height, width))
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc

@@ -83,61 +83,70 @@ def _check_pair(pred: Pose3D, gt: Pose3D) -> None:
         raise ValueError("prediction and ground truth must share one skeleton")
 
 
-def _root_aligned_distances(pred: Pose3D, gt: Pose3D, skel: SkeletonSpec) -> np.ndarray:
-    _check_pair(pred, gt)
-    p = pred.joints - pred.joints[skel.root_index]
-    g = gt.joints - gt.joints[skel.root_index]
+def _root_aligned_distances(pred: np.ndarray, gt: np.ndarray, root: int) -> np.ndarray:
+    """Per-joint distances of paired (..., K, 3) joint stacks after moving
+    each pose's root to the origin."""
+    p = pred - pred[..., root:root + 1, :]
+    g = gt - gt[..., root:root + 1, :]
     return np.linalg.norm(p - g, axis=-1)
 
 
 def mpjpe(pred: Pose3D, gt: Pose3D, skel: SkeletonSpec) -> float:
     """Mean per-joint position error after root-translation alignment (mm)."""
-    return float(np.mean(_root_aligned_distances(pred, gt, skel)))
+    _check_pair(pred, gt)
+    return float(np.mean(_root_aligned_distances(pred.joints, gt.joints, skel.root_index)))
 
 
 def similarity_align(source: np.ndarray, target: np.ndarray
-                     ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+                     ) -> tuple[np.ndarray, float | np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares similarity alignment of ``source`` onto ``target``.
 
-    Returns (aligned points, scale, rotation, translation) minimizing
-    sum ||s*R'source + t - target||^2.  Raises DegenerateGeometryError when
-    the source or target configuration has rank < 2.
+    Both are (..., N, 3) stacks of point sets, each aligned on its own.
+    Returns (aligned points, scale, rotation, translation) of shapes (..., N, 3),
+    (...), (..., 3, 3), (..., 3), minimizing sum ||s*R'source + t - target||^2
+    per set.  Raises DegenerateGeometryError if any set has rank < 2.
     """
     src = np.asarray(source, dtype=np.float64)
     tgt = np.asarray(target, dtype=np.float64)
-    mu_src = src.mean(axis=0)
-    mu_tgt = tgt.mean(axis=0)
-    src0 = src - mu_src
-    tgt0 = tgt - mu_tgt
-    var_src = float(np.sum(src0 * src0))
-    if var_src <= 0.0:
+    mu_src = src.mean(axis=-2)
+    mu_tgt = tgt.mean(axis=-2)
+    src0 = src - mu_src[..., None, :]
+    tgt0 = tgt - mu_tgt[..., None, :]
+    var_src = np.sum(src0 * src0, axis=(-2, -1))
+    if np.any(var_src <= 0.0):
         raise DegenerateGeometryError("source points are coincident")
-    h = src0.T @ tgt0
-    u, s, vt = np.linalg.svd(h)
-    if s[1] <= max(s[0], 1.0) * 1e-12:
+    u, s, vt = np.linalg.svd(np.swapaxes(src0, -1, -2) @ tgt0)
+    if np.any(s[..., 1] <= np.maximum(s[..., 0], 1.0) * 1e-12):
         raise DegenerateGeometryError("point configuration has rank < 2")
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    flip = np.ones(3)
-    flip[-1] = d
-    rot = vt.T @ np.diag(flip) @ u.T
-    scale = float(np.sum(s * flip)) / var_src
-    trans = mu_tgt - scale * rot @ mu_src
-    aligned = scale * src @ rot.T + trans
+    v, ut = np.swapaxes(vt, -1, -2), np.swapaxes(u, -1, -2)
+    flip = np.ones(s.shape)
+    flip[..., -1] = np.sign(np.linalg.det(v @ ut))
+    rot = (v * flip[..., None, :]) @ ut
+    scale = np.sum(s * flip, axis=-1) / var_src
+    trans = mu_tgt - ((scale[..., None, None] * rot) @ mu_src[..., None])[..., 0]
+    aligned = scale[..., None, None] * src @ np.swapaxes(rot, -1, -2) + trans[..., None, :]
     return aligned, scale, rot, trans
 
 
+def _pa_errors(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """PA-MPJPE of each pose pair of two paired (..., K, 3) joint stacks."""
+    aligned = similarity_align(pred, gt)[0]
+    return np.mean(np.linalg.norm(aligned - gt, axis=-1), axis=-1)
+
+
 def pa_mpjpe(pred: Pose3D, gt: Pose3D) -> float:
-    """MPJPE after optimal similarity (Procrustes) alignment of pred onto gt."""
+    """MPJPE after optimal similarity (Procrustes) alignment of pred onto gt
+    (the 1-pair case of the stacked alignment)."""
     _check_pair(pred, gt)
-    aligned, _, _, _ = similarity_align(pred.joints, gt.joints)
-    return float(np.mean(np.linalg.norm(aligned - gt.joints, axis=-1)))
+    return float(_pa_errors(pred.joints, gt.joints))
 
 
 def pck(pred: Pose3D, gt: Pose3D, threshold_mm: float, skel: SkeletonSpec) -> float:
     """Fraction of joints whose root-aligned distance is below threshold."""
     if threshold_mm <= 0:
         raise ValueError("threshold must be positive")
-    dists = _root_aligned_distances(pred, gt, skel)
+    _check_pair(pred, gt)
+    dists = _root_aligned_distances(pred.joints, gt.joints, skel.root_index)
     return float(np.mean(dists < threshold_mm))
 
 
@@ -165,6 +174,27 @@ def auc_thresholds(max_mm: float = DEFAULT_AUC_MAX_MM,
     return step_mm * np.arange(1, count + 1)
 
 
+def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m, ...) distances between the rows of ``a`` (n, ..., 3) and ``b``."""
+    return np.linalg.norm(a[:, None] - b[None], axis=-1)
+
+
+def _greedy_pairs(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Globally greedy nearest-first pairing of a distance matrix's rows and
+    columns, (rows, columns) in pairing order; ties by lowest flat index."""
+    # retired rows and columns become inf, above every (capped) distance
+    d = np.minimum(dists, np.finfo(np.float64).max)
+    n, m = d.shape
+    rows, cols = [], []
+    for _ in range(min(n, m)):
+        i, j = divmod(int(np.argmin(d)), m)
+        rows.append(i)
+        cols.append(j)
+        d[i, :] = np.inf
+        d[:, j] = np.inf
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+
+
 def greedy_root_match(pred_roots: np.ndarray, gt_roots: np.ndarray
                       ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Globally greedy nearest-root pairing (no distance gate).
@@ -172,51 +202,30 @@ def greedy_root_match(pred_roots: np.ndarray, gt_roots: np.ndarray
     Returns (pairs, unmatched pred indices, unmatched gt indices); ties are
     resolved by lowest flattened (pred, gt) index.
     """
-    n_pred = len(pred_roots)
-    n_gt = len(gt_roots)
-    if n_pred == 0 or n_gt == 0:
-        return [], list(range(n_pred)), list(range(n_gt))
-    d = np.linalg.norm(pred_roots[:, None, :] - gt_roots[None, :, :], axis=-1)
-    order = np.argsort(d, axis=None, kind="stable")
-    taken_pred: set[int] = set()
-    taken_gt: set[int] = set()
-    pairs = []
-    for flat in order.tolist():
-        i, j = divmod(flat, n_gt)
-        if i in taken_pred or j in taken_gt:
-            continue
-        pairs.append((i, j))
-        taken_pred.add(i)
-        taken_gt.add(j)
-        if len(pairs) == min(n_pred, n_gt):
-            break
-    unmatched_pred = [i for i in range(n_pred) if i not in taken_pred]
-    unmatched_gt = [j for j in range(n_gt) if j not in taken_gt]
-    return pairs, unmatched_pred, unmatched_gt
+    rows, cols = _greedy_pairs(_pairwise_distances(np.reshape(pred_roots, (-1, 3)),
+                                                   np.reshape(gt_roots, (-1, 3))))
+    return (list(zip(rows.tolist(), cols.tolist())),
+            np.setdiff1d(np.arange(len(pred_roots)), rows).tolist(),
+            np.setdiff1d(np.arange(len(gt_roots)), cols).tolist())
 
 
-def _roots(poses: list[Pose3D], skel: SkeletonSpec) -> np.ndarray:
-    if not poses:
-        return np.zeros((0, 3))
-    return np.stack([p.joints[skel.root_index] for p in poses])
+def _distance_table(pred_set: list[Pose3D], gt_set: list[Pose3D], skel: SkeletonSpec
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One frame's joints stacked once, (n, K, 3) and (m, K, 3), and its
+    camera-centric distance table J (n, m, K); every person pairing reads
+    the root distances ``J[..., root]``."""
+    pred, gt = (np.stack([p.joints for p in poses]) if poses
+                else np.zeros((0, skel.num_joints, 3)) for poses in (pred_set, gt_set))
+    if pred.shape[1:] != gt.shape[1:]:
+        raise ValueError("prediction and ground truth must share one skeleton")
+    return pred, gt, _pairwise_distances(pred, gt)
 
 
-def _matched_distances(pred_set: list[Pose3D], gt_set: list[Pose3D],
-                       skel: SkeletonSpec):
-    """Greedy root matching, then the per-joint distances of matched pairs.
-
-    Returns (pairs, unmatched pred indices, unmatched gt indices,
-    root-aligned distances, camera-centric distances); the distances are
-    concatenated over the pairs in match order.
-    """
-    pairs, un_pred, un_gt = greedy_root_match(_roots(pred_set, skel), _roots(gt_set, skel))
-    if not pairs:
-        return pairs, un_pred, un_gt, np.zeros(0), np.zeros(0)
-    rel = np.concatenate([_root_aligned_distances(pred_set[i], gt_set[j], skel)
-                          for i, j in pairs])
-    absolute = np.concatenate([np.linalg.norm(pred_set[i].joints - gt_set[j].joints, axis=-1)
-                               for i, j in pairs])
-    return pairs, un_pred, un_gt, rel, absolute
+def _greedy_distances(pred: np.ndarray, gt: np.ndarray, table: np.ndarray, root: int):
+    """Greedy root pairing of one frame: (pred rows, GT rows, root-aligned
+    and camera-centric (pairs, K) distances of the pairs)."""
+    rows, cols = _greedy_pairs(table[..., root])
+    return rows, cols, _root_aligned_distances(pred[rows], gt[cols], root), table[rows, cols]
 
 
 def _fraction_within(dists: np.ndarray, threshold_mm: float, total_joints: int) -> float:
@@ -234,9 +243,9 @@ def pck_set(pred_set: list[Pose3D], gt_set: list[Pose3D], threshold_mm: float,
     Joints of unmatched ground-truth persons count as incorrect; surplus
     predictions are ignored by this metric.
     """
-    _, _, _, rel, abs_dists = _matched_distances(pred_set, gt_set, skel)
-    total = sum(p.num_joints for p in gt_set)
-    return _fraction_within(abs_dists if absolute else rel, threshold_mm, total)
+    pred, gt, table = _distance_table(pred_set, gt_set, skel)
+    _, _, rel, abs_dists = _greedy_distances(pred, gt, table, skel.root_index)
+    return _fraction_within(abs_dists if absolute else rel, threshold_mm, gt[..., 0].size)
 
 
 def auc_rel(pred_set: list[Pose3D], gt_set: list[Pose3D], skel: SkeletonSpec,
@@ -244,9 +253,38 @@ def auc_rel(pred_set: list[Pose3D], gt_set: list[Pose3D], skel: SkeletonSpec,
             step_mm: float = DEFAULT_AUC_STEP_MM) -> float:
     """Mean of the set-level PCK over the threshold grid (discrete AUC)."""
     grid = auc_thresholds(max_mm, step_mm)
-    _, _, _, rel, _ = _matched_distances(pred_set, gt_set, skel)
-    total = sum(p.num_joints for p in gt_set)
-    return float(np.mean([_fraction_within(rel, t, total) for t in grid]))
+    pred, gt, table = _distance_table(pred_set, gt_set, skel)
+    rel = _greedy_distances(pred, gt, table, skel.root_index)[2]
+    return float(np.mean([_fraction_within(rel, t, gt[..., 0].size) for t in grid]))
+
+
+def _mean_conf(poses: list[Pose3D]) -> np.ndarray:
+    return np.stack([p.conf for p in poses]).mean(axis=1) if poses else np.zeros(0)
+
+
+def _pooled_ap(scenes: list[tuple[np.ndarray, np.ndarray]], radius_mm: float) -> float:
+    """Root AP over scenes given as (mean confidences (n,), root distances
+    (n, m)); detections are ranked by confidence, ties by scene and index."""
+    if radius_mm <= 0:
+        raise ValueError("radius must be positive")
+    num_gt = sum(dists.shape[1] for _, dists in scenes)
+    conf = np.concatenate([c for c, _ in scenes]) if scenes else np.zeros(0)
+    if num_gt == 0:
+        return 1.0 if conf.size == 0 else 0.0
+    detections = [(s, i) for s, (c, _) in enumerate(scenes) for i in range(c.size)]
+    free = [np.ones(dists.shape[1], dtype=bool) for _, dists in scenes]
+    hits = np.zeros(conf.size, dtype=bool)
+    for rank, det in enumerate(np.argsort(-conf, kind="stable").tolist()):
+        s, i = detections[det]
+        # the nearest free ground-truth root strictly inside the radius
+        dists = np.where(free[s], scenes[s][1][i], np.inf)
+        if dists.size and dists.min() < radius_mm:
+            free[s][np.argmin(dists)] = False
+            hits[rank] = True
+    precision = np.cumsum(hits) / np.arange(1, hits.size + 1)
+    # a running sum in rank order, as the precision-recall area is defined
+    ap = float(np.cumsum(precision[hits])[-1]) if hits.any() else 0.0
+    return ap / num_gt
 
 
 def ap_root(pred_set: list[Pose3D], gt_set: list[Pose3D], skel: SkeletonSpec,
@@ -264,68 +302,24 @@ def ap_root_pooled(scenes: list[tuple[list[Pose3D], list[Pose3D]]],
                    skel: SkeletonSpec,
                    radius_mm: float = DEFAULT_AP_ROOT_RADIUS_MM) -> float:
     """Root AP pooled over several scenes with a shared confidence ranking."""
-    if radius_mm <= 0:
-        raise ValueError("radius must be positive")
-    detections = []  # (-conf, scene idx, person idx)
-    num_gt = 0
-    for s, (preds, gts) in enumerate(scenes):
-        num_gt += len(gts)
-        for i, p in enumerate(preds):
-            detections.append((-float(np.mean(p.conf)), s, i))
-    if num_gt == 0:
-        return 1.0 if not detections else 0.0
-    detections.sort()
-    claimed: set[tuple[int, int]] = set()
-    tp_flags = []
-    for _, s, i in detections:
-        preds, gts = scenes[s]
-        root = preds[i].joints[skel.root_index]
-        best_j = -1
-        best_d = radius_mm
-        for j, g in enumerate(gts):
-            if (s, j) in claimed:
-                continue
-            d = float(np.linalg.norm(root - g.joints[skel.root_index]))
-            if d < best_d:
-                best_d = d
-                best_j = j
-        if best_j >= 0:
-            claimed.add((s, best_j))
-            tp_flags.append(True)
-        else:
-            tp_flags.append(False)
-    ap = 0.0
-    tp_count = 0
-    for rank, flag in enumerate(tp_flags, start=1):
-        if flag:
-            tp_count += 1
-            ap += tp_count / rank
-    return ap / num_gt
+    return _pooled_ap([(_mean_conf(preds),
+                        _distance_table(preds, gts, skel)[2][..., skel.root_index])
+                       for preds, gts in scenes], radius_mm)
 
 
-def _f1_matches(pred_set: list[Pose3D], gt_set: list[Pose3D], skel: SkeletonSpec
-                ) -> tuple[np.ndarray, int, int]:
-    """The threshold-free part of the F1 counts of one frame.
+def _f1_matches(table: np.ndarray, root: int) -> tuple[np.ndarray, int, int]:
+    """The threshold-free part of the F1 counts of one frame's distance table.
 
     Persons are paired by minimum-total root distance (Hungarian).  Returns
     (camera-centric joint distances of the pairs, concatenated in pair
     order; joints of unmatched predictions; joints of unmatched
     ground-truth persons).
     """
-    pairs: list[tuple[int, int]] = []
-    if pred_set and gt_set:
-        pred_roots = _roots(pred_set, skel)
-        gt_roots = _roots(gt_set, skel)
-        d = np.linalg.norm(pred_roots[:, None, :] - gt_roots[None, :, :], axis=-1)
-        rows, cols = linear_sum_assignment(d)
-        pairs = list(zip(rows.tolist(), cols.tolist()))
-    diffs = [pred_set[i].joints - gt_set[j].joints for i, j in pairs]
-    dists = np.linalg.norm(np.concatenate(diffs), axis=-1) if diffs else np.zeros(0)
-    matched_pred = {i for i, _ in pairs}
-    matched_gt = {j for _, j in pairs}
-    extra = sum(p.num_joints for i, p in enumerate(pred_set) if i not in matched_pred)
-    missed = sum(g.num_joints for j, g in enumerate(gt_set) if j not in matched_gt)
-    return dists, extra, missed
+    n, m, k = table.shape
+    rows = cols = np.zeros(0, dtype=np.intp)
+    if n and m:
+        rows, cols = linear_sum_assignment(table[..., root])
+    return table[rows, cols].ravel(), k * (n - rows.size), k * (m - rows.size)
 
 
 def _f1_tally(matches: tuple[np.ndarray, int, int],
@@ -348,7 +342,8 @@ def f1_counts(pred_set: list[Pose3D], gt_set: list[Pose3D], threshold_m: float,
     Joints of unmatched ground-truth persons are FNs; joints of unmatched
     predictions are FPs.
     """
-    return _f1_tally(_f1_matches(pred_set, gt_set, skel), threshold_m)
+    table = _distance_table(pred_set, gt_set, skel)[2]
+    return _f1_tally(_f1_matches(table, skel.root_index), threshold_m)
 
 
 def f1_from_counts(tp: int, fp: int, fn: int) -> float:
@@ -370,49 +365,54 @@ def evaluate_frames(pred_frames: list[list[Pose3D]],
                     thresholds: MetricThresholds | None = None) -> MetricReport:
     """Aggregate report over per-frame prediction and ground-truth sets.
 
-    Persons are matched greedily by root distance per frame for the
-    distance / PCK metrics; root AP pools detections across frames; F1
-    counts accumulate per frame.
+    Each frame's poses are stacked into one joint-distance table that every
+    pairing reads: greedy root matching for the distance / PCK metrics (its
+    pairs Procrustes-aligned in one call), root AP pooled across frames, and
+    per-frame Hungarian F1 counts.
     """
     if len(pred_frames) != len(gt_frames):
         raise ValueError("prediction and ground truth must cover the same frames")
     th = thresholds or MetricThresholds()
     grid = auc_thresholds(th.auc_max_mm, th.auc_step_mm)
+    root = skel.root_index
 
-    pair_dists: list[np.ndarray] = []       # root-aligned, matched persons
-    pair_abs_dists: list[np.ndarray] = []   # camera-centric, matched persons
-    pa_values: list[float] = []
+    # per frame, over its greedy pairs
+    rel_dists: list[np.ndarray] = [np.zeros(0)]   # root-aligned
+    abs_dists: list[np.ndarray] = [np.zeros(0)]   # camera-centric
+    pa_values: list[np.ndarray] = [np.zeros(0)]
     total_gt_joints = 0
     matched = missed = extra = 0
     f1_acc = {t: [0, 0, 0] for t in th.f1_thresholds_m}
     ap_scenes = []
 
     for preds, gts in zip(pred_frames, gt_frames):
-        total_gt_joints += sum(g.num_joints for g in gts)
-        pairs, un_pred, un_gt, rel, abs_dists = _matched_distances(preds, gts, skel)
-        matched += len(pairs)
-        missed += len(un_gt)
-        extra += len(un_pred)
-        pair_dists.append(rel)
-        pair_abs_dists.append(abs_dists)
-        pa_values.extend(pa_mpjpe(preds[i], gts[j]) for i, j in pairs)
-        f1_matches = _f1_matches(preds, gts, skel)
+        pred, gt, table = _distance_table(preds, gts, skel)
+        rows, cols, rel, absolute = _greedy_distances(pred, gt, table, root)
+        total_gt_joints += gt[..., 0].size
+        matched += rows.size
+        missed += len(gt) - rows.size
+        extra += len(pred) - rows.size
+        rel_dists.append(rel.ravel())
+        abs_dists.append(absolute.ravel())
+        if rows.size:
+            pa_values.append(_pa_errors(pred[rows], gt[cols]))
+        f1_matches = _f1_matches(table, root)
         for t in th.f1_thresholds_m:
             tp, fp, fn = _f1_tally(f1_matches, t)
             f1_acc[t][0] += tp
             f1_acc[t][1] += fp
             f1_acc[t][2] += fn
-        ap_scenes.append((preds, gts))
+        ap_scenes.append((_mean_conf(preds), table[..., root].copy()))
 
-    all_rel = np.concatenate(pair_dists) if pair_dists else np.zeros(0)
-    all_abs = np.concatenate(pair_abs_dists) if pair_abs_dists else np.zeros(0)
-    mpjpe_val = float(np.mean(all_rel)) if pa_values else float("nan")
-    pa_val = float(np.mean(pa_values)) if pa_values else float("nan")
+    all_rel = np.concatenate(rel_dists)
+    all_abs = np.concatenate(abs_dists)
+    mpjpe_val = float(np.mean(all_rel)) if matched else float("nan")
+    pa_val = float(np.mean(np.concatenate(pa_values))) if matched else float("nan")
 
     pck_val = _fraction_within(all_rel, th.pck_mm, total_gt_joints)
     pck_abs_val = _fraction_within(all_abs, th.pck_abs_mm, total_gt_joints)
     auc_val = float(np.mean([_fraction_within(all_rel, t, total_gt_joints) for t in grid]))
-    ap_val = ap_root_pooled(ap_scenes, skel, th.ap_root_radius_mm)
+    ap_val = _pooled_ap(ap_scenes, th.ap_root_radius_mm)
 
     return MetricReport(
         mpjpe_mm=mpjpe_val,

@@ -108,34 +108,44 @@ def set_pck_loops(pred_set, gt_set, threshold_mm, root_index, absolute):
 
 
 def ap_root_loops(pred_set, gt_set, radius_mm, root_index):
-    """Loop-based average precision over the confidence ranking."""
-    order = sorted(range(len(pred_set)),
-                   key=lambda i: (-float(np.mean(pred_set[i].conf)), i))
+    """Loop-based average precision over the confidence ranking of one scene."""
+    return ap_root_pooled_loops([(pred_set, gt_set)], radius_mm, root_index)
+
+
+def ap_root_pooled_loops(scenes, radius_mm, root_index):
+    """Loop-based average precision over one confidence ranking shared by
+    several (predictions, ground truth) scenes; ties by scene, then index.
+    Each detection claims the nearest unclaimed root of its own scene."""
+    order = sorted(((-float(np.mean(p.conf)), s, i)
+                    for s, (preds, _) in enumerate(scenes)
+                    for i, p in enumerate(preds)))
     claimed = set()
     flags = []
-    for i in order:
-        root = pred_set[i].joints[root_index]
+    for _, s, i in order:
+        preds, gts = scenes[s]
+        root = preds[i].joints[root_index]
         best_j, best_d = -1, radius_mm
-        for j in range(len(gt_set)):
-            if j in claimed:
+        for j in range(len(gts)):
+            if (s, j) in claimed:
                 continue
-            d = float(np.linalg.norm(root - gt_set[j].joints[root_index]))
+            d = float(np.linalg.norm(root - gts[j].joints[root_index]))
             if d < best_d:
                 best_d, best_j = d, j
         if best_j >= 0:
-            claimed.add(best_j)
+            claimed.add((s, best_j))
             flags.append(True)
         else:
             flags.append(False)
-    if len(gt_set) == 0:
-        return 1.0 if not pred_set else 0.0
+    num_gt = sum(len(gts) for _, gts in scenes)
+    if num_gt == 0:
+        return 1.0 if not order else 0.0
     ap = 0.0
     tp = 0
     for rank, flag in enumerate(flags, start=1):
         if flag:
             tp += 1
             ap += tp / rank
-    return ap / len(gt_set)
+    return ap / num_gt
 
 
 def f1_counts_loops(pred_set, gt_set, threshold_m, root_index):
@@ -263,3 +273,109 @@ def similarity_matrix_loops(td, bu, cfg, sigma):
             kern = np.exp(-d2 / (2.0 * s * s * sigma * sigma))
             sim[i, j] = float(np.sum(np.minimum(p_bu.conf, p_td.conf) * kern))
     return sim
+
+
+def similarity_align_pair(source, target):
+    """Least-squares similarity alignment of one (N, 3) point set onto
+    another, by one SVD; returns the aligned points.  Raises
+    DegenerateGeometryError for rank < 2."""
+    from dualpose.errors import DegenerateGeometryError
+
+    src = np.asarray(source, dtype=np.float64)
+    tgt = np.asarray(target, dtype=np.float64)
+    mu_src = src.mean(axis=0)
+    mu_tgt = tgt.mean(axis=0)
+    src0 = src - mu_src
+    tgt0 = tgt - mu_tgt
+    var_src = float(np.sum(src0 * src0))
+    if var_src <= 0.0:
+        raise DegenerateGeometryError("source points are coincident")
+    u, s, vt = np.linalg.svd(src0.T @ tgt0)
+    if s[1] <= max(s[0], 1.0) * 1e-12:
+        raise DegenerateGeometryError("point configuration has rank < 2")
+    flip = np.ones(3)
+    flip[-1] = np.sign(np.linalg.det(vt.T @ u.T))
+    rot = vt.T @ np.diag(flip) @ u.T
+    scale = float(np.sum(s * flip)) / var_src
+    return scale * src @ rot.T + (mu_tgt - scale * rot @ mu_src)
+
+
+def pa_mpjpe_pairs(preds, gts):
+    """PA-MPJPE of each (pred, gt) joint-array pair, one alignment at a time."""
+    return [float(np.mean(np.linalg.norm(similarity_align_pair(p, g) - g, axis=-1)))
+            for p, g in zip(preds, gts)]
+
+
+def bilinear_sample_point(grid, u, v):
+    """Bilinear interpolation of a (H, W) grid at one pixel (u, v), in
+    scalar arithmetic; the last row / column pairs with the one before it."""
+    from dualpose.errors import OutOfGridError
+
+    h, w = grid.shape
+    if not (0.0 <= u <= w - 1 and 0.0 <= v <= h - 1):
+        raise OutOfGridError(f"sample ({u}, {v}) outside grid {w}x{h}")
+    x0 = min(int(np.floor(u)), w - 2) if w > 1 else 0
+    y0 = min(int(np.floor(v)), h - 2) if h > 1 else 0
+    x1 = min(x0 + 1, w - 1)
+    y1 = min(y0 + 1, h - 1)
+    fx = u - x0
+    fy = v - y0
+    top = grid[y0, x0] * (1.0 - fx) + grid[y0, x1] * fx
+    bot = grid[y1, x0] * (1.0 - fx) + grid[y1, x1] * fx
+    return float(top * (1.0 - fy) + bot * fy)
+
+
+def extract_peaks_loops(joint_maps, theta_peak):
+    """Peaks joint by joint and cell by cell: a cell strictly above its
+    in-bounds 8-neighborhood and >= theta, shifted 0.25 px toward the larger
+    neighbor on interior axes, ordered by (-score, v, u)."""
+    results = []
+    for m in joint_maps:
+        h, w = m.shape
+        peaks = []
+        for y in range(h):
+            for x in range(w):
+                neighbors = [m[y + dy, x + dx]
+                             for dy in (-1, 0, 1) for dx in (-1, 0, 1)
+                             if (dy or dx) and 0 <= y + dy < h and 0 <= x + dx < w]
+                if m[y, x] < theta_peak or any(m[y, x] <= n for n in neighbors):
+                    continue
+                u, v = float(x), float(y)
+                if 0 < x < w - 1:
+                    u += 0.25 * float(np.sign(m[y, x + 1] - m[y, x - 1]))
+                if 0 < y < h - 1:
+                    v += 0.25 * float(np.sign(m[y + 1, x] - m[y - 1, x]))
+                peaks.append((u, v, float(m[y, x])))
+        peaks.sort(key=lambda p: (-p[2], p[1], p[0]))
+        results.append(peaks)
+    return results
+
+
+def group_by_tags_loops(peaks, tag_maps, theta_tag):
+    """Greedy tag grouping with one scalar tag sample per peak; returns
+    (joints (n, K, 2), conf (n, K)) of the groups in creation order."""
+    k = len(peaks)
+    groups = []  # [tag_sum, count, {joint: (u, v, score)}]
+    for joint in range(k):
+        for u, v, score in peaks[joint]:
+            tag = bilinear_sample_point(tag_maps[joint], u, v)
+            best, best_dist = None, None
+            for g in groups:
+                if joint in g[2]:
+                    continue
+                dist = abs(g[0] / g[1] - tag)
+                if dist <= theta_tag and (best_dist is None or dist < best_dist):
+                    best, best_dist = g, dist
+            if best is None:
+                groups.append([tag, 1, {joint: (u, v, score)}])
+            else:
+                best[0] += tag
+                best[1] += 1
+                best[2][joint] = (u, v, score)
+    joints = np.zeros((len(groups), k, 2))
+    conf = np.zeros((len(groups), k))
+    for i, g in enumerate(groups):
+        for joint, (u, v, score) in g[2].items():
+            joints[i, joint] = (u, v)
+            conf[i, joint] = min(max(score, 0.0), 1.0)
+    return joints, conf

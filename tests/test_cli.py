@@ -339,3 +339,43 @@ def test_unusable_output_directory_fails_before_refinement(tmp_path, monkeypatch
     assert code == 1
     assert "not_a_dir" in capsys.readouterr().err
     assert calls == []
+
+
+def _stack_with(skel, tmp_path, num_joints=None, nan_at=None):
+    """A rendered one-person stack file, optionally with ``num_joints``
+    joint planes or with NaN at (plane, joint, dy, dx) next to the joint's
+    peak, plane 0 being the joint maps and 3 the root depth map."""
+    from dualpose.camera import CameraIntrinsics
+    from dualpose.heatmaps import HeatmapStack, render_stack, write_stack
+    from dualpose.skeleton import pose3d_camera, rest_pose
+
+    cam = CameraIntrinsics(fx=40.0, fy=40.0, cx=64.0, cy=48.0)
+    stack = render_stack([pose3d_camera(rest_pose() + (0.0, 0.0, 4001.0))], cam, skel,
+                         width=128, height=96)
+    maps = [stack.joint_maps, stack.tag_maps, stack.rel_depth_maps]
+    if num_joints is not None:
+        maps = [m[:num_joints] for m in maps]
+    path = tmp_path / "frame.phms"
+    write_stack(HeatmapStack(128, 96, *maps, stack.root_depth_map), path)
+    if nan_at is not None:
+        plane, joint, dy, dx = nan_at
+        y, x = np.unravel_index(np.argmax(stack.joint_maps[joint]), (96, 128))
+        k = len(maps[0])
+        index = (plane * k + (joint if plane < 3 else 0)) * 96 * 128 + (y + dy) * 128 + x + dx
+        blob = bytearray(path.read_bytes())
+        blob[18 + 4 * index:22 + 4 * index] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(blob))
+    return path
+
+
+@pytest.mark.parametrize("case, message", [
+    (dict(num_joints=5), "expected 15 joints, got 5"),
+    (dict(nan_at=(3, 0, 0, 0)), "root_depth_map values must be finite"),
+    (dict(nan_at=(0, 4, 0, 1)), "joint_maps values must lie within [0, 1]"),
+], ids=["five_joints", "nan_root_depth", "nan_next_to_peak"])
+def test_decode_rejects_bad_stack_files(tmp_path, capsys, skel, case, message):
+    path = _stack_with(skel, tmp_path, **case)
+    out = tmp_path / "decoded.jsonl"
+    assert main(["decode", "--out", str(out), str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()

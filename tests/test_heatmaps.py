@@ -1,5 +1,10 @@
+import re
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualpose.errors import OutOfGridError, SchemaError
 from dualpose.heatmaps import (
@@ -14,6 +19,8 @@ from dualpose.heatmaps import (
     write_stack,
 )
 from dualpose.skeleton import Pose2D, pose3d_camera, rest_pose
+
+from oracles import bilinear_sample_point, extract_peaks_loops, group_by_tags_loops
 
 
 def gaussian_map(h, w, u, v, sigma):
@@ -297,3 +304,163 @@ def test_read_stack_rejects_garbage(tmp_path):
     path.write_bytes(b"PHMS")
     with pytest.raises(SchemaError):
         read_stack(path)
+
+
+def random_stack(rng, k, h, w, levels=None):
+    """Stack of random planes; ``levels`` > 0 draws joint maps from that many
+    equally spaced values, so neighbors and scores tie."""
+    if levels:
+        joint = rng.integers(0, levels + 1, (k, h, w)) / levels
+    else:
+        joint = rng.random((k, h, w))
+    return HeatmapStack(width=w, height=h, joint_maps=joint,
+                        tag_maps=rng.standard_normal((k, h, w)) * 3.0,
+                        rel_depth_maps=rng.standard_normal((k, h, w)) * 200.0,
+                        root_depth_map=3000.0 + rng.standard_normal((h, w)))
+
+
+GRIDS = [(1, 1), (1, 7), (7, 1), (2, 2), (5, 9), (12, 10), (24, 32)]
+
+
+def test_extract_peaks_equal_loop_oracle():
+    rng = np.random.default_rng(76)
+    border = 0
+    for h, w in GRIDS:
+        for levels in (None, 3, 8):
+            stack = random_stack(rng, 3, h, w, levels)
+            for theta in (0.05, 0.5, 0.9):
+                peaks = extract_peaks(stack, theta)
+                assert peaks == extract_peaks_loops(stack.joint_maps, theta)
+                border += sum(u in (0.0, w - 1) or v in (0.0, h - 1)
+                              for joint in peaks for u, v, _ in joint)
+    assert border > 50
+
+
+def test_bilinear_gather_equals_scalar_oracle():
+    rng = np.random.default_rng(77)
+    for h, w in GRIDS:
+        grid = rng.standard_normal((h, w))
+        u = np.concatenate([rng.uniform(0, w - 1, 40), np.arange(w), np.full(h, w - 1.0)])
+        v = np.concatenate([rng.uniform(0, h - 1, 40), np.zeros(w), np.arange(h)])
+        got = bilinear_sample(grid, u, v)
+        assert got.shape == u.shape
+        assert got.tolist() == [bilinear_sample_point(grid, a, b) for a, b in zip(u, v)]
+        assert bilinear_sample(grid, u[0], v[0]) == bilinear_sample_point(grid, u[0], v[0])
+        planes = rng.standard_normal((5, h, w))
+        got = bilinear_sample(planes, u[:5], v[:5])
+        assert got.tolist() == [bilinear_sample_point(planes[i], u[i], v[i]) for i in range(5)]
+        got = bilinear_sample(planes, np.tile(u[:4], (5, 1)), np.tile(v[:4], (5, 1)))
+        assert got.tolist() == [[bilinear_sample_point(planes[i], u[j], v[j]) for j in range(4)]
+                                for i in range(5)]
+
+
+def test_bilinear_gather_rejects_any_point_outside():
+    grid = np.zeros((4, 6))
+    with pytest.raises(OutOfGridError, match=r"sample \(5.5, 1.0\) outside grid 6x4"):
+        bilinear_sample(grid, 5.5, 1.0)
+    with pytest.raises(OutOfGridError, match=r"sample \(-0.5, 0.0\) outside grid 6x4"):
+        bilinear_sample(grid, np.array([1.0, -0.5, 9.0]), np.zeros(3))
+    with pytest.raises(OutOfGridError):
+        bilinear_sample(grid, np.array([1.0, np.nan]), np.zeros(2))
+
+
+def test_depth_and_tag_gathers_equal_scalar_oracle(skel):
+    rng = np.random.default_rng(78)
+    k = skel.num_joints
+    for h, w in GRIDS:
+        stack = random_stack(rng, k, h, w)
+        joints = rng.uniform(0, 1, (k, 2)) * (w - 1, h - 1)
+        joints[:3] = np.floor(joints[:3])  # cells, including the last row / column
+        joints[3] = (w - 1, h - 1)
+        z_root, z_rel = retrieve_depths(Pose2D(joints=joints, conf=np.ones(k)), stack, skel)
+        u, v = joints[skel.root_index]
+        assert z_root == bilinear_sample_point(stack.root_depth_map, u, v)
+        assert z_rel.tolist() == [bilinear_sample_point(stack.rel_depth_maps[j], *joints[j])
+                                  for j in range(k)]
+        for levels in (None, 4):
+            stack = random_stack(rng, 4, h, w, levels)
+            peaks = extract_peaks(stack, 0.3)
+            for theta_tag in (0.5, 2.0, 8.0):
+                persons = group_by_tags(peaks, stack.tag_maps, theta_tag)
+                joints_expected, conf_expected = group_by_tags_loops(
+                    peaks, stack.tag_maps, theta_tag)
+                assert len(persons) == len(joints_expected)
+                for person, j_exp, c_exp in zip(persons, joints_expected, conf_expected):
+                    assert np.array_equal(person.joints, j_exp)
+                    assert np.array_equal(person.conf, c_exp)
+
+
+def _stack_bytes(k, w, h, seed=0):
+    rng = np.random.default_rng(seed)
+    planes = np.concatenate([rng.random(k * h * w), rng.standard_normal(2 * k * h * w + h * w)])
+    return (b"PHMS" + struct.pack("<H3I", 1, k, w, h)
+            + planes.astype("<f4").tobytes())
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 6), w=st.integers(1, 12), h=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_stack_file_round_trip_is_bit_exact(tmp_path_factory, k, w, h, seed):
+    path = tmp_path_factory.mktemp("stacks") / "s.phms"
+    blob = _stack_bytes(k, w, h, seed)
+    path.write_bytes(blob)
+    stack = read_stack(path, num_joints=k)
+    assert (stack.num_joints, stack.width, stack.height) == (k, w, h)
+    again = path.with_name("again.phms")
+    write_stack(stack, again)
+    assert again.read_bytes() == blob
+
+
+def test_read_stack_rejects_every_truncation(tmp_path):
+    blob = _stack_bytes(2, 3, 2)
+    path = tmp_path / "cut.phms"
+    for cut in range(1, len(blob) + 1):
+        path.write_bytes(blob[:-cut])
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: "):
+            read_stack(path)
+
+
+def _good_or(value, strategy):
+    return st.one_of(st.just(value), strategy)
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=_good_or(2, st.integers(0, 2**32 - 1)), w=_good_or(3, st.integers(0, 2**32 - 1)),
+       h=_good_or(2, st.integers(0, 2**32 - 1)), version=_good_or(1, st.integers(0, 2**16 - 1)),
+       magic=_good_or(b"PHMS", st.binary(min_size=4, max_size=4)))
+def test_read_stack_rejects_bad_headers(tmp_path_factory, k, w, h, version, magic):
+    blob = _stack_bytes(2, 3, 2)
+    path = tmp_path_factory.mktemp("stacks") / "bad.phms"
+    path.write_bytes(magic + struct.pack("<H3I", version, k, w, h) + blob[18:])
+    if magic == b"PHMS" and version == 1 and (k, w, h) == (2, 3, 2):
+        assert read_stack(path).num_joints == 2
+        return
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: "):
+        read_stack(path)
+
+
+@pytest.mark.parametrize("plane, message", [
+    (0, "joint_maps values must lie within [0, 1]"),
+    (1, "tag_maps values must be finite"),
+    (2, "rel_depth_maps values must be finite"),
+    (3, "root_depth_map values must be finite"),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_stack_rejects_non_finite_planes(tmp_path, plane, message, bad):
+    k, w, h = 2, 3, 2
+    values = np.frombuffer(_stack_bytes(k, w, h), dtype="<f4", offset=18).copy()
+    values[plane * k * w * h + 4] = bad
+    path = tmp_path / "nan.phms"
+    path.write_bytes(b"PHMS" + struct.pack("<H3I", 1, k, w, h) + values.tobytes())
+    with pytest.raises(SchemaError) as info:
+        read_stack(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_read_stack_checks_the_joint_count(tmp_path):
+    path = tmp_path / "five.phms"
+    path.write_bytes(_stack_bytes(5, 4, 3))
+    assert read_stack(path).num_joints == 5
+    with pytest.raises(SchemaError) as info:
+        read_stack(path, num_joints=15)
+    assert str(info.value) == f"{path}: expected 15 joints, got 5"

@@ -16,12 +16,20 @@ from dualpose.metrics import (
     pa_mpjpe,
     pck,
     pck_abs,
+    ap_root_pooled,
     pck_set,
+    similarity_align,
 )
 from dualpose.skeleton import Frame, Pose3D, pose3d_camera, pose3d_person, rest_pose
 
 from conftest import random_camera_pose, random_point_pose
-from oracles import f1_counts_loops
+from oracles import (
+    ap_root_pooled_loops,
+    f1_counts_loops,
+    greedy_root_match_loops,
+    pa_mpjpe_pairs,
+    similarity_align_pair,
+)
 from oracles import horn_similarity_mpjpe as horn_similarity_oracle
 
 
@@ -367,3 +375,114 @@ def test_report_serialization(tmp_path, skel):
     assert data["pck"] == 100.0
     text = (tmp_path / "report.csv").read_text()
     assert "mpjpe_mm" in text
+
+
+# Stacked Procrustes may differ from one SVD per pair in the last digits;
+# this bound was fixed before the stacked version was written (criterion 8's).
+PA_TOLERANCE_MM = 1e-9
+
+
+def _random_pair_stack(rng, n, k=15):
+    gt = np.stack([random_point_pose(rng, k, spread_mm=rng.uniform(100, 600)).joints
+                   for _ in range(n)])
+    pred = np.empty_like(gt)
+    for i in range(n):
+        rot = rand_rotation(rng)
+        noise = rng.standard_normal((k, 3)) * rng.uniform(0.0, 200.0)
+        pred[i] = rng.uniform(0.5, 2.0) * (gt[i] + noise) @ rot.T + rng.uniform(-3000, 3000, 3)
+    return pred, gt
+
+
+def test_stacked_similarity_align_matches_per_pair_oracle():
+    rng = np.random.default_rng(123)
+    for n in (1, 2, 7, 30):
+        pred, gt = _random_pair_stack(rng, n)
+        aligned, scale, rot, trans = similarity_align(pred, gt)
+        assert aligned.shape == pred.shape and scale.shape == (n,)
+        assert rot.shape == (n, 3, 3) and trans.shape == (n, 3)
+        for i in range(n):
+            assert np.max(np.abs(aligned[i] - similarity_align_pair(pred[i], gt[i]))) \
+                <= PA_TOLERANCE_MM
+            one = similarity_align(pred[i], gt[i])
+            assert np.allclose(one[0], aligned[i], rtol=0, atol=PA_TOLERANCE_MM)
+            assert isinstance(one[1], float) and one[1] == pytest.approx(scale[i], rel=1e-12)
+        errors = np.mean(np.linalg.norm(aligned - gt, axis=-1), axis=-1)
+        assert np.max(np.abs(errors - pa_mpjpe_pairs(pred, gt))) <= PA_TOLERANCE_MM
+
+
+def test_evaluate_frames_pa_matches_per_pair_oracle(skel):
+    rng = np.random.default_rng(124)
+    root = skel.root_index
+    pred_frames, gt_frames, expected = [], [], []
+    for _ in range(12):
+        m = int(rng.integers(0, 6))
+        gts = [random_camera_pose(rng, skel, center=(rng.uniform(-4000, 4000), 0.0,
+                                                     rng.uniform(3000, 8000)))
+               for _ in range(m)]
+        preds = [pose3d_camera(g.joints + rng.standard_normal((15, 3)) * 80.0)
+                 for g in gts if rng.random() < 0.8]
+        preds += [random_camera_pose(rng, skel, center=(0.0, 0.0, 5000.0))
+                  for _ in range(int(rng.integers(0, 3)))]
+        pairs, _, _ = greedy_root_match_loops([p.joints[root] for p in preds],
+                                              [g.joints[root] for g in gts])
+        expected += pa_mpjpe_pairs([preds[i].joints for i, _ in pairs],
+                                   [gts[j].joints for _, j in pairs])
+        pred_frames.append(preds)
+        gt_frames.append(gts)
+    report = evaluate_frames(pred_frames, gt_frames, skel)
+    assert report.matched_persons == len(expected) > 20
+    assert abs(report.pa_mpjpe_mm - float(np.mean(expected))) <= PA_TOLERANCE_MM
+
+
+def test_stacked_alignment_raises_when_any_pair_is_degenerate(skel):
+    rng = np.random.default_rng(125)
+    pred, gt = _random_pair_stack(rng, 5)
+    line = np.zeros((15, 3))
+    line[:, 0] = np.arange(15.0)
+    for bad_source in (True, False):
+        p, g = pred.copy(), gt.copy()
+        (p if bad_source else g)[3] = line + (0.0, 0.0, 3000.0)
+        with pytest.raises(DegenerateGeometryError):
+            similarity_align(p, g)
+    p = pred.copy()
+    p[1] = 5.0  # coincident source points
+    with pytest.raises(DegenerateGeometryError):
+        similarity_align(p, gt)
+    # evaluate_frames aligns each frame's pairs in one call
+    gts = [pose3d_camera(g) for g in gt[:3]]
+    preds = [pose3d_camera(g.joints) for g in gts]
+    preds[2] = pose3d_camera(gts[2].joints[0] + line * 1e-3)
+    with pytest.raises(DegenerateGeometryError):
+        evaluate_frames([preds], [gts], skel)
+
+
+def test_evaluate_frames_ap_pools_frames_like_loop_oracle(skel):
+    # Confidences come from a few constant levels, so that detections of
+    # different frames tie and the ranking falls back to frame, then index.
+    rng = np.random.default_rng(126)
+    root = skel.root_index
+    levels = (0.25, 0.5, 0.75, 1.0)
+    pooling_matters = 0
+    for _ in range(25):
+        pred_frames, gt_frames = [], []
+        for _ in range(int(rng.integers(1, 7))):
+            gts = [random_camera_pose(rng, skel, center=(rng.uniform(-2000, 2000), 0.0,
+                                                         rng.uniform(3000, 6000)))
+                   for _ in range(int(rng.integers(0, 5)))]
+            preds = [pose3d_camera(g.joints + rng.standard_normal(3) * rng.uniform(20, 300),
+                                   conf=np.full(15, rng.choice(levels)))
+                     for g in gts if rng.random() < 0.85]
+            preds += [pose3d_camera(rest_pose() + (rng.uniform(-2000, 2000), 0.0, 4500.0),
+                                    conf=np.full(15, rng.choice(levels)))
+                      for _ in range(int(rng.integers(0, 3)))]
+            rng.shuffle(preds)
+            pred_frames.append(preds)
+            gt_frames.append(gts)
+        scenes = list(zip(pred_frames, gt_frames))
+        expected = ap_root_pooled_loops(scenes, 250.0, root)
+        assert ap_root_pooled(scenes, skel) == expected
+        assert evaluate_frames(pred_frames, gt_frames, skel).ap_root == 100.0 * expected
+        per_frame = np.mean([ap_root_pooled_loops([scene], 250.0, root) for scene in scenes])
+        pooling_matters += expected != pytest.approx(per_frame)
+    # the shared ranking is not an average of per-frame APs
+    assert pooling_matters > 5
