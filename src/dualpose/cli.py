@@ -20,7 +20,7 @@ from .frames_io import (
     read_frames,
     write_frames,
 )
-from .heatmaps import decode_poses, read_stack, write_stack
+from .heatmaps import decode_poses, grid_camera, read_stack, render_stack, write_stack
 from .metrics import evaluate_frames
 from .pipeline import (
     aligned_frames,
@@ -70,13 +70,7 @@ def _load(args) -> RunConfig:
 
 def _cmd_synth(args, config: RunConfig) -> int:
     spec = config.scene or make_benchmark_spec(config.seed)
-    heat = config.heatmap
-    data = generate(
-        spec, config.camera, config.skeleton,
-        render_heatmaps=bool(args.heatmaps),
-        heatmap_grid=(heat.width, heat.height),
-        heatmap_sigma_px=heat.sigma_px,
-    )
+    data = generate(spec, config.camera, config.skeleton)
     out = args.out
     ids = list(range(spec.num_persons))
     sources = {"gt": data.gt_frames(), "td": data.noisy_td, "bu": data.noisy_bu,
@@ -84,9 +78,12 @@ def _cmd_synth(args, config: RunConfig) -> int:
     for source, frames in sources.items():
         write_frames([poses_to_record(t, source, poses, ids)
                       for t, poses in enumerate(frames)], out / f"{source}.jsonl")
-    if data.heatmaps is not None:
-        for t, stack in enumerate(data.heatmaps):
-            write_stack(stack, out / f"frame{t:05d}.phms")
+    if args.heatmaps:
+        heat = config.heatmap
+        cam = grid_camera(config.camera, heat.width, heat.height)
+        for t, poses in enumerate(sources["gt"]):
+            write_stack(render_stack(poses, cam, config.skeleton, heat.width, heat.height,
+                                     heat.sigma_px), out / f"frame{t:05d}.phms")
     print(f"wrote scene with {spec.num_persons} persons x {data.num_frames} frames to {out}")
     return 0
 
@@ -96,7 +93,8 @@ def _cmd_decode(args, config: RunConfig) -> int:
     records = []
     for frame_idx, path in enumerate(sorted(args.stacks)):
         stack = read_stack(path, config.skeleton.num_joints)
-        poses = decode_poses(stack, config.camera, config.skeleton,
+        poses = decode_poses(stack, grid_camera(config.camera, stack.width, stack.height),
+                             config.skeleton,
                              theta_peak=heat.theta_peak, theta_tag=heat.theta_tag)
         records.append(poses_to_record(frame_idx, "bu", poses))
     write_frames(records, args.out)

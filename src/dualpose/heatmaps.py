@@ -7,6 +7,8 @@ depth map (absolute camera depth of the root joint).
 """
 from __future__ import annotations
 
+import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -34,6 +36,31 @@ class HeatmapConfig:
     sigma_px: float = DEFAULT_SIGMA_PX
     theta_peak: float = DEFAULT_PEAK_THRESHOLD
     theta_tag: float = DEFAULT_TAG_THRESHOLD
+
+    def __post_init__(self):
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        # the comparisons are False for NaN, so NaN fails them too
+        for name in ("sigma_px", "theta_tag"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
+        if not 0 < self.theta_peak < 1:
+            raise ValueError(f"theta_peak must lie in (0, 1), got {self.theta_peak!r}")
+
+
+def grid_camera(cam: CameraIntrinsics, width: int, height: int) -> CameraIntrinsics:
+    """The camera of a ``width`` x ``height`` heatmap grid over the image of ``cam``.
+
+    The image, taken to be centred on the principal point, is sampled at the
+    smallest stride at which it fits the grid, s = max(2*cx / width, 2*cy /
+    height), so fx, fy, cx and cy are divided by s; a fitted camera has s = 1.
+    """
+    s = max(2.0 * cam.cx / width, 2.0 * cam.cy / height)
+    if not s > 0:
+        raise ValueError(f"principal point ({cam.cx}, {cam.cy}) leaves no image for the grid")
+    return CameraIntrinsics(fx=cam.fx / s, fy=cam.fy / s, cx=cam.cx / s, cy=cam.cy / s)
 
 
 @dataclass(frozen=True)
@@ -196,18 +223,20 @@ def group_by_tags(peaks: list[list[tuple[float, float, float]]],
     return poses
 
 
-def retrieve_depths(pose2d: Pose2D, stack: HeatmapStack, skel: SkeletonSpec
-                    ) -> tuple[float, np.ndarray]:
-    """Read (root depth, per-joint relative depths) at the pose's joints.
+def retrieve_depths(joints: np.ndarray, stack: HeatmapStack, skel: SkeletonSpec
+                    ) -> tuple[float | np.ndarray, np.ndarray]:
+    """Read (root depth, per-joint relative depths) at pixel joints (..., K, 2).
 
-    The root depth map is sampled at the root joint; each relative-depth
-    map is sampled at its own joint, all in one gather.  Raises
-    OutOfGridError for joints outside the grid.
+    The root depth map is sampled at each person's root joint and each
+    relative-depth map at its own joint, one gather for all persons.  One
+    person's (K, 2) joints give (float, (K,)); (P, K, 2) give ((P,), (P, K)).
+    Raises OutOfGridError for joints outside the grid.
     """
-    u, v = pose2d.joints.T
+    # joint axis first, so that relative-depth plane k is sampled at joint k
+    u, v = np.moveaxis(joints, (-1, -2), (0, 1))
     root = skel.root_index
     z_root = bilinear_sample(stack.root_depth_map, u[root], v[root])
-    return z_root, bilinear_sample(stack.rel_depth_maps, u, v)
+    return z_root, np.moveaxis(bilinear_sample(stack.rel_depth_maps, u, v), 0, -1)
 
 
 def render_stack(poses: list[Pose3D], cam: CameraIntrinsics, skel: SkeletonSpec,
@@ -282,17 +311,14 @@ def decode_stack(stack: HeatmapStack, skel: SkeletonSpec,
 
     Returns (pose2d, root depth, per-joint relative depths) per person.
     Persons whose root joint was not detected are dropped (their absolute
-    depth is unreadable).
+    depth is unreadable); the depths of the rest are read in one gather.
     """
     peaks = extract_peaks(stack, theta_peak)
-    grouped = group_by_tags(peaks, stack.tag_maps, theta_tag)
-    out = []
-    for pose in grouped:
-        if pose.conf[skel.root_index] <= 0.0:
-            continue
-        z_root, z_rel = retrieve_depths(pose, stack, skel)
-        out.append((pose, z_root, z_rel))
-    return out
+    poses = [pose for pose in group_by_tags(peaks, stack.tag_maps, theta_tag)
+             if pose.conf[skel.root_index] > 0.0]
+    joints = np.reshape([pose.joints for pose in poses], (-1, stack.num_joints, 2))
+    z_root, z_rel = retrieve_depths(joints, stack, skel)
+    return list(zip(poses, z_root.tolist(), z_rel))
 
 
 def decode_poses(stack: HeatmapStack, cam: CameraIntrinsics, skel: SkeletonSpec,
@@ -301,16 +327,18 @@ def decode_poses(stack: HeatmapStack, cam: CameraIntrinsics, skel: SkeletonSpec,
     """Decode a stack into camera-centric 3D poses.
 
     Joint depth = root depth + relative depth; each joint is back-projected
-    at its own depth.  Undetected joints reuse the root depth so the lifted
-    point stays finite (their confidence remains 0).
+    at its own depth, all persons in one call.  Undetected joints reuse the
+    root depth so the lifted point stays finite (their confidence remains 0).
     """
-    out = []
-    for pose2d, z_root, z_rel in decode_stack(stack, skel, theta_peak, theta_tag):
-        depths = z_root + np.where(pose2d.conf > 0.0, z_rel, 0.0)
-        joints = back_project(pose2d.joints, depths, cam)
-        out.append(Pose3D(joints=joints, conf=pose2d.conf,
-                          frame=Frame.CAMERA_CENTRIC))
-    return out
+    decoded = decode_stack(stack, skel, theta_peak, theta_tag)
+    if not decoded:
+        return []
+    poses2d, z_root, z_rel = zip(*decoded)
+    conf = np.array([pose.conf for pose in poses2d])
+    depths = np.array(z_root)[:, None] + np.where(conf > 0.0, z_rel, 0.0)
+    joints = back_project([pose.joints for pose in poses2d], depths, cam)
+    return [Pose3D(joints=j, conf=pose.conf, frame=Frame.CAMERA_CENTRIC)
+            for j, pose in zip(joints, poses2d)]
 
 
 def write_stack(stack: HeatmapStack, path) -> None:

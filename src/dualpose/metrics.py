@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -35,6 +36,18 @@ class MetricThresholds:
     pck_abs_mm: float = DEFAULT_PCK_ABS_THRESHOLD_MM
     ap_root_radius_mm: float = DEFAULT_AP_ROOT_RADIUS_MM
     f1_thresholds_m: tuple[float, ...] = DEFAULT_F1_THRESHOLDS_M
+
+    def __post_init__(self):
+        # the comparisons are False for NaN, so NaN fails them too
+        for name in ("pck_mm", "pck_abs_mm", "auc_step_mm", "ap_root_radius_mm"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
+        if not self.auc_step_mm <= self.auc_max_mm < math.inf:
+            raise ValueError(f"auc_max_mm must be finite and at least auc_step_mm "
+                             f"({self.auc_step_mm!r}), got {self.auc_max_mm!r}")
+        for t in self.f1_thresholds_m:
+            if not 0 < t < math.inf:
+                raise ValueError(f"f1_thresholds_m must be finite and positive, got {t!r}")
 
 
 @dataclass

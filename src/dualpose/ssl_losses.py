@@ -14,6 +14,7 @@ import numpy as np
 from .camera import CameraIntrinsics, back_project, project, rotate_about_y
 from .errors import BehindCameraError, FrameMismatchError
 from .skeleton import Frame, Pose2D, Pose3D, SkeletonSpec
+from .tto import reprojection_loss_grad
 
 # (Pose2D, intrinsics) -> camera-centric Pose3D; must be deterministic.
 Lifter = Callable[[Pose2D, CameraIntrinsics], Pose3D]
@@ -23,16 +24,14 @@ def reprojection_loss(p3d: Pose3D, p2d: Pose2D, cam: CameraIntrinsics) -> float:
     """Confidence-weighted mean squared pixel error of the projected pose.
 
     (1/K) * sum_k conf_k * ||project(X_k) - x_k||^2, using the 2D pose's
-    confidences as weights.
+    confidences as weights: the one-frame case of the TTO reprojection term.
     """
     if p3d.frame is not Frame.CAMERA_CENTRIC:
         raise FrameMismatchError("reprojection needs a camera-centric pose")
     if p3d.num_joints != p2d.num_joints:
         raise ValueError("2D and 3D poses must share one skeleton")
-    uv = project(p3d.joints, cam)
-    res = uv - p2d.joints
-    k = p3d.num_joints
-    return float(np.sum(p2d.conf * np.sum(res * res, axis=-1)) / k)
+    loss, _ = reprojection_loss_grad(p3d.joints[None], p2d.joints[None], p2d.conf[None], cam)
+    return loss
 
 
 def multi_perspective_loss(p3d_pseudo: Pose3D, cam: CameraIntrinsics,

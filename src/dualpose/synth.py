@@ -2,8 +2,8 @@
 
 Scenes combine a per-person body shape (scaled rest pose) with analytic
 root trajectories and optional articulation, then derive noisy 3D estimates
-for two sources, noisy 2D observations, and optionally rendered heatmap
-stacks.  Every quantity is deterministic under the scene seed.
+for two sources and noisy 2D observations.  Every quantity is
+deterministic under the scene seed.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraIntrinsics, project, rotate_points_about_y
-from .heatmaps import DEFAULT_GRID, DEFAULT_SIGMA_PX, HeatmapStack, render_stack
 from .skeleton import (
     Frame,
     Pose2D,
@@ -108,7 +107,6 @@ class SceneData:
     noisy_td: list[list[Pose3D]]   # per frame
     noisy_bu: list[list[Pose3D]]   # per frame
     obs_2d: list[list[Pose2D]]     # per frame
-    heatmaps: list[HeatmapStack] | None = None
 
     @property
     def num_frames(self) -> int:
@@ -147,10 +145,7 @@ def _gt_joints(spec: SceneSpec, skel: SkeletonSpec, rng: np.random.Generator
     return out
 
 
-def generate(spec: SceneSpec, cam: CameraIntrinsics, skel: SkeletonSpec,
-             render_heatmaps: bool = False,
-             heatmap_grid: tuple[int, int] = DEFAULT_GRID,
-             heatmap_sigma_px: float = DEFAULT_SIGMA_PX) -> SceneData:
+def generate(spec: SceneSpec, cam: CameraIntrinsics, skel: SkeletonSpec) -> SceneData:
     """Build a scene: exact tracks, noisy TD/BU estimates, 2D observations.
 
     Noisy sources are ground truth plus independent Gaussian 3D noise;
@@ -205,17 +200,8 @@ def generate(spec: SceneSpec, cam: CameraIntrinsics, skel: SkeletonSpec,
         }
         gt_tracks.append(TrackSequence(person_id=p, frames=frames))
 
-    heatmaps = None
-    if render_heatmaps:
-        width, height = heatmap_grid
-        heatmaps = []
-        for t in range(t_count):
-            poses = [track.frames[t] for track in gt_tracks]
-            heatmaps.append(render_stack(poses, cam, skel, width, height,
-                                         heatmap_sigma_px))
-
     return SceneData(gt_tracks=gt_tracks, noisy_td=noisy_td, noisy_bu=noisy_bu,
-                     obs_2d=obs_2d, heatmaps=heatmaps)
+                     obs_2d=obs_2d)
 
 
 def benchmark_camera() -> CameraIntrinsics:

@@ -379,3 +379,21 @@ def group_by_tags_loops(peaks, tag_maps, theta_tag):
             joints[i, joint] = (u, v)
             conf[i, joint] = min(max(score, 0.0), 1.0)
     return joints, conf
+
+
+def decode_loops(stack, cam, skel, theta_peak, theta_tag):
+    """Decode person by person: one depth read and one back-projection per
+    grouped person that has a root joint.  Returns the (pose2d, root depth,
+    relative depths) triples and each person's camera-centric joints."""
+    from dualpose.camera import back_project
+    from dualpose.heatmaps import extract_peaks, group_by_tags, retrieve_depths
+
+    decoded, joints3d = [], []
+    for pose in group_by_tags(extract_peaks(stack, theta_peak), stack.tag_maps, theta_tag):
+        if pose.conf[skel.root_index] <= 0.0:
+            continue
+        z_root, z_rel = retrieve_depths(pose.joints, stack, skel)
+        decoded.append((pose, z_root, z_rel))
+        depths = z_root + np.where(pose.conf > 0.0, z_rel, 0.0)
+        joints3d.append(back_project(pose.joints, depths, cam))
+    return decoded, joints3d

@@ -113,6 +113,23 @@ def test_match_fuse_eval_subcommands(tmp_path):
         assert tto_trace.read_bytes() == (run_dir / "trace.csv").read_bytes()
 
 
+def test_default_config_heatmap_chain(tmp_path, skel):
+    from dualpose.frames_io import read_frames
+
+    scene = tmp_path / "scene"
+    assert main(["synth", "--heatmaps", "--out", str(scene)]) == 0
+    stacks = sorted(map(str, scene.glob("frame*.phms")))
+    decoded = tmp_path / "decoded.jsonl"
+    assert main(["decode", "--out", str(decoded), *stacks]) == 0
+    assert main(["eval", "--out", str(tmp_path / "report.json"), str(decoded),
+                 str(scene / "gt.jsonl")]) == 0
+    gt = read_frames(scene / "gt.jsonl", skel.num_joints)
+    found = read_frames(decoded, skel.num_joints)
+    assert len(found) == len(gt) == len(stacks) == 100
+    recall = sum(len(r.persons) for r in found) / sum(len(r.persons) for r in gt)
+    assert 0.9 <= recall <= 1.0
+
+
 def test_decode_subcommand(tmp_path, skel):
     from dualpose.camera import CameraIntrinsics
     from dualpose.heatmaps import render_stack, write_stack

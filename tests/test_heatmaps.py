@@ -1,3 +1,4 @@
+import json
 import re
 import struct
 
@@ -6,12 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualpose.camera import CameraIntrinsics, project, rotate_points_about_y
 from dualpose.errors import OutOfGridError, SchemaError
+from dualpose.frames_io import load_config
 from dualpose.heatmaps import (
+    HeatmapConfig,
     HeatmapStack,
     bilinear_sample,
+    decode_poses,
     decode_stack,
     extract_peaks,
+    grid_camera,
     group_by_tags,
     read_stack,
     render_stack,
@@ -19,8 +25,14 @@ from dualpose.heatmaps import (
     write_stack,
 )
 from dualpose.skeleton import Pose2D, pose3d_camera, rest_pose
+from dualpose.synth import benchmark_camera
 
-from oracles import bilinear_sample_point, extract_peaks_loops, group_by_tags_loops
+from oracles import (
+    bilinear_sample_point,
+    decode_loops,
+    extract_peaks_loops,
+    group_by_tags_loops,
+)
 
 
 def gaussian_map(h, w, u, v, sigma):
@@ -174,7 +186,7 @@ def test_retrieve_depths_constant_map(skel):
     rng = np.random.default_rng(72)
     joints = rng.uniform(1, 30, size=(k, 2))
     pose = Pose2D(joints=joints, conf=np.ones(k))
-    z_root, z_rel = retrieve_depths(pose, stack, skel)
+    z_root, z_rel = retrieve_depths(pose.joints, stack, skel)
     assert z_root == 3000.0
     assert np.allclose(z_rel, -120.0)
 
@@ -213,7 +225,96 @@ def test_retrieve_depths_out_of_grid(skel):
     joints = np.full((k, 2), 40.0)
     pose = Pose2D(joints=joints, conf=np.ones(k))
     with pytest.raises(OutOfGridError):
-        retrieve_depths(pose, stack, skel)
+        retrieve_depths(pose.joints, stack, skel)
+
+
+def test_retrieve_depths_of_many_persons_equal_one_person_calls(skel):
+    rng = np.random.default_rng(79)
+    k = skel.num_joints
+    for h, w in GRIDS:
+        stack = random_stack(rng, k, h, w)
+        joints = rng.uniform(0, 1, (5, k, 2)) * (w - 1, h - 1)
+        joints[0, :3] = np.floor(joints[0, :3])
+        joints[1, skel.root_index] = (w - 1, h - 1)
+        z_root, z_rel = retrieve_depths(joints, stack, skel)
+        assert z_root.shape == (5,) and z_rel.shape == (5, k)
+        for p in range(5):
+            one_root, one_rel = retrieve_depths(joints[p], stack, skel)
+            assert type(one_root) is float and z_root[p] == one_root
+            assert z_rel[p].tolist() == one_rel.tolist()
+        z_root, z_rel = retrieve_depths(np.zeros((0, k, 2)), stack, skel)
+        assert z_root.shape == (0,) and z_rel.shape == (0, k)
+
+
+def test_grid_camera_scales_the_image_onto_the_grid():
+    fitted = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=48.0)
+    assert grid_camera(fitted, 128, 96) == fitted
+    assert grid_camera(benchmark_camera(), 128, 96) == \
+        CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=36.0)
+    with pytest.raises(ValueError, match="principal point"):
+        grid_camera(CameraIntrinsics(fx=110.0, fy=110.0, cx=0.0, cy=-1.0), 128, 96)
+
+
+def _random_persons_stack(rng, skel, cam, n):
+    """A 128x96 stack rendered from ``n`` persons placed, turned and scaled
+    at random, with person 0's root peak and person 1's first joint peak
+    erased: the first leaves a group with no root joint, the second a
+    person with a zero-confidence joint."""
+    poses = []
+    while len(poses) < n:
+        root = (rng.uniform(-4000, 4000), rng.uniform(-300, 300), rng.uniform(3500, 7000))
+        joints = rotate_points_about_y(rest_pose(rng.uniform(0.8, 1.1)), rng.uniform(-3, 3),
+                                       np.zeros(3)) + root
+        uv = project(joints, cam)
+        if (uv >= 0).all() and (uv <= (127, 95)).all():
+            poses.append(pose3d_camera(joints))
+    stack = render_stack(poses, cam, skel, width=128, height=96)
+    joint_maps = stack.joint_maps.copy()
+    ys, xs = np.mgrid[0:96, 0:128]
+    for person, joint in ((0, skel.root_index), (1, 0)):
+        u, v = project(poses[person].joints[joint], cam)
+        joint_maps[joint][(xs - u) ** 2 + (ys - v) ** 2 <= 25.0] = 0.0
+    return HeatmapStack(128, 96, joint_maps, stack.tag_maps, stack.rel_depth_maps,
+                        stack.root_depth_map)
+
+
+def test_decode_equals_per_person_loop(skel):
+    rng = np.random.default_rng(80)
+    cam = CameraIntrinsics(fx=40.0, fy=40.0, cx=64.0, cy=48.0)
+    rootless = zero_conf = 0
+    for _ in range(12):
+        stack = _random_persons_stack(rng, skel, cam, int(rng.integers(2, 7)))
+        expected, joints3d = decode_loops(stack, cam, skel, 0.3, 1.0)
+        decoded = decode_stack(stack, skel)
+        assert len(decoded) == len(expected)
+        for (pose, z_root, z_rel), (pose_x, z_root_x, z_rel_x) in zip(decoded, expected):
+            assert np.array_equal(pose.joints, pose_x.joints)
+            assert np.array_equal(pose.conf, pose_x.conf)
+            assert type(z_root) is float and z_root == z_root_x
+            assert np.array_equal(z_rel, z_rel_x)
+        poses = decode_poses(stack, cam, skel)
+        assert len(poses) == len(expected)
+        for pose, joints, (pose_x, _, _) in zip(poses, joints3d, expected):
+            assert np.array_equal(pose.joints, joints)
+            assert np.array_equal(pose.conf, pose_x.conf)
+        groups = group_by_tags(extract_peaks(stack, 0.3), stack.tag_maps, 1.0)
+        rootless += len(groups) - len(decoded)
+        zero_conf += sum(bool((pose.conf == 0.0).any()) for pose in poses)
+    assert rootless > 0 and zero_conf > 0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("width", 0), ("width", 12.5), ("height", -96), ("sigma_px", 0.0), ("sigma_px", -2.0),
+    ("sigma_px", np.nan), ("theta_peak", 0.0), ("theta_peak", 1.5), ("theta_peak", np.nan),
+    ("theta_tag", -1.0), ("theta_tag", np.inf),
+])
+def test_heatmap_config_rejects_bad_values(tmp_path, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"heatmap": {key: value}}))
+    with pytest.raises(SchemaError, match=rf"invalid config: config\.heatmap(: |\.){key}\b"):
+        load_config(path)
+    with pytest.raises(ValueError, match=key):
+        HeatmapConfig(**{key: value})
 
 
 def scene_pose(skel, cam, center, scale=0.06):
@@ -372,7 +473,7 @@ def test_depth_and_tag_gathers_equal_scalar_oracle(skel):
         joints = rng.uniform(0, 1, (k, 2)) * (w - 1, h - 1)
         joints[:3] = np.floor(joints[:3])  # cells, including the last row / column
         joints[3] = (w - 1, h - 1)
-        z_root, z_rel = retrieve_depths(Pose2D(joints=joints, conf=np.ones(k)), stack, skel)
+        z_root, z_rel = retrieve_depths(joints, stack, skel)
         u, v = joints[skel.root_index]
         assert z_root == bilinear_sample_point(stack.root_depth_map, u, v)
         assert z_rel.tolist() == [bilinear_sample_point(stack.rel_depth_maps[j], *joints[j])

@@ -240,8 +240,8 @@ def test_write_read_is_bit_exact(tmp_path_factory, dim, num_joints, num_persons,
             assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
 
 
-# A non-default value for every saved config field; int-valued floats
-# come back as floats.
+# A non-default, valid value for every saved config field; int-valued
+# floats come back as floats.
 _reals = st.one_of(st.integers(1, 400).map(float),
                    st.floats(1e-3, 400.0, allow_nan=False, allow_infinity=False))
 _windows = st.tuples(st.sampled_from([0, 2, 3]), st.sampled_from([0, 3, 5, 7]),
@@ -255,7 +255,7 @@ _metrics = st.fixed_dictionaries({
     "pck_mm": _reals, "auc_max_mm": _reals, "auc_step_mm": _reals,
     "pck_abs_mm": _reals, "ap_root_radius_mm": _reals,
     "f1_thresholds_m": st.lists(_reals, min_size=1, max_size=4),
-})
+}).map(lambda m: {**m, "auc_max_mm": max(m["auc_max_mm"], m["auc_step_mm"])})
 _match = st.fixed_dictionaries({
     "fixed_scale_mm": st.one_of(st.none(), _reals),
     "tau_match": _reals, "distance_mode": st.sampled_from(["3d", "2d"]),
@@ -285,7 +285,7 @@ _scene = st.lists(_motion, min_size=1, max_size=3).flatmap(lambda motions: st.fi
 }))
 _heatmap = st.fixed_dictionaries({
     "width": st.integers(2, 512), "height": st.integers(2, 512), "sigma_px": _reals,
-    "theta_peak": _reals, "theta_tag": _reals,
+    "theta_peak": st.floats(1e-3, 0.999), "theta_tag": _reals,
 })
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dualpose.errors import DegenerateGeometryError, FrameMismatchError
+from dualpose.errors import DegenerateGeometryError, FrameMismatchError, SchemaError
+from dualpose.frames_io import RunConfig
 from dualpose.metrics import (
     MetricThresholds,
     ap_root,
@@ -486,3 +487,18 @@ def test_evaluate_frames_ap_pools_frames_like_loop_oracle(skel):
         pooling_matters += expected != pytest.approx(per_frame)
     # the shared ranking is not an average of per-frame APs
     assert pooling_matters > 5
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pck_mm", -150.0), ("pck_mm", np.nan), ("pck_abs_mm", 0.0), ("pck_abs_mm", np.inf),
+    ("auc_step_mm", 0.0), ("auc_step_mm", np.nan), ("ap_root_radius_mm", -1.0),
+    ("ap_root_radius_mm", np.inf), ("auc_max_mm", 2.0), ("auc_max_mm", np.inf),
+    ("f1_thresholds_m", (0.4, -0.8)), ("f1_thresholds_m", (0.4, np.nan)),
+    ("f1_thresholds_m", (np.inf,)),
+])
+def test_metric_thresholds_reject_bad_values(key, value):
+    with pytest.raises(ValueError, match=key):
+        MetricThresholds(**{key: value})
+    data = {"metrics": {key: list(value) if isinstance(value, tuple) else value}}
+    with pytest.raises(SchemaError, match=rf"^config\.metrics(: |\.){key}\b"):
+        RunConfig.from_dict(data)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dualpose.camera import CameraIntrinsics, project
+from dualpose.camera import project
 from dualpose.skeleton import bone_lengths_of
 from dualpose.synth import (
     MotionSpec,
@@ -144,17 +144,3 @@ def test_benchmark_spec_properties(skel):
         assert len(data.noisy_td[t]) == 3
         for p in range(3):
             assert np.all(data.noisy_td[t][p].joints[:, 2] > 0)
-
-
-def test_heatmap_rendering_toggle(skel):
-    cam = CameraIntrinsics(fx=40.0, fy=40.0, cx=64.0, cy=48.0)
-    spec = SceneSpec(
-        num_persons=1,
-        num_frames=2,
-        motions=(MotionSpec(kind="constant", root_coeffs=((0.0, 0.0, 4001.0),)),),
-        seed=5,
-    )
-    data = generate(spec, cam, skel, render_heatmaps=True,
-                    heatmap_grid=(128, 96), heatmap_sigma_px=2.0)
-    assert data.heatmaps is not None and len(data.heatmaps) == 2
-    assert data.heatmaps[0].num_joints == skel.num_joints
