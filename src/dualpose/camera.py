@@ -74,10 +74,8 @@ def rotate_about_y(pose: Pose3D, angle: float, pivot) -> Pose3D:
     """
     if not np.isfinite(angle):
         raise ValueError("rotation angle must be finite")
-    pivot = np.asarray(pivot, dtype=np.float64).reshape(3)
-    rot = rotation_about_y(angle)
-    joints = (pose.joints - pivot) @ rot.T + pivot
-    return Pose3D(joints=joints, conf=pose.conf, frame=pose.frame)
+    return Pose3D(joints=rotate_points_about_y(pose.joints, angle, pivot), conf=pose.conf,
+                  frame=pose.frame)
 
 
 def rotate_points_about_y(points: np.ndarray, angle: float, pivot) -> np.ndarray:

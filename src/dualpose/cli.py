@@ -12,7 +12,10 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import DualPoseError, NumericFailureError
+import numpy as np
+
+from .camera import project
+from .errors import DualPoseError, NumericFailureError, OutOfGridError
 from .frames_io import (
     RunConfig,
     load_config,
@@ -20,7 +23,14 @@ from .frames_io import (
     read_frames,
     write_frames,
 )
-from .heatmaps import decode_poses, grid_camera, read_stack, render_stack, write_stack
+from .heatmaps import (
+    decode_poses,
+    grid_camera,
+    in_grid,
+    read_stack,
+    render_stack,
+    write_stack,
+)
 from .metrics import evaluate_frames
 from .pipeline import (
     aligned_frames,
@@ -75,12 +85,21 @@ def _cmd_synth(args, config: RunConfig) -> int:
     ids = list(range(spec.num_persons))
     sources = {"gt": data.gt_frames(), "td": data.noisy_td, "bu": data.noisy_bu,
                "obs": data.obs_2d}
+    if args.heatmaps:
+        heat = config.heatmap
+        cam = grid_camera(config.camera, heat.width, heat.height)
+        # every frame must fit the grid before any file is written
+        joints = np.reshape([[pose.joints for pose in poses] for poses in sources["gt"]],
+                            (data.num_frames, -1, 3))
+        uv = project(joints, cam)
+        off = ~in_grid(uv[..., 0], uv[..., 1], heat.width, heat.height).all(axis=1)
+        if off.any():
+            raise OutOfGridError(f"frame {np.argmax(off)}: a pose projects outside the "
+                                 f"{heat.width}x{heat.height} heatmap grid")
     for source, frames in sources.items():
         write_frames([poses_to_record(t, source, poses, ids)
                       for t, poses in enumerate(frames)], out / f"{source}.jsonl")
     if args.heatmaps:
-        heat = config.heatmap
-        cam = grid_camera(config.camera, heat.width, heat.height)
         for t, poses in enumerate(sources["gt"]):
             write_stack(render_stack(poses, cam, config.skeleton, heat.width, heat.height,
                                      heat.sigma_px), out / f"frame{t:05d}.phms")

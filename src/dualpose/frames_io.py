@@ -226,6 +226,11 @@ class RunConfig:
     scene: SceneSpec | None = None
     heatmap: HeatmapConfig = field(default_factory=HeatmapConfig)
 
+    def __post_init__(self):
+        # a gate <= 0 would leave every unlabeled pose unlinked; NaN fails too
+        if not self.linker_gate_mm > 0:
+            raise ValueError(f"linker_gate_mm must be positive, got {self.linker_gate_mm!r}")
+
     @classmethod
     def default(cls) -> "RunConfig":
         skel = default_skeleton()

@@ -63,13 +63,19 @@ def grid_camera(cam: CameraIntrinsics, width: int, height: int) -> CameraIntrins
     return CameraIntrinsics(fx=cam.fx / s, fy=cam.fy / s, cx=cam.cx / s, cy=cam.cy / s)
 
 
+def _plane(values) -> np.ndarray:
+    arr = np.asarray(values)
+    return arr if arr.dtype in (np.float32, np.float64) else arr.astype(np.float64)
+
+
 @dataclass(frozen=True)
 class HeatmapStack:
     """Bottom-up map stack on one (height, width) grid.
 
     ``joint_maps`` (K, H, W) in [0, 1]; ``tag_maps`` (K, H, W) unit-free;
     ``rel_depth_maps`` (K, H, W) mm relative to the root; ``root_depth_map``
-    (H, W) mm absolute.
+    (H, W) mm absolute.  Float32 and float64 planes are kept as given, any
+    other type becomes float64.
     """
 
     width: int
@@ -83,11 +89,11 @@ class HeatmapStack:
         k = self.joint_maps.shape[0]
         expected = (k, self.height, self.width)
         for name in ("joint_maps", "tag_maps", "rel_depth_maps"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = _plane(getattr(self, name))
             if arr.shape != expected:
                 raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")
             object.__setattr__(self, name, arr)
-        root = np.asarray(self.root_depth_map, dtype=np.float64)
+        root = _plane(self.root_depth_map)
         if root.shape != (self.height, self.width):
             raise ValueError(
                 f"root_depth_map must have shape {(self.height, self.width)}, got {root.shape}"
@@ -105,6 +111,12 @@ class HeatmapStack:
         return self.joint_maps.shape[0]
 
 
+def in_grid(u: np.ndarray, v: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Which pixels (u, v) lie on a ``width`` x ``height`` grid,
+    0 <= u <= width-1 and 0 <= v <= height-1 (NaN lies off it)."""
+    return (u >= 0.0) & (u <= width - 1) & (v >= 0.0) & (v <= height - 1)
+
+
 def bilinear_sample(grid: np.ndarray, u, v):
     """Bilinear interpolation of (H, W) planes at pixels (u, v).
 
@@ -116,7 +128,7 @@ def bilinear_sample(grid: np.ndarray, u, v):
     h, w = grid.shape[-2:]
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    outside = ~((u >= 0.0) & (u <= w - 1) & (v >= 0.0) & (v <= h - 1))
+    outside = ~in_grid(u, v, w, h)
     if outside.any():
         first = np.flatnonzero(outside)[0]
         raise OutOfGridError(f"sample ({u.flat[first]}, {v.flat[first]}) outside grid {w}x{h}")
@@ -148,13 +160,14 @@ def extract_peaks(stack: HeatmapStack, theta_peak: float = DEFAULT_PEAK_THRESHOL
     """
     if not 0.0 < theta_peak < 1.0:
         raise ValueError("theta_peak must lie in (0, 1)")
-    m = stack.joint_maps
-    k, h, w = m.shape
+    k, h, w = stack.joint_maps.shape
     # Cells above the threshold, each compared strictly against its 8
-    # neighbors in one padded stack; out-of-bounds neighbors are -inf so
-    # border peaks survive.
+    # neighbors in one padded float64 stack (so float32 planes decode as
+    # their float64 copies do); out-of-bounds neighbors are -inf so border
+    # peaks survive.
     pad = np.full((k, h + 2, w + 2), -np.inf)
-    pad[:, 1:-1, 1:-1] = m
+    pad[:, 1:-1, 1:-1] = stack.joint_maps
+    m = pad[:, 1:-1, 1:-1]
     js, ys, xs = np.nonzero(m >= theta_peak)
     score = m[js, ys, xs]
     is_peak = np.ones(score.shape, dtype=bool)
@@ -263,41 +276,32 @@ def render_stack(poses: list[Pose3D], cam: CameraIntrinsics, skel: SkeletonSpec,
         tags = [float(2 * i) for i in range(n)]
     if len(tags) != n:
         raise ValueError("one tag value per pose required")
+    if any(pose.frame is not Frame.CAMERA_CENTRIC for pose in poses):
+        raise ValueError("render_stack expects camera-centric poses")
+    joints = np.stack([pose.joints for pose in poses])  # (n, K, 3)
+    uv = project(joints, cam)
+    if not in_grid(uv[..., 0], uv[..., 1], width, height).all():
+        raise OutOfGridError("pose projects outside the heatmap grid")
 
-    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
+    tag_vals = np.asarray(tags, dtype=np.float64)
+    root_vals = joints[:, skel.root_index, 2]
+    rel_vals = joints[..., 2] - root_vals[:, None]
+    # pixel columns and rows; squared offsets are taken along each axis and
+    # broadcast to the (n, H, W) grid only when added
+    xs = np.arange(width, dtype=np.float64)
+    ys = np.arange(height, dtype=np.float64)[:, None]
     two_sigma_sq = 2.0 * sigma_px * sigma_px
-
-    uv_all = []
-    for pose in poses:
-        if pose.frame is not Frame.CAMERA_CENTRIC:
-            raise ValueError("render_stack expects camera-centric poses")
-        uv = project(pose.joints, cam)
-        if np.any(uv[:, 0] < 0) or np.any(uv[:, 0] > width - 1) or \
-           np.any(uv[:, 1] < 0) or np.any(uv[:, 1] > height - 1):
-            raise OutOfGridError("pose projects outside the heatmap grid")
-        uv_all.append(uv)
-
-    root_gauss = np.zeros((n, height, width))
     for joint in range(k):
-        gauss = np.empty((n, height, width))
-        for i, (pose, uv) in enumerate(zip(poses, uv_all)):
-            u, v = uv[joint]
-            gauss[i] = np.exp(-((xs - u) ** 2 + (ys - v) ** 2) / two_sigma_sq)
-            if joint == skel.root_index:
-                root_gauss[i] = gauss[i]
+        u = uv[:, joint, 0, None, None]
+        v = uv[:, joint, 1, None, None]
+        gauss = np.exp(-((xs - u) ** 2 + (ys - v) ** 2) / two_sigma_sq)
+        # per pixel, the person whose Gaussian dominates there
         winner = np.argmax(gauss, axis=0)
         joint_maps[joint] = np.max(gauss, axis=0)
-        tag_vals = np.array(tags)
-        rel_vals = np.array([
-            pose.joints[joint, 2] - pose.joints[skel.root_index, 2]
-            for pose in poses
-        ])
         tag_maps[joint] = tag_vals[winner]
-        rel_maps[joint] = rel_vals[winner]
-    root_winner = np.argmax(root_gauss, axis=0)
-    root_vals = np.array([pose.joints[skel.root_index, 2] for pose in poses])
-    root_map = root_vals[root_winner]
-
+        rel_maps[joint] = rel_vals[winner, joint]
+        if joint == skel.root_index:
+            root_map = root_vals[winner]
     return HeatmapStack(width=width, height=height, joint_maps=joint_maps,
                         tag_maps=tag_maps, rel_depth_maps=rel_maps,
                         root_depth_map=root_map)
@@ -362,7 +366,8 @@ def read_stack(path, num_joints: int | None = None) -> HeatmapStack:
     Raises SchemaError naming the file for a bad magic or version, a file
     size that disagrees with the header's K x width x height, a joint count
     other than ``num_joints`` (when given), and planes that HeatmapStack
-    rejects (non-finite values, joint maps outside [0, 1]).
+    rejects (non-finite values, joint maps outside [0, 1]).  The planes
+    are returned as stored, float32.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -381,7 +386,7 @@ def read_stack(path, num_joints: int | None = None) -> HeatmapStack:
                           f"needs {expected} bytes, file has {len(blob)}")
     if num_joints is not None and k != num_joints:
         raise SchemaError(f"{path}: expected {num_joints} joints, got {k}")
-    data = np.frombuffer(blob, dtype="<f4", offset=header_size).astype(np.float64)
+    data = np.frombuffer(blob, dtype="<f4", offset=header_size)
     joint, tag, rel = data[:3 * k * plane].reshape(3, k, height, width)
     try:
         return HeatmapStack(width=width, height=height, joint_maps=joint, tag_maps=tag,

@@ -70,13 +70,16 @@ class MetricReport:
     extra_persons: int = 0
 
     def to_dict(self) -> dict:
+        """JSON form; a metric left undefined (NaN: no matched pair) is None."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {k: None if isinstance(v, float) and math.isnan(v) else v
+               for k, v in out.items()}
         out["f1_at"] = {repr(t): v for t, v in self.f1_at.items()}
         return out
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            json.dump(self.to_dict(), fh, indent=2, allow_nan=False)
             fh.write("\n")
 
     def to_csv(self, path) -> None:
@@ -192,15 +195,19 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a[:, None] - b[None], axis=-1)
 
 
-def _greedy_pairs(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _greedy_pairs(dists: np.ndarray, gate: float = math.inf
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Globally greedy nearest-first pairing of a distance matrix's rows and
-    columns, (rows, columns) in pairing order; ties by lowest flat index."""
-    # retired rows and columns become inf, above every (capped) distance
-    d = np.minimum(dists, np.finfo(np.float64).max)
+    columns, (rows, columns) in pairing order; ties by lowest flat index.
+    Pairs farther apart than ``gate`` are never made."""
+    # gated cells, retired rows and retired columns are inf, above every capped distance
+    d = np.where(dists <= gate, np.minimum(dists, np.finfo(np.float64).max), np.inf)
     n, m = d.shape
     rows, cols = [], []
     for _ in range(min(n, m)):
         i, j = divmod(int(np.argmin(d)), m)
+        if d[i, j] == np.inf:
+            break
         rows.append(i)
         cols.append(j)
         d[i, :] = np.inf
@@ -208,18 +215,20 @@ def _greedy_pairs(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
 
 
-def greedy_root_match(pred_roots: np.ndarray, gt_roots: np.ndarray
+def greedy_root_match(pred_roots: np.ndarray, gt_roots: np.ndarray,
+                      gate_mm: float = math.inf
                       ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Globally greedy nearest-root pairing (no distance gate).
+    """Globally greedy nearest-root pairing; roots farther apart than
+    ``gate_mm`` stay unpaired (no gate by default).
 
     Returns (pairs, unmatched pred indices, unmatched gt indices); ties are
     resolved by lowest flattened (pred, gt) index.
     """
     rows, cols = _greedy_pairs(_pairwise_distances(np.reshape(pred_roots, (-1, 3)),
-                                                   np.reshape(gt_roots, (-1, 3))))
-    return (list(zip(rows.tolist(), cols.tolist())),
-            np.setdiff1d(np.arange(len(pred_roots)), rows).tolist(),
-            np.setdiff1d(np.arange(len(gt_roots)), cols).tolist())
+                                                   np.reshape(gt_roots, (-1, 3))), gate_mm)
+    rows, cols = rows.tolist(), cols.tolist()
+    return (list(zip(rows, cols)), sorted(set(range(len(pred_roots))) - set(rows)),
+            sorted(set(range(len(gt_roots))) - set(cols)))
 
 
 def _distance_table(pred_set: list[Pose3D], gt_set: list[Pose3D], skel: SkeletonSpec

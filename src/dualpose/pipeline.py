@@ -17,7 +17,7 @@ from .frames_io import (
 )
 from .fusion import fuse_frame
 from .matching import match_sets
-from .metrics import MetricReport, evaluate_frames
+from .metrics import MetricReport, evaluate_frames, greedy_root_match
 from .skeleton import Pose2D, Pose3D, TrackSequence
 from .tto import TraceRow, optimize
 
@@ -69,56 +69,41 @@ def records_to_obs_map(records: list[FrameRecord]) -> ObsMap:
 def link_tracks(frames: PoseMap, root_index: int, gate_mm: float) -> list[TrackSequence]:
     """Assemble per-person tracks from per-frame pose lists.
 
-    Poses carrying a person_id join that identity directly.  Unlabeled poses
-    are linked greedily to the nearest track root from the previous frame
-    within ``gate_mm``; leftovers start new tracks.
+    Poses carrying a person_id join that identity directly.  Each frame's
+    unlabeled poses are paired with the tracks seen in the previous frame
+    and not yet in this one by one globally greedy nearest-root pairing
+    within ``gate_mm`` (ties by pose slot, then by ``str`` of the track
+    id); leftovers start new tracks.
     """
     tracks: dict[int | str, TrackSequence] = {}
     last_seen: dict[int | str, tuple[int, np.ndarray]] = {}
     next_auto = 0
+
+    def place(key: int | str, frame_idx: int, pose: Pose3D) -> None:
+        if key not in tracks:
+            tracks[key] = TrackSequence(person_id=key, frames={})
+        tracks[key].add(frame_idx, pose)
+        last_seen[key] = (frame_idx, pose.joints[root_index])
+
     for frame_idx in sorted(frames):
         poses, ids = frames[frame_idx]
-        unlabeled: list[tuple[int, Pose3D]] = []
         for pose, pid in zip(poses, ids):
             if pid is not None:
-                key = pid
-                if key not in tracks:
-                    tracks[key] = TrackSequence(person_id=key, frames={})
-                tracks[key].add(frame_idx, pose)
-                last_seen[key] = (frame_idx, pose.joints[root_index])
-            else:
-                unlabeled.append((len(unlabeled), pose))
-        if unlabeled:
-            candidates = [
-                (key, root) for key, (seen_at, root) in last_seen.items()
-                if seen_at == frame_idx - 1 and frame_idx not in tracks[key].frames
-            ]
-            assigned: set[int | str] = set()
-            # Globally greedy: nearest (pose, track) pairs first.
-            options = []
-            for slot, pose in unlabeled:
-                root = pose.joints[root_index]
-                for key, track_root in candidates:
-                    d = float(np.linalg.norm(root - track_root))
-                    if d <= gate_mm:
-                        options.append((d, slot, key))
-            options.sort(key=lambda item: (item[0], item[1], str(item[2])))
-            placed: set[int] = set()
-            for d, slot, key in options:
-                if slot in placed or key in assigned:
-                    continue
-                pose = unlabeled[slot][1]
-                tracks[key].add(frame_idx, pose)
-                last_seen[key] = (frame_idx, pose.joints[root_index])
-                placed.add(slot)
-                assigned.add(key)
-            for slot, pose in unlabeled:
-                if slot in placed:
-                    continue
-                key = f"auto{next_auto}"
-                next_auto += 1
-                tracks[key] = TrackSequence(person_id=key, frames={frame_idx: pose})
-                last_seen[key] = (frame_idx, pose.joints[root_index])
+                place(pid, frame_idx, pose)
+        unlabeled = [pose for pose, pid in zip(poses, ids) if pid is None]
+        if not unlabeled:
+            continue
+        candidates = sorted((key for key, (seen_at, _) in last_seen.items()
+                             if seen_at == frame_idx - 1
+                             and frame_idx not in tracks[key].frames), key=str)
+        pairs, unpaired, _ = greedy_root_match(
+            [pose.joints[root_index] for pose in unlabeled],
+            [last_seen[key][1] for key in candidates], gate_mm)
+        for slot, col in pairs:
+            place(candidates[col], frame_idx, unlabeled[slot])
+        for slot in unpaired:
+            place(f"auto{next_auto}", frame_idx, unlabeled[slot])
+            next_auto += 1
     return [tracks[k] for k in sorted(tracks, key=str)]
 
 

@@ -176,10 +176,22 @@ def rest_pose(scale: float = 1.0) -> np.ndarray:
     return DEFAULT_REST_OFFSETS_MM * float(scale)
 
 
-def _validate_conf(conf: np.ndarray) -> None:
+def _freeze_pose(pose, dim: int) -> None:
+    """Check a pose's (K, dim) joints and (K,) confidences and store both
+    as read-only float64 arrays."""
+    joints = np.asarray(pose.joints, dtype=np.float64)
+    conf = np.asarray(pose.conf, dtype=np.float64)
+    if joints.ndim != 2 or joints.shape[1] != dim:
+        raise ValueError(f"joints must be (K, {dim}), got {joints.shape}")
+    if conf.shape != (joints.shape[0],):
+        raise ValueError("conf must be (K,) matching joints")
+    if not np.isfinite(joints).all():
+        raise ValueError("joint coordinates must be finite")
     # NaN fails both comparisons and +-inf one of them.
     if not ((conf >= 0.0) & (conf <= 1.0)).all():
         raise ValueError("confidences must be finite and within [0, 1]")
+    object.__setattr__(pose, "joints", _frozen_array(joints))
+    object.__setattr__(pose, "conf", _frozen_array(conf))
 
 
 @dataclass(frozen=True)
@@ -190,17 +202,7 @@ class Pose2D:
     conf: np.ndarray    # (K,) in [0, 1]
 
     def __post_init__(self):
-        joints = np.asarray(self.joints, dtype=np.float64)
-        conf = np.asarray(self.conf, dtype=np.float64)
-        if joints.ndim != 2 or joints.shape[1] != 2:
-            raise ValueError(f"joints must be (K, 2), got {joints.shape}")
-        if conf.shape != (joints.shape[0],):
-            raise ValueError("conf must be (K,) matching joints")
-        if not np.isfinite(joints).all():
-            raise ValueError("joint coordinates must be finite")
-        _validate_conf(conf)
-        object.__setattr__(self, "joints", _frozen_array(joints))
-        object.__setattr__(self, "conf", _frozen_array(conf))
+        _freeze_pose(self, 2)
 
     @property
     def num_joints(self) -> int:
@@ -216,19 +218,9 @@ class Pose3D:
     frame: Frame
 
     def __post_init__(self):
-        joints = np.asarray(self.joints, dtype=np.float64)
-        conf = np.asarray(self.conf, dtype=np.float64)
-        if joints.ndim != 2 or joints.shape[1] != 3:
-            raise ValueError(f"joints must be (K, 3), got {joints.shape}")
-        if conf.shape != (joints.shape[0],):
-            raise ValueError("conf must be (K,) matching joints")
-        if not np.isfinite(joints).all():
-            raise ValueError("joint coordinates must be finite")
-        _validate_conf(conf)
+        _freeze_pose(self, 3)
         if not isinstance(self.frame, Frame):
             raise ValueError(f"frame must be a Frame enum, got {self.frame!r}")
-        object.__setattr__(self, "joints", _frozen_array(joints))
-        object.__setattr__(self, "conf", _frozen_array(conf))
 
     @property
     def num_joints(self) -> int:

@@ -401,6 +401,12 @@ def _track_objective(seq: TrackSequence, positions: np.ndarray,
                       bones=skel.bone_array, **reprojection)
 
 
+def _stage_total(terms: tuple[float, float, float], c_rep: float, c_bone: float) -> float:
+    """L_traj + c_rep*L_rep + c_bone*L_bone of the terms (l_traj, l_rep, l_bone)."""
+    l_traj, l_rep, l_bone = terms
+    return l_traj + c_rep * l_rep + c_bone * l_bone
+
+
 def tto_loss(seq: TrackSequence, observations: dict[int, Pose2D] | None,
              cam: CameraIntrinsics, state: TtoState, cfg: TtoConfig,
              stage: int, skel: SkeletonSpec) -> float:
@@ -410,8 +416,8 @@ def tto_loss(seq: TrackSequence, observations: dict[int, Pose2D] | None,
     otherwise)."""
     joints = _consecutive_joints(seq)
     objective = _track_objective(seq, joints, observations, cam, cfg, skel)
-    l_traj, l_rep, l_bone = objective.value(joints, state.bone_latents)
-    return l_traj + cfg.c_rep(stage) * l_rep + cfg.c_bone * l_bone
+    return _stage_total(objective.value(joints, state.bone_latents), cfg.c_rep(stage),
+                        cfg.c_bone)
 
 
 def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
@@ -437,7 +443,7 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
         c_rep = cfg.c_rep(stage)
         step = cfg.step_size
         comps = objective.value(positions, latents)
-        comps = (*comps, comps[0] + c_rep * comps[1] + cfg.c_bone * comps[2])
+        comps = (*comps, _stage_total(comps, c_rep, cfg.c_bone))
         grad_pos, grad_lat = objective.grad(c_rep, cfg.c_bone)
         tried = step
         for _ in range(cfg.iters_per_stage):
@@ -458,8 +464,7 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
                     step *= 0.5
                     halvings += 1
                     continue
-                cand_total = cand_comps[0] + c_rep * cand_comps[1] + \
-                    cfg.c_bone * cand_comps[2]
+                cand_total = _stage_total(cand_comps, c_rep, cfg.c_bone)
                 if cand_total <= comps[3]:
                     accepted = True
                     break

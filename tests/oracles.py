@@ -65,14 +65,16 @@ def brute_force_assignment_total(sim):
     return best
 
 
-def greedy_root_match_loops(pred_roots, gt_roots):
-    """Plain-loop re-implementation of global nearest-first root pairing."""
+def greedy_root_match_loops(pred_roots, gt_roots, gate_mm=np.inf):
+    """Plain-loop re-implementation of global nearest-first root pairing;
+    pairs farther apart than ``gate_mm`` are never made."""
     n_p, n_g = len(pred_roots), len(gt_roots)
     cells = []
     for i in range(n_p):
         for j in range(n_g):
             d = float(np.linalg.norm(np.asarray(pred_roots[i]) - np.asarray(gt_roots[j])))
-            cells.append((d, i, j))
+            if d <= gate_mm:
+                cells.append((d, i, j))
     cells.sort(key=lambda c: (c[0], c[1] * n_g + c[2]))
     used_p, used_g, pairs = set(), set(), []
     for d, i, j in cells:
@@ -397,3 +399,83 @@ def decode_loops(stack, cam, skel, theta_peak, theta_tag):
         depths = z_root + np.where(pose.conf > 0.0, z_rel, 0.0)
         joints3d.append(back_project(pose.joints, depths, cam))
     return decoded, joints3d
+
+
+def link_tracks_loops(frames, root_index, gate_mm):
+    """Track linking with its own pairing loop: every (pose, track) option
+    within the gate, sorted by (distance, pose slot, str(track id)) and
+    taken nearest first."""
+    from dualpose.skeleton import TrackSequence
+
+    tracks, last_seen, next_auto = {}, {}, 0
+    for frame_idx in sorted(frames):
+        poses, ids = frames[frame_idx]
+        unlabeled = []
+        for pose, pid in zip(poses, ids):
+            if pid is not None:
+                if pid not in tracks:
+                    tracks[pid] = TrackSequence(person_id=pid, frames={})
+                tracks[pid].add(frame_idx, pose)
+                last_seen[pid] = (frame_idx, pose.joints[root_index])
+            else:
+                unlabeled.append((len(unlabeled), pose))
+        if not unlabeled:
+            continue
+        candidates = [(key, root) for key, (seen_at, root) in last_seen.items()
+                      if seen_at == frame_idx - 1 and frame_idx not in tracks[key].frames]
+        options = []
+        for slot, pose in unlabeled:
+            for key, track_root in candidates:
+                d = float(np.linalg.norm(pose.joints[root_index] - track_root))
+                if d <= gate_mm:
+                    options.append((d, slot, key))
+        options.sort(key=lambda item: (item[0], item[1], str(item[2])))
+        placed, assigned = set(), set()
+        for d, slot, key in options:
+            if slot in placed or key in assigned:
+                continue
+            pose = unlabeled[slot][1]
+            tracks[key].add(frame_idx, pose)
+            last_seen[key] = (frame_idx, pose.joints[root_index])
+            placed.add(slot)
+            assigned.add(key)
+        for slot, pose in unlabeled:
+            if slot not in placed:
+                key = f"auto{next_auto}"
+                next_auto += 1
+                tracks[key] = TrackSequence(person_id=key, frames={frame_idx: pose})
+                last_seen[key] = (frame_idx, pose.joints[root_index])
+    return [tracks[k] for k in sorted(tracks, key=str)]
+
+
+def render_stack_loops(poses, cam, skel, width, height, sigma_px=2.0, tags=None):
+    """Render person by person inside a per-joint loop, with a second pass
+    over the root joint's Gaussians for the root-depth winner.  Returns the
+    (joint, tag, rel-depth, root-depth) planes."""
+    from dualpose.camera import project
+
+    k, n = skel.num_joints, len(poses)
+    joint_maps = np.zeros((k, height, width))
+    tag_maps = np.zeros((k, height, width))
+    rel_maps = np.zeros((k, height, width))
+    if n == 0:
+        return joint_maps, tag_maps, rel_maps, np.zeros((height, width))
+    tags = [float(2 * i) for i in range(n)] if tags is None else tags
+    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
+    two_sigma_sq = 2.0 * sigma_px * sigma_px
+    uv_all = [project(pose.joints, cam) for pose in poses]
+    root_gauss = np.zeros((n, height, width))
+    for joint in range(k):
+        gauss = np.empty((n, height, width))
+        for i, uv in enumerate(uv_all):
+            u, v = uv[joint]
+            gauss[i] = np.exp(-((xs - u) ** 2 + (ys - v) ** 2) / two_sigma_sq)
+            if joint == skel.root_index:
+                root_gauss[i] = gauss[i]
+        winner = np.argmax(gauss, axis=0)
+        joint_maps[joint] = np.max(gauss, axis=0)
+        tag_maps[joint] = np.array(tags)[winner]
+        rel_vals = [pose.joints[joint, 2] - pose.joints[skel.root_index, 2] for pose in poses]
+        rel_maps[joint] = np.array(rel_vals)[winner]
+    root_vals = np.array([pose.joints[skel.root_index, 2] for pose in poses])
+    return joint_maps, tag_maps, rel_maps, root_vals[np.argmax(root_gauss, axis=0)]

@@ -130,6 +130,52 @@ def test_default_config_heatmap_chain(tmp_path, skel):
     assert 0.9 <= recall <= 1.0
 
 
+def test_synth_heatmaps_out_of_grid_writes_nothing(tmp_path, capsys):
+    config = RunConfig.default().to_dict()
+    config["scene"] = {"num_persons": 1, "num_frames": 10, "motions": [
+        {"kind": "linear", "root_coeffs": [[0.0, 0.0, 4000.0], [600.0, 0.0, 0.0]]}]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "scene"
+    assert main(["synth", "--heatmaps", "--config", str(path), "--out", str(out)]) == 1
+    assert "error: frame 4: a pose projects outside the 128x96 heatmap grid" \
+        in capsys.readouterr().err
+    assert list(out.glob("*.jsonl")) == [] and list(out.glob("*.phms")) == []
+
+
+def test_eval_writes_undefined_metrics_as_null(tmp_path):
+    """With no matched person MPJPE is undefined: report.json holds null,
+    not the NaN token that is not JSON."""
+    from dualpose.frames_io import poses_to_record, write_frames
+    from dualpose.skeleton import pose3d_camera, rest_pose
+
+    pred, gt = tmp_path / "pred.jsonl", tmp_path / "gt.jsonl"
+    write_frames([poses_to_record(t, "fused", []) for t in range(3)], pred)
+    write_frames([poses_to_record(t, "gt", [pose3d_camera(rest_pose() + (0, 0, 4000.0))], [0])
+                  for t in range(3)], gt)
+    out = tmp_path / "report.json"
+    assert main(["eval", "--out", str(out), str(pred), str(gt)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report["mpjpe_mm"] is None and report["pa_mpjpe_mm"] is None
+    assert report["matched_persons"] == 0 and report["missed_persons"] == 3
+
+
+@pytest.mark.parametrize("gate", [0.0, -1.0])
+def test_run_rejects_non_positive_linker_gate(tmp_path, capsys, gate):
+    config = RunConfig.default().to_dict()
+    config["linker_gate_mm"] = gate
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                 str(tmp_path / "td.jsonl")])
+    assert code == 1
+    assert "config: linker_gate_mm must be positive" in capsys.readouterr().err
+
+
 def test_decode_subcommand(tmp_path, skel):
     from dualpose.camera import CameraIntrinsics
     from dualpose.heatmaps import render_stack, write_stack

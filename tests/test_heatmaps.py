@@ -24,7 +24,7 @@ from dualpose.heatmaps import (
     retrieve_depths,
     write_stack,
 )
-from dualpose.skeleton import Pose2D, pose3d_camera, rest_pose
+from dualpose.skeleton import Pose2D, pose3d_camera, pose3d_person, rest_pose
 from dualpose.synth import benchmark_camera
 
 from oracles import (
@@ -32,6 +32,7 @@ from oracles import (
     decode_loops,
     extract_peaks_loops,
     group_by_tags_loops,
+    render_stack_loops,
 )
 
 
@@ -565,3 +566,86 @@ def test_read_stack_checks_the_joint_count(tmp_path):
     with pytest.raises(SchemaError) as info:
         read_stack(path, num_joints=15)
     assert str(info.value) == f"{path}: expected 15 joints, got 5"
+
+
+def _stack_planes(stack):
+    return stack.joint_maps, stack.tag_maps, stack.rel_depth_maps, stack.root_depth_map
+
+
+@pytest.mark.parametrize("case", ["zero", "one", "spread", "custom_tags", "overlapping",
+                                  "grid_ties"])
+def test_render_stack_equals_loop_oracle(skel, case):
+    """One Gaussian pass per joint over all persons renders every plane bit
+    for bit as the per-person loop with its second root pass."""
+    rng = np.random.default_rng(["zero", "one", "spread", "custom_tags", "overlapping",
+                                 "grid_ties"].index(case))
+    cam = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=48.0)
+    n = {"zero": 0, "one": 1}.get(case, 6)
+    poses, tags = [], None
+    for _ in range(n):
+        root = np.array([rng.uniform(-1500, 1500), rng.uniform(-300, 300),
+                         rng.uniform(4500, 7000)])
+        if case == "overlapping":
+            root = np.array([0.0, 0.0, 5000.0]) + rng.uniform(-60, 60, size=3)
+        if case == "grid_ties":  # persons on a coarse grid, some exactly coincident
+            root = np.array([400.0 * rng.integers(-1, 2), 0.0, 5000.0 + 500.0 * rng.integers(0, 2)])
+        poses.append(pose3d_camera(rest_pose() + root))
+    if case == "custom_tags":
+        tags = rng.normal(size=n).tolist()
+    stack = render_stack(poses, cam, skel, width=128, height=96, tags=tags)
+    expected = render_stack_loops(poses, cam, skel, 128, 96, tags=tags)
+    for plane, plane_x in zip(_stack_planes(stack), expected):
+        assert plane.dtype == plane_x.dtype and np.array_equal(plane, plane_x)
+
+
+def test_render_stack_error_order(skel):
+    cam = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=48.0)
+    inside = pose3d_camera(rest_pose() + (0.0, 0.0, 5000.0))
+    with pytest.raises(ValueError, match="one tag value per pose"):
+        render_stack([inside], cam, skel, 128, 96, tags=[0.0, 1.0])
+    with pytest.raises(ValueError, match="camera-centric"):
+        render_stack([inside, pose3d_person(rest_pose())], cam, skel, 128, 96)
+    with pytest.raises(OutOfGridError, match="outside the heatmap grid"):
+        render_stack([inside, pose3d_camera(rest_pose() + (0.0, 0.0, 500.0))], cam, skel,
+                     128, 96)
+
+
+def test_read_stack_keeps_float32_planes_and_decodes_as_their_float64_copy(tmp_path, skel):
+    rng = np.random.default_rng(81)
+    cam = CameraIntrinsics(fx=40.0, fy=40.0, cx=64.0, cy=48.0)
+    persons = 0
+    for i in range(6):
+        path = tmp_path / f"stack{i}.phms"
+        write_stack(_random_persons_stack(rng, skel, cam, int(rng.integers(3, 7))), path)
+        stack32 = read_stack(path, skel.num_joints)
+        assert all(plane.dtype == np.float32 for plane in _stack_planes(stack32))
+        stack64 = HeatmapStack(128, 96, *(plane.astype(np.float64)
+                                          for plane in _stack_planes(stack32)))
+        assert all(plane.dtype == np.float64 for plane in _stack_planes(stack64))
+        decoded32, decoded64 = decode_stack(stack32, skel), decode_stack(stack64, skel)
+        assert len(decoded32) == len(decoded64)
+        persons += len(decoded32)
+        for (pose, z_root, z_rel), (pose_x, z_root_x, z_rel_x) in zip(decoded32, decoded64):
+            assert np.array_equal(pose.joints, pose_x.joints)
+            assert np.array_equal(pose.conf, pose_x.conf)
+            assert z_root == z_root_x and np.array_equal(z_rel, z_rel_x)
+        for pose, pose_x in zip(decode_poses(stack32, cam, skel), decode_poses(stack64, cam, skel)):
+            assert np.array_equal(pose.joints, pose_x.joints)
+    assert persons >= 10
+
+
+def test_float32_planes_meet_the_peak_threshold_as_float64():
+    # 0.5 lies below the threshold, but not below its float32 rounding (0.5)
+    joint_maps = np.zeros((1, 5, 5), dtype=np.float32)
+    joint_maps[0, 2, 2] = 0.5
+    zeros = np.zeros_like(joint_maps)
+    stack = HeatmapStack(5, 5, joint_maps, zeros, zeros, zeros[0])
+    assert stack.joint_maps.dtype == np.float32
+    assert extract_peaks(stack, 0.5 + 1e-12) == [[]]
+    assert extract_peaks(stack, 0.5) == [[(2.0, 2.0, 0.5)]]
+
+
+def test_stack_planes_of_other_types_become_float64():
+    ones = np.ones((1, 2, 3), dtype=np.int64)
+    stack = HeatmapStack(3, 2, ones, ones, ones.astype(np.float16), ones[0].tolist())
+    assert all(plane.dtype == np.float64 for plane in _stack_planes(stack))

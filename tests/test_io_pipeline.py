@@ -23,6 +23,7 @@ from dualpose.skeleton import Frame, Pose2D, Pose3D, pose3d_camera, rest_pose
 from dualpose.synth import benchmark_camera, generate, make_benchmark_spec
 
 from conftest import random_camera_pose
+from oracles import link_tracks_loops
 
 
 def write_scene_files(tmp_path, skel, spec=None, with_obs=True):
@@ -431,6 +432,66 @@ def test_link_tracks_greedy_gate(skel):
     frames[5] = ([pose3d_camera(base + (9000.0, 0.0, 0.0))], [None])
     tracks = link_tracks(frames, skel.root_index, gate_mm=500.0)
     assert len(tracks) == 2
+
+
+def _same_tracks(tracks, expected):
+    assert [t.person_id for t in tracks] == [t.person_id for t in expected]
+    for track, track_x in zip(tracks, expected):
+        assert list(track.frames) == list(track_x.frames)
+        assert all(track.frames[i] is track_x.frames[i] for i in track.frames)
+
+
+def test_link_tracks_equals_loop_oracle(skel):
+    """One gated greedy pairing per frame links as the per-option sort loop
+    did, tie for tie."""
+    rng = np.random.default_rng(140)
+    joined_labeled = 0
+    for _ in range(400):
+        frames = {}
+        for t in range(int(rng.integers(1, 10))):
+            if rng.random() < 0.2:  # a frame with no record: a gap
+                continue
+            poses, ids = [], []
+            for _ in range(int(rng.integers(0, 6))):
+                # roots on a coarse grid: many exactly tied distances
+                root = 100.0 * rng.integers(-3, 4, size=3) + (0.0, 0.0, 5000.0)
+                poses.append(pose3d_camera(rest_pose() + root))
+                pid = int(rng.integers(0, 3)) if rng.random() < 0.3 else None
+                ids.append(None if pid in ids else pid)
+            frames[t] = (poses, ids)
+        unlabeled = {id(pose) for poses, ids in frames.values()
+                     for pose, pid in zip(poses, ids) if pid is None}
+        for gate in (50.0, 150.0, 300.0, 1e9):
+            tracks = link_tracks(frames, skel.root_index, gate)
+            _same_tracks(tracks, link_tracks_loops(frames, skel.root_index, gate))
+            joined_labeled += sum(id(pose) in unlabeled for track in tracks
+                                  if isinstance(track.person_id, int)
+                                  for pose in track.frames.values())
+    # the random sets also exercise unlabeled poses joining labeled tracks
+    assert joined_labeled > 0
+
+
+def test_unlabeled_pose_joins_a_labeled_track(skel):
+    base = rest_pose() + (0.0, 0.0, 4000.0)
+    frames = {0: ([pose3d_camera(base), pose3d_camera(base + (3000.0, 0.0, 0.0))], [7, None]),
+              1: ([pose3d_camera(base + (3010.0, 0.0, 0.0)), pose3d_camera(base + (20.0, 0, 0))],
+                  [None, None])}
+    tracks = link_tracks(frames, skel.root_index, 500.0)
+    assert [(t.person_id, t.frame_indices) for t in tracks] == [(7, [0, 1]), ("auto0", [0, 1])]
+    assert tracks[0].frames[1] is frames[1][0][1]
+    _same_tracks(tracks, link_tracks_loops(frames, skel.root_index, 500.0))
+
+
+@pytest.mark.parametrize("gate", [0.0, -1.0, -1e-9])
+def test_non_positive_linker_gate_is_rejected(tmp_path, gate):
+    with pytest.raises(ValueError, match="linker_gate_mm must be positive"):
+        RunConfig(**{**vars(RunConfig.default()), "linker_gate_mm": gate})
+    data = RunConfig.default().to_dict()
+    data["linker_gate_mm"] = gate
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match="config: linker_gate_mm must be positive"):
+        load_config(path)
 
 
 def test_run_pipeline_zero_noise_recovers_gt(tmp_path, skel):

@@ -315,6 +315,25 @@ def test_greedy_root_match_prefers_nearest():
     assert un_p == [] and un_g == []
 
 
+def test_greedy_root_match_gate():
+    rng = np.random.default_rng(130)
+    for _ in range(60):
+        # roots on a coarse grid: many exactly tied distances
+        pred = 100.0 * rng.integers(-3, 4, size=(int(rng.integers(0, 6)), 3)).astype(float)
+        gt = 100.0 * rng.integers(-3, 4, size=(int(rng.integers(0, 6)), 3)).astype(float)
+        # no gate, and a gate above every distance, give today's pairing
+        expected = greedy_root_match_loops(pred, gt)
+        assert greedy_root_match(pred, gt) == expected
+        assert greedy_root_match(pred, gt, 1e9) == expected
+        for gate in (0.0, 150.0, 300.0):
+            assert greedy_root_match(pred, gt, gate) == greedy_root_match_loops(pred, gt, gate)
+    # a pair above the gate stays unmatched
+    pred = np.array([[0.0, 0, 0], [1000.0, 0, 0]])
+    gt = np.array([[10.0, 0, 0], [1500.0, 0, 0]])
+    assert greedy_root_match(pred, gt, 250.0) == ([(0, 0)], [1], [1])
+    assert greedy_root_match(pred, gt, 500.0) == ([(0, 0), (1, 1)], [], [])
+
+
 def test_metric_joint_permutation_invariance(skel):
     rng = np.random.default_rng(117)
     gt = random_camera_pose(rng, skel)
