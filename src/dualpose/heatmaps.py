@@ -25,6 +25,9 @@ DEFAULT_GRID = (128, 96)  # (width, height) px
 DEFAULT_PEAK_THRESHOLD = 0.3
 DEFAULT_TAG_THRESHOLD = 1.0
 DEFAULT_SIGMA_PX = 2.0
+# render_stack evaluates each Gaussian within ceil(WINDOW_SIGMAS * sigma) px
+# of its joint; beyond 6 sigma it is below exp(-18), about 1.5e-8
+WINDOW_SIGMAS = 6
 
 
 @dataclass(frozen=True)
@@ -259,8 +262,22 @@ def render_stack(poses: list[Pose3D], cam: CameraIntrinsics, skel: SkeletonSpec,
 
     Joint maps are max-composited Gaussians at the projected joints.  Tag
     and depth values at each pixel come from whichever person's Gaussian
-    dominates there, so depth reads near a peak return that person's exact
-    values.  All joints must project inside the grid.
+    dominates there, the lowest person index on ties, so depth reads near a
+    peak return that person's exact values.  All joints must project inside
+    the grid.
+
+    Each Gaussian is evaluated only on the disk of radius
+    r = ceil(WINDOW_SIGMAS * sigma_px) px around its joint (r = 12 at the
+    default sigma), clipped to the grid.  Outside every disk of joint k,
+    joint map k and its tag and relative-depth maps are 0, and so is the
+    root-depth map outside every root-joint disk.  A full-grid Gaussian is
+    below exp(-r^2 / (2 sigma^2)) <= exp(-18), about 1.5e-8, there, which
+    float32 cannot tell from 0 next to 1.0.  Inside the disks the planes
+    equal a full-grid render's bit for bit, save cells where every Gaussian
+    underflows to 0 (sigma below about 0.026 px), which hold 0.  Stack
+    files of versions that rendered the full grid hold those small values,
+    and the nearest person's tag and depths, outside the disks; their
+    decoded poses are the same.
     """
     k = skel.num_joints
     n = len(poses)
@@ -286,22 +303,38 @@ def render_stack(poses: list[Pose3D], cam: CameraIntrinsics, skel: SkeletonSpec,
     tag_vals = np.asarray(tags, dtype=np.float64)
     root_vals = joints[:, skel.root_index, 2]
     rel_vals = joints[..., 2] - root_vals[:, None]
-    # pixel columns and rows; squared offsets are taken along each axis and
-    # broadcast to the (n, H, W) grid only when added
-    xs = np.arange(width, dtype=np.float64)
-    ys = np.arange(height, dtype=np.float64)[:, None]
+    # Each joint's disk lies in a box: the disk's bounding square moved
+    # inside the grid (the whole grid along an axis the square does not
+    # fit), so every box cell is a grid cell.  A disk wider than the grid's
+    # diagonal covers the grid whatever its radius.
+    r = min(math.ceil(WINDOW_SIGMAS * sigma_px), width + height)
+    box_w, box_h = min(2 * r + 1, width), min(2 * r + 1, height)
+    corner = np.ceil(uv).astype(np.intp) - r
+    xs = np.clip(corner[..., 0], 0, width - box_w)[..., None] + np.arange(box_w)
+    ys = np.clip(corner[..., 1], 0, height - box_h)[..., None] + np.arange(box_h)
+    dx_sq = (xs - uv[..., 0, None]) ** 2  # (n, K, box_w)
+    dy_sq = (ys - uv[..., 1, None]) ** 2  # (n, K, box_h)
+    rows = (np.arange(k)[:, None] * height + ys) * width  # flat index of each box row's start
+    box = box_w * box_h
+    root_cells = skel.root_index * box, (skel.root_index + 1) * box
     two_sigma_sq = 2.0 * sigma_px * sigma_px
-    for joint in range(k):
-        u = uv[:, joint, 0, None, None]
-        v = uv[:, joint, 1, None, None]
-        gauss = np.exp(-((xs - u) ** 2 + (ys - v) ** 2) / two_sigma_sq)
-        # per pixel, the person whose Gaussian dominates there
-        winner = np.argmax(gauss, axis=0)
-        joint_maps[joint] = np.max(gauss, axis=0)
-        tag_maps[joint] = tag_vals[winner]
-        rel_maps[joint] = rel_vals[winner, joint]
-        if joint == skel.root_index:
-            root_map = root_vals[winner]
+    joint_flat, tag_flat, rel_flat, root_flat = (
+        plane.reshape(-1) for plane in (joint_maps, tag_maps, rel_maps, root_map))
+    # Persons in index order, all joints at once: a cell takes a person's
+    # values only where its Gaussian is strictly larger than the cell's, so
+    # on ties the lowest index keeps it, as an argmax over persons would.
+    for person in range(n):
+        d_sq = (dx_sq[person, :, None, :] + dy_sq[person, :, :, None]).reshape(-1)
+        gauss = np.exp(-d_sq / two_sigma_sq)
+        gauss[d_sq > r * r] = 0.0  # outside the disk, never larger than a cell
+        cells = (rows[person, :, :, None] + xs[person, :, None, :]).reshape(-1)
+        take = np.flatnonzero(gauss > joint_flat[cells])  # ascending, so joint by joint
+        at = cells[take]
+        joint_flat[at] = gauss[take]
+        tag_flat[at] = tag_vals[person]
+        rel_flat[at] = rel_vals[person, take // box]
+        first, last = np.searchsorted(take, root_cells)
+        root_flat[at[first:last] - skel.root_index * height * width] = root_vals[person]
     return HeatmapStack(width=width, height=height, joint_maps=joint_maps,
                         tag_maps=tag_maps, rel_depth_maps=rel_maps,
                         root_depth_map=root_map)

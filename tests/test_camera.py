@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dualpose
 from dualpose.camera import (
     CameraIntrinsics,
     back_project,
@@ -31,6 +32,16 @@ def test_project_matches_symbolic_formula():
     for p, q in zip(pts, uv):
         assert q[0] == cam.fx * p[0] / p[2] + cam.cx
         assert q[1] == cam.fy * p[1] / p[2] + cam.cy
+
+
+def test_project_pose_keeps_confidences(skel, cam):
+    rng = np.random.default_rng(22)
+    conf = rng.uniform(0.0, 1.0, skel.num_joints)
+    conf[[2, 7]] = 0.0
+    pose = random_camera_pose(rng, skel, conf=conf)
+    pose2d = dualpose.project_pose(pose, cam)
+    assert np.array_equal(pose2d.joints, project(pose.joints, cam))
+    assert np.array_equal(pose2d.conf, pose.conf)
 
 
 def test_project_rejects_nonpositive_depth(cam):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import struct
 
@@ -11,6 +12,7 @@ from dualpose.camera import CameraIntrinsics, project, rotate_points_about_y
 from dualpose.errors import OutOfGridError, SchemaError
 from dualpose.frames_io import load_config
 from dualpose.heatmaps import (
+    WINDOW_SIGMAS,
     HeatmapConfig,
     HeatmapStack,
     bilinear_sample,
@@ -258,9 +260,9 @@ def test_grid_camera_scales_the_image_onto_the_grid():
 
 def _random_persons_stack(rng, skel, cam, n):
     """A 128x96 stack rendered from ``n`` persons placed, turned and scaled
-    at random, with person 0's root peak and person 1's first joint peak
-    erased: the first leaves a group with no root joint, the second a
-    person with a zero-confidence joint."""
+    at random, with person 0's root peak and person 1's head peak erased:
+    the first leaves a group with no root joint, the second a person with a
+    zero-confidence joint."""
     poses = []
     while len(poses) < n:
         root = (rng.uniform(-4000, 4000), rng.uniform(-300, 300), rng.uniform(3500, 7000))
@@ -272,7 +274,7 @@ def _random_persons_stack(rng, skel, cam, n):
     stack = render_stack(poses, cam, skel, width=128, height=96)
     joint_maps = stack.joint_maps.copy()
     ys, xs = np.mgrid[0:96, 0:128]
-    for person, joint in ((0, skel.root_index), (1, 0)):
+    for person, joint in ((0, skel.root_index), (1, skel.joint_names.index("head"))):
         u, v = project(poses[person].joints[joint], cam)
         joint_maps[joint][(xs - u) ** 2 + (ys - v) ** 2 <= 25.0] = 0.0
     return HeatmapStack(128, 96, joint_maps, stack.tag_maps, stack.rel_depth_maps,
@@ -572,14 +574,10 @@ def _stack_planes(stack):
     return stack.joint_maps, stack.tag_maps, stack.rel_depth_maps, stack.root_depth_map
 
 
-@pytest.mark.parametrize("case", ["zero", "one", "spread", "custom_tags", "overlapping",
-                                  "grid_ties"])
-def test_render_stack_equals_loop_oracle(skel, case):
-    """One Gaussian pass per joint over all persons renders every plane bit
-    for bit as the per-person loop with its second root pass."""
-    rng = np.random.default_rng(["zero", "one", "spread", "custom_tags", "overlapping",
-                                 "grid_ties"].index(case))
-    cam = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=48.0)
+def _render_scene(case, seed):
+    """Poses (and tags) of one render-test scene: zero, one or six persons,
+    spread, overlapping or on a coarse grid where some coincide."""
+    rng = np.random.default_rng(seed)
     n = {"zero": 0, "one": 1}.get(case, 6)
     poses, tags = [], None
     for _ in range(n):
@@ -592,10 +590,76 @@ def test_render_stack_equals_loop_oracle(skel, case):
         poses.append(pose3d_camera(rest_pose() + root))
     if case == "custom_tags":
         tags = rng.normal(size=n).tolist()
+    return poses, tags
+
+
+def _disks(poses, cam, skel, width, height, radius):
+    """(K, H, W): which cells lie within ``radius`` px of some person's joint k."""
+    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
+    inside = np.zeros((skel.num_joints, height, width), dtype=bool)
+    for pose in poses:
+        for joint, (u, v) in enumerate(project(pose.joints, cam)):
+            inside[joint] |= (xs - u) ** 2 + (ys - v) ** 2 <= radius * radius
+    return inside
+
+
+@pytest.mark.parametrize("case", ["zero", "one", "spread", "custom_tags", "overlapping",
+                                  "grid_ties"])
+def test_render_stack_equals_loop_oracle(skel, case):
+    """Within WINDOW_SIGMAS sigma of some person's joint every plane equals
+    the full-grid per-person loop bit for bit; elsewhere every plane is 0,
+    where the loop's Gaussians are at most exp(-r^2 / (2 sigma^2))."""
+    cam = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=48.0)
+    poses, tags = _render_scene(case, ["zero", "one", "spread", "custom_tags", "overlapping",
+                                       "grid_ties"].index(case))
     stack = render_stack(poses, cam, skel, width=128, height=96, tags=tags)
     expected = render_stack_loops(poses, cam, skel, 128, 96, tags=tags)
+    radius = math.ceil(WINDOW_SIGMAS * 2.0)
+    inside = _disks(poses, cam, skel, 128, 96, radius)
+    for plane, plane_x, disk in zip(_stack_planes(stack), expected,
+                                    [inside] * 3 + [inside[skel.root_index]]):
+        assert plane.dtype == plane_x.dtype
+        assert np.array_equal(plane[disk], plane_x[disk])
+        assert not plane[~disk].any()
+    assert (expected[0][~inside] <= math.exp(-radius ** 2 / (2.0 * 2.0 ** 2))).all()
+
+
+@pytest.mark.parametrize("sigma", [40.0, 1e300])
+def test_render_stack_disks_wider_than_the_grid_cover_it(skel, sigma):
+    """A disk wider than the grid's diagonal renders every cell, as the
+    full-grid loop does, however large sigma is."""
+    cam = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=48.0)
+    poses = [pose3d_camera(rest_pose() + root) for root in ((-900.0, 0.0, 5000.0),
+                                                           (700.0, 100.0, 6000.0))]
+    stack = render_stack(poses, cam, skel, 128, 96, sigma_px=sigma)
+    expected = render_stack_loops(poses, cam, skel, 128, 96, sigma_px=sigma)
     for plane, plane_x in zip(_stack_planes(stack), expected):
-        assert plane.dtype == plane_x.dtype and np.array_equal(plane, plane_x)
+        assert np.array_equal(plane, plane_x)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_render_stack_decodes_as_the_loop_oracle(tmp_path, skel, seed):
+    """Six persons 0.9 m apart about 6 m away, turned at random, as in the
+    decode benchmark: the windowed stack, stored as float32, decodes byte
+    for byte as the full-grid loop's."""
+    rng = np.random.default_rng(100 + seed)
+    cam = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=48.0)
+    poses = []
+    for i in range(6):
+        root = (-2250.0 + 900.0 * i + rng.uniform(-100, 100), rng.uniform(-100, 100),
+                6000.0 + rng.uniform(-300, 300))
+        joints = rotate_points_about_y(rest_pose(rng.uniform(0.9, 1.05)), rng.uniform(-3, 3),
+                                       np.zeros(3))
+        poses.append(pose3d_camera(joints + root))
+    write_stack(render_stack(poses, cam, skel, 128, 96), tmp_path / "windowed.phms")
+    write_stack(HeatmapStack(128, 96, *render_stack_loops(poses, cam, skel, 128, 96)),
+                tmp_path / "loops.phms")
+    decoded, expected = (decode_poses(read_stack(tmp_path / name), cam, skel)
+                         for name in ("windowed.phms", "loops.phms"))
+    assert len(decoded) == len(expected) == 6
+    for pose, pose_x in zip(decoded, expected):
+        assert pose.joints.tobytes() == pose_x.joints.tobytes()
+        assert pose.conf.tobytes() == pose_x.conf.tobytes()
 
 
 def test_render_stack_error_order(skel):
