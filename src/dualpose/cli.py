@@ -62,6 +62,11 @@ def _add_common(parser: argparse.ArgumentParser, trace: bool = False,
 def _make_output_dirs(args) -> None:
     """Create the directory of every output (``--out`` itself when it names
     a directory), so a bad output path fails before any work is done."""
+    # eval writes its CSV copy next to --out, with the suffix .csv (the same
+    # file on a case-insensitive file system if --out ends in .CSV)
+    if args.command == "eval" and args.out.suffix.lower() == ".csv":
+        raise ValueError(f"--out {args.out}: the JSON report and its CSV copy would "
+                         "both be written to this file; give --out another suffix")
     dirs = [args.out if args.out_dir else args.out.parent]
     if getattr(args, "trace", None) is not None:
         dirs.append(args.trace.parent)
@@ -173,7 +178,7 @@ def _cmd_eval(args, config: RunConfig) -> int:
     report = evaluate_frames(*aligned_frames(pred_map, gt_map), config.skeleton,
                              config.metrics)
     report.to_json(args.out)
-    report.to_csv(Path(args.out).with_suffix(".csv"))
+    report.to_csv(args.out.with_suffix(".csv"))
     print(f"mpjpe={report.mpjpe_mm:.3f}mm pck={report.pck:.2f}% "
           f"pck_abs={report.pck_abs:.2f}% -> {args.out}")
     return 0

@@ -2,15 +2,16 @@
 
 Similarity between two camera-centric poses is a confidence-weighted sum of
 per-joint OKS kernels; the optimal one-to-one pairing is found with the
-Hungarian algorithm (scipy's linear sum assignment).
+in-package linear sum assignment solver (``assignment``), which returns the
+pairs scipy's solver would.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .assignment import linear_sum_assignment
 from .camera import CameraIntrinsics, project
 from .errors import FrameMismatchError
 from .skeleton import Frame, Pose3D, default_oks_sigmas
@@ -143,10 +144,11 @@ def match_sets(td: list[Pose3D], bu: list[Pose3D], cfg: MatchConfig,
                sigma: np.ndarray | None = None) -> MatchResult:
     """Optimal assignment between the TD and BU pose sets.
 
-    Maximizes total similarity via the Hungarian algorithm, then demotes
-    pairs whose similarity falls below ``cfg.tau_match``.  Ties are broken
-    toward the lexicographically smallest (td_index, bu_index) pairing by
-    the deterministic solver ordering.
+    Maximizes total similarity with ``linear_sum_assignment``, then demotes
+    pairs whose similarity falls below ``cfg.tau_match``.  Among equally
+    good pairings the one returned is deterministic and set by the solver's
+    scan order: it is not always the lexicographically smallest, but equal
+    similarities everywhere pair TD pose i with BU pose i.
     """
     if not td or not bu:
         return MatchResult(
@@ -158,7 +160,7 @@ def match_sets(td: list[Pose3D], bu: list[Pose3D], cfg: MatchConfig,
     rows, cols = linear_sum_assignment(-sim)
     pairs = []
     matched_td, matched_bu = set(), set()
-    for i, j in sorted(zip(rows.tolist(), cols.tolist())):
+    for i, j in zip(rows.tolist(), cols.tolist()):  # rows ascending
         if sim[i, j] >= cfg.tau_match:
             pairs.append((i, j, float(sim[i, j])))
             matched_td.add(i)

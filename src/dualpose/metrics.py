@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .assignment import linear_sum_assignment
 from .errors import DegenerateGeometryError, FrameMismatchError
 from .skeleton import Frame, Pose3D, SkeletonSpec
 
@@ -332,10 +332,10 @@ def ap_root_pooled(scenes: list[tuple[list[Pose3D], list[Pose3D]]],
 def _f1_matches(table: np.ndarray, root: int) -> tuple[np.ndarray, int, int]:
     """The threshold-free part of the F1 counts of one frame's distance table.
 
-    Persons are paired by minimum-total root distance (Hungarian).  Returns
-    (camera-centric joint distances of the pairs, concatenated in pair
-    order; joints of unmatched predictions; joints of unmatched
-    ground-truth persons).
+    Persons are paired by minimum-total root distance
+    (``linear_sum_assignment``).  Returns (camera-centric joint distances of
+    the pairs, concatenated in pair order; joints of unmatched predictions;
+    joints of unmatched ground-truth persons).
     """
     n, m, k = table.shape
     rows = cols = np.zeros(0, dtype=np.intp)
@@ -359,8 +359,9 @@ def f1_counts(pred_set: list[Pose3D], gt_set: list[Pose3D], threshold_m: float,
               skel: SkeletonSpec) -> tuple[int, int, int]:
     """(TP, FP, FN) joint counts at a threshold given in meters.
 
-    Persons are paired by minimum-total root distance (Hungarian); a matched
-    joint inside the threshold is a TP, outside it is both an FP and an FN.
+    Persons are paired by minimum-total root distance
+    (``linear_sum_assignment``); a matched joint inside the threshold is a
+    TP, outside it is both an FP and an FN.
     Joints of unmatched ground-truth persons are FNs; joints of unmatched
     predictions are FPs.
     """
@@ -388,9 +389,11 @@ def evaluate_frames(pred_frames: list[list[Pose3D]],
     """Aggregate report over per-frame prediction and ground-truth sets.
 
     Each frame's poses are stacked into one joint-distance table that every
-    pairing reads: greedy root matching for the distance / PCK metrics (its
-    pairs Procrustes-aligned in one call), root AP pooled across frames, and
-    per-frame Hungarian F1 counts.
+    pairing reads: greedy root matching for the distance / PCK metrics, root
+    AP pooled across frames, and per-frame optimal-assignment F1 counts.  The
+    greedy pairs of all frames are Procrustes-aligned in one call after the
+    frame loop, so a degenerate pair raises DegenerateGeometryError only
+    once every frame has been read.
     """
     if len(pred_frames) != len(gt_frames):
         raise ValueError("prediction and ground truth must cover the same frames")
@@ -401,7 +404,8 @@ def evaluate_frames(pred_frames: list[list[Pose3D]],
     # per frame, over its greedy pairs
     rel_dists: list[np.ndarray] = [np.zeros(0)]   # root-aligned
     abs_dists: list[np.ndarray] = [np.zeros(0)]   # camera-centric
-    pa_values: list[np.ndarray] = [np.zeros(0)]
+    pa_pred: list[np.ndarray] = []
+    pa_gt: list[np.ndarray] = []
     total_gt_joints = 0
     matched = missed = extra = 0
     f1_acc = {t: [0, 0, 0] for t in th.f1_thresholds_m}
@@ -417,7 +421,8 @@ def evaluate_frames(pred_frames: list[list[Pose3D]],
         rel_dists.append(rel.ravel())
         abs_dists.append(absolute.ravel())
         if rows.size:
-            pa_values.append(_pa_errors(pred[rows], gt[cols]))
+            pa_pred.append(pred[rows])
+            pa_gt.append(gt[cols])
         f1_matches = _f1_matches(table, root)
         for t in th.f1_thresholds_m:
             tp, fp, fn = _f1_tally(f1_matches, t)
@@ -429,7 +434,8 @@ def evaluate_frames(pred_frames: list[list[Pose3D]],
     all_rel = np.concatenate(rel_dists)
     all_abs = np.concatenate(abs_dists)
     mpjpe_val = float(np.mean(all_rel)) if matched else float("nan")
-    pa_val = float(np.mean(np.concatenate(pa_values))) if matched else float("nan")
+    pa_val = (float(np.mean(_pa_errors(np.concatenate(pa_pred), np.concatenate(pa_gt))))
+              if matched else float("nan"))
 
     pck_val = _fraction_within(all_rel, th.pck_mm, total_gt_joints)
     pck_abs_val = _fraction_within(all_abs, th.pck_abs_mm, total_gt_joints)

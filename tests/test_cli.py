@@ -164,6 +164,20 @@ def test_eval_writes_undefined_metrics_as_null(tmp_path):
     assert report["matched_persons"] == 0 and report["missed_persons"] == 3
 
 
+@pytest.mark.parametrize("name", ["report.csv", "report.CSV"])
+def test_eval_rejects_an_out_path_its_csv_copy_would_overwrite(tmp_path, capsys, name):
+    """The CSV copy goes to --out with the suffix .csv: an --out ending in
+    .csv would lose the JSON report.  The clash fails before any input is
+    read (the inputs here do not exist)."""
+    out = tmp_path / "d" / name
+    code = main(["eval", "--out", str(out), str(tmp_path / "pred.jsonl"),
+                 str(tmp_path / "gt.jsonl")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: --out {out}: the JSON report and its CSV copy" in err
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("gate", [0.0, -1.0])
 def test_run_rejects_non_positive_linker_gate(tmp_path, capsys, gate):
     config = RunConfig.default().to_dict()

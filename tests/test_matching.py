@@ -233,6 +233,22 @@ def test_match_optimality_against_brute_force(skel):
         assert match_total(result, sim) == brute_force_best_total(sim)
 
 
+@pytest.mark.parametrize("cost, pairs", [
+    # Equal totals: (0,0),(1,1),(2,2) is lexicographically smaller, but the
+    # solver's scan order returns the anti-diagonal.
+    ([[1, 0, 0], [1, 0, 1], [1, 0, 0]], [(0, 2), (1, 1), (2, 0)]),
+    # A constant matrix pairs as the identity.
+    ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], [(0, 0), (1, 1), (2, 2)]),
+])
+def test_match_ties_follow_the_solver_scan_order(monkeypatch, cost, pairs):
+    import dualpose.matching as matching
+
+    sim = 1.0 - np.asarray(cost, dtype=np.float64)
+    monkeypatch.setattr(matching, "similarity_matrix", lambda td, bu, cfg, sigma: sim)
+    result = match_sets([None] * 3, [None] * 3, MatchConfig(tau_match=0.0))
+    assert [(i, j) for i, j, _ in result.pairs] == pairs
+
+
 def test_match_permutation_invariance(skel):
     rng = np.random.default_rng(38)
     cfg = MatchConfig(fixed_scale_mm=600.0, tau_match=0.0)
