@@ -1,6 +1,7 @@
 """Ideal pinhole projection, back-projection, and vertical-axis rotation."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,22 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        # the comparisons are False for NaN, so NaN fails them too
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError("focal lengths must be finite and positive")
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
+            raise ValueError("the principal point must be finite")
+
+
+def checked_depths(z: np.ndarray) -> np.ndarray:
+    """The depths ``z``, after checking that every one is positive.
+
+    The package's one z <= 0 check: raises BehindCameraError for a depth at
+    or behind the camera.
+    """
+    if (z <= 0).any():
+        raise BehindCameraError("a depth is z <= 0, at or behind the camera")
+    return z
 
 
 def project(points: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
@@ -30,9 +45,7 @@ def project(points: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
     any point with z <= 0.
     """
     points = np.asarray(points, dtype=np.float64)
-    z = points[..., 2]
-    if np.any(z <= 0):
-        raise BehindCameraError("cannot project points with z <= 0")
+    z = checked_depths(points[..., 2])
     uv = np.empty(points.shape[:-1] + (2,), dtype=np.float64)
     uv[..., 0] = cam.fx * points[..., 0] / z + cam.cx
     uv[..., 1] = cam.fy * points[..., 1] / z + cam.cy
@@ -45,9 +58,7 @@ def back_project(pixels: np.ndarray, depth: np.ndarray, cam: CameraIntrinsics) -
     ``depth`` broadcasts against the pixel batch; all depths must be > 0.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
-    depth = np.asarray(depth, dtype=np.float64)
-    if np.any(depth <= 0):
-        raise BehindCameraError("cannot back-project with depth <= 0")
+    depth = checked_depths(np.asarray(depth, dtype=np.float64))
     pts = np.empty(np.broadcast_shapes(pixels.shape[:-1], depth.shape) + (3,),
                    dtype=np.float64)
     pts[..., 0] = (pixels[..., 0] - cam.cx) * depth / cam.fx

@@ -165,7 +165,7 @@ def _cmd_tto(args, config: RunConfig) -> int:
     obs_map = records_to_obs_map(read_frames(args.obs, k)) if args.obs else None
     refined, traces = refine_tracks(pose_map, obs_map, config)
     write_frames(pose_map_to_records(refined, "fused"), args.out)
-    if args.trace and traces:
+    if args.trace is not None:
         write_traces(traces, args.trace)
     print(f"refined {len(traces)} tracks -> {args.out}")
     return 0

@@ -13,13 +13,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, FrameMismatchError, ScorerContractError
+from .errors import DomainError, ScorerContractError
 from .matching import MatchResult
 from .skeleton import (
     Frame,
     Pose3D,
     SkeletonSpec,
     bone_lengths_of,
+    require_camera_centric,
     rest_pose,
     to_person_centric,
 )
@@ -66,12 +67,6 @@ class FusionStrategy:
         return cls(variant="pluggable", integrator=integrator)
 
 
-def _require_camera_centric(*poses: Pose3D) -> None:
-    for p in poses:
-        if p.frame is not Frame.CAMERA_CENTRIC:
-            raise FrameMismatchError("fusion operates on camera-centric poses")
-
-
 def fuse_pair(p_td: Pose3D, p_bu: Pose3D, strategy: FusionStrategy,
               skel: SkeletonSpec) -> Pose3D:
     """Combine one matched TD/BU pair into a single camera-centric pose.
@@ -79,7 +74,7 @@ def fuse_pair(p_td: Pose3D, p_bu: Pose3D, strategy: FusionStrategy,
     A pluggable integrator's pose is returned as it is; the closed-form
     variants take the per-joint maximum of the two inputs' confidences.
     """
-    _require_camera_centric(p_td, p_bu)
+    require_camera_centric(p_td, p_bu)
     if p_td.num_joints != p_bu.num_joints:
         raise ValueError("poses must share one skeleton")
     if strategy.variant == "pluggable":
@@ -158,7 +153,7 @@ def discriminator_score(pa: Pose3D, pb: Pose3D, scorers: PlausibilityScorers,
     D1 sees the person-centric reduction of each pose; D2 sees the raw
     camera-centric pair.  The result stays inside (0, 1).
     """
-    _require_camera_centric(pa, pb)
+    require_camera_centric(pa, pb)
     pa_pc, _ = to_person_centric(pa, skel)
     pb_pc, _ = to_person_centric(pb, skel)
     d1a = _checked_score(scorers.d1(pa_pc), "d1")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, back_project, project
 from .errors import OutOfGridError, SchemaError
-from .skeleton import Frame, Pose2D, Pose3D, SkeletonSpec
+from .skeleton import Frame, Pose2D, Pose3D, SkeletonSpec, require_camera_centric
 
 MAGIC = b"PHMS"
 FORMAT_VERSION = 1
@@ -293,8 +293,7 @@ def render_stack(poses: list[Pose3D], cam: CameraIntrinsics, skel: SkeletonSpec,
         tags = [float(2 * i) for i in range(n)]
     if len(tags) != n:
         raise ValueError("one tag value per pose required")
-    if any(pose.frame is not Frame.CAMERA_CENTRIC for pose in poses):
-        raise ValueError("render_stack expects camera-centric poses")
+    require_camera_centric(*poses)
     joints = np.stack([pose.joints for pose in poses])  # (n, K, 3)
     uv = project(joints, cam)
     if not in_grid(uv[..., 0], uv[..., 1], width, height).all():

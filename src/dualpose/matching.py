@@ -7,14 +7,14 @@ pairs scipy's solver would.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assignment import linear_sum_assignment
 from .camera import CameraIntrinsics, project
-from .errors import FrameMismatchError
-from .skeleton import Frame, Pose3D, default_oks_sigmas
+from .skeleton import Pose3D, default_oks_sigmas, require_camera_centric
 
 # Poses collapsed to a point still need a positive OKS scale.
 MIN_SCALE_MM = 1.0
@@ -43,10 +43,11 @@ class MatchConfig:
     camera: CameraIntrinsics | None = None
 
     def __post_init__(self):
-        if self.fixed_scale_mm is not None and self.fixed_scale_mm <= 0:
-            raise ValueError("fixed_scale_mm must be positive")
-        if self.tau_match < 0:
-            raise ValueError("tau_match must be non-negative")
+        # the comparisons are False for NaN, so NaN fails them too
+        if self.fixed_scale_mm is not None and not 0 < self.fixed_scale_mm < math.inf:
+            raise ValueError("fixed_scale_mm must be finite and positive")
+        if not 0 <= self.tau_match < math.inf:
+            raise ValueError("tau_match must be finite and non-negative")
         if self.distance_mode not in ("3d", "2d"):
             raise ValueError("distance_mode must be '3d' or '2d'")
         if self.distance_mode == "2d" and self.camera is None:
@@ -118,8 +119,7 @@ def similarity_matrix(td: list[Pose3D], bu: list[Pose3D], cfg: MatchConfig,
     if not td or not bu:
         return np.zeros((len(td), len(bu)), dtype=np.float64)
     poses = (*td, *bu)
-    if any(p.frame is not Frame.CAMERA_CENTRIC for p in poses):
-        raise FrameMismatchError("pose similarity is defined on camera-centric poses")
+    require_camera_centric(*poses)
     k = td[0].num_joints
     if any(p.num_joints != k for p in poses):
         raise ValueError("poses must share one skeleton")
@@ -150,12 +150,6 @@ def match_sets(td: list[Pose3D], bu: list[Pose3D], cfg: MatchConfig,
     scan order: it is not always the lexicographically smallest, but equal
     similarities everywhere pair TD pose i with BU pose i.
     """
-    if not td or not bu:
-        return MatchResult(
-            pairs=(),
-            unmatched_td=tuple(range(len(td))),
-            unmatched_bu=tuple(range(len(bu))),
-        )
     sim = similarity_matrix(td, bu, cfg, sigma)
     rows, cols = linear_sum_assignment(-sim)
     pairs = []

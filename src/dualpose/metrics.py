@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .assignment import linear_sum_assignment
-from .errors import DegenerateGeometryError, FrameMismatchError
-from .skeleton import Frame, Pose3D, SkeletonSpec
+from .errors import DegenerateGeometryError
+from .skeleton import Pose3D, SkeletonSpec, require_camera_centric
 
 DEFAULT_PCK_THRESHOLD_MM = 150.0
 DEFAULT_AUC_MAX_MM = 150.0
@@ -170,8 +170,7 @@ def pck_abs(pred: Pose3D, gt: Pose3D, threshold_mm: float) -> float:
     """Fraction of joints within threshold using raw camera-centric distances."""
     if threshold_mm <= 0:
         raise ValueError("threshold must be positive")
-    if pred.frame is not Frame.CAMERA_CENTRIC or gt.frame is not Frame.CAMERA_CENTRIC:
-        raise FrameMismatchError("absolute PCK requires camera-centric poses")
+    require_camera_centric(pred, gt)
     _check_pair(pred, gt)
     dists = np.linalg.norm(pred.joints - gt.joints, axis=-1)
     return float(np.mean(dists < threshold_mm))

@@ -239,7 +239,7 @@ def run_pipeline(config: RunConfig, td_path, bu_path=None, gt_path=None,
         raise SchemaError("inputs contain no frames")
 
     refined, traces = refine_tracks(fused, obs_map, config)
-    if trace_path is not None and traces:
+    if trace_path is not None:
         write_traces(traces, trace_path)
 
     report = None

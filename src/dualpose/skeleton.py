@@ -256,6 +256,14 @@ def check_person_centric(pose: Pose3D, skel: SkeletonSpec) -> None:
         )
 
 
+def require_camera_centric(*poses: Pose3D) -> None:
+    """The package's one check that poses are camera-centric: raises
+    FrameMismatchError for any pose with another frame tag."""
+    for pose in poses:
+        if pose.frame is not Frame.CAMERA_CENTRIC:
+            raise FrameMismatchError(f"expected a camera-centric pose, got {pose.frame.value}")
+
+
 def to_camera_centric(pose: Pose3D, root_position) -> Pose3D:
     """Anchor a person-centric pose at an absolute root position.
 
@@ -274,8 +282,7 @@ def to_camera_centric(pose: Pose3D, root_position) -> Pose3D:
 
 def to_person_centric(pose: Pose3D, skel: SkeletonSpec) -> tuple[Pose3D, np.ndarray]:
     """Split a camera-centric pose into (person-centric pose, root position)."""
-    if pose.frame is not Frame.CAMERA_CENTRIC:
-        raise FrameMismatchError("to_person_centric expects a camera-centric pose")
+    require_camera_centric(pose)
     root = pose.joints[skel.root_index].copy()
     centered = Pose3D(
         joints=pose.joints - root,
@@ -309,16 +316,11 @@ class TrackSequence:
     frames: dict[int, Pose3D] = field(default_factory=dict)
 
     def __post_init__(self):
-        for idx, pose in self.frames.items():
-            if pose.frame is not Frame.CAMERA_CENTRIC:
-                raise FrameMismatchError(
-                    f"track {self.person_id} frame {idx} is not camera-centric"
-                )
+        require_camera_centric(*self.frames.values())
         self.frames = dict(sorted(self.frames.items()))
 
     def add(self, frame_index: int, pose: Pose3D) -> None:
-        if pose.frame is not Frame.CAMERA_CENTRIC:
-            raise FrameMismatchError("tracks hold camera-centric poses only")
+        require_camera_centric(pose)
         if self.frames and frame_index <= max(self.frames):
             if frame_index in self.frames:
                 raise ValueError(f"frame {frame_index} already present")

@@ -12,8 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .camera import CameraIntrinsics, back_project, project, rotate_about_y
-from .errors import BehindCameraError, FrameMismatchError
-from .skeleton import Frame, Pose2D, Pose3D, SkeletonSpec
+from .skeleton import Frame, Pose2D, Pose3D, SkeletonSpec, require_camera_centric
 from .tto import reprojection_loss_grad
 
 # (Pose2D, intrinsics) -> camera-centric Pose3D; must be deterministic.
@@ -26,8 +25,7 @@ def reprojection_loss(p3d: Pose3D, p2d: Pose2D, cam: CameraIntrinsics) -> float:
     (1/K) * sum_k conf_k * ||project(X_k) - x_k||^2, using the 2D pose's
     confidences as weights: the one-frame case of the TTO reprojection term.
     """
-    if p3d.frame is not Frame.CAMERA_CENTRIC:
-        raise FrameMismatchError("reprojection needs a camera-centric pose")
+    require_camera_centric(p3d)
     if p3d.num_joints != p2d.num_joints:
         raise ValueError("2D and 3D poses must share one skeleton")
     loss, _ = reprojection_loss_grad(p3d.joints[None], p2d.joints[None], p2d.conf[None], cam)
@@ -43,12 +41,9 @@ def multi_perspective_loss(p3d_pseudo: Pose3D, cam: CameraIntrinsics,
     rotated pose to 2D, re-lifts it with ``lifter``, and returns the mean
     per-joint squared distance (mm^2) between re-lifted and rotated poses.
     """
-    if p3d_pseudo.frame is not Frame.CAMERA_CENTRIC:
-        raise FrameMismatchError("multi-perspective loss needs a camera-centric pose")
+    require_camera_centric(p3d_pseudo)
     pivot = p3d_pseudo.joints[skel.root_index]
     rotated = rotate_about_y(p3d_pseudo, angle, pivot)
-    if np.any(rotated.joints[:, 2] <= 0):
-        raise BehindCameraError("rotated pose falls behind the camera")
     p2d = Pose2D(joints=project(rotated.joints, cam), conf=rotated.conf)
     relifted = lifter(p2d, cam)
     diff = relifted.joints - rotated.joints

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 
-from .camera import CameraIntrinsics
+from .camera import CameraIntrinsics, checked_depths
 from .errors import (
     BehindCameraError,
     InsufficientHistoryError,
@@ -100,6 +100,7 @@ class TtoState:
     trace: list[TraceRow] = field(default_factory=list)
 
 
+@lru_cache(maxsize=None)
 def extrapolation_weights(window: int, order: int) -> np.ndarray:
     """Weights w such that w @ history predicts the next sample.
 
@@ -111,11 +112,6 @@ def extrapolation_weights(window: int, order: int) -> np.ndarray:
         raise InsufficientHistoryError(
             f"order {order} needs at least {order + 1} points, got {window}"
         )
-    return _extrapolation_weights_cached(int(window), int(order))
-
-
-@lru_cache(maxsize=None)
-def _extrapolation_weights_cached(window: int, order: int) -> np.ndarray:
     t = np.arange(window, dtype=np.float64)
     design = np.vander(t, order + 1, increasing=True)
     basis_next = np.power(float(window), np.arange(order + 1, dtype=np.float64))
@@ -179,7 +175,7 @@ class _Objective:
         # the depth check runs first, so a candidate behind the camera costs
         # no other term
         if self.cam is None:
-            _check_depth(positions)
+            checked_depths(positions[..., 2])
             l_rep = 0.0
         else:
             l_rep = self.reprojection(positions)
@@ -219,7 +215,7 @@ class _Objective:
 
     def reprojection(self, positions: np.ndarray) -> float:
         self.positions = positions
-        z = _check_depth(positions)
+        z = checked_depths(positions[..., 2])
         cam = self.cam
         self.ru = ru = cam.fx * positions[..., 0] / z + cam.cx - self.obs_u
         self.rv = rv = cam.fy * positions[..., 1] / z + cam.cy - self.obs_v
@@ -235,14 +231,6 @@ class _Objective:
         grad[..., 1] = g_y = (cam.fy * w) * self.rv
         grad[..., 2] = -(g_x * positions[..., 0] + g_y * positions[..., 1]) / z
         return grad
-
-
-def _check_depth(positions: np.ndarray) -> np.ndarray:
-    """The joints' depths, after checking that every one is positive."""
-    z = positions[..., 2]
-    if (z <= 0).any():
-        raise BehindCameraError("a joint has z <= 0, at or behind the camera")
-    return z
 
 
 # one entry per track length and set of windows; bounded, so a process that
@@ -459,12 +447,11 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
                 cand_lat = np.maximum(latents - step * grad_lat, 0.0)
                 try:
                     cand_comps = objective.value(cand_pos, cand_lat)
+                    cand_total = _stage_total(cand_comps, c_rep, cfg.c_bone)
                 except BehindCameraError:
-                    # overshoot past the image plane counts as a rejected step
-                    step *= 0.5
-                    halvings += 1
-                    continue
-                cand_total = _stage_total(cand_comps, c_rep, cfg.c_bone)
+                    # overshoot past the image plane has no loss: NaN fails the
+                    # comparison, so the step is rejected even at an inf total
+                    cand_total = math.nan
                 if cand_total <= comps[3]:
                     accepted = True
                     break

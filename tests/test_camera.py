@@ -11,7 +11,8 @@ from dualpose.camera import (
     rotate_about_y,
 )
 from dualpose.errors import BehindCameraError
-from dualpose.skeleton import bone_lengths, pose3d_camera
+from dualpose.skeleton import TrackSequence, bone_lengths, pose3d_camera, rest_pose
+from dualpose.tto import TtoConfig, optimize, reprojection_loss_grad
 
 from conftest import random_camera_pose
 
@@ -72,6 +73,25 @@ def test_back_project_rejects_nonpositive_depth(cam):
         back_project(np.array([10.0, 10.0]), 0.0, cam)
 
 
+@pytest.mark.parametrize("z", [0.0, -5.0])
+def test_every_depth_check_raises_one_message(skel, cam, z):
+    joints = rest_pose() + (0.0, 0.0, 3000.0)
+    joints[4, 2] = z
+    track = TrackSequence(0, {t: pose3d_camera(joints) for t in range(3)})
+    calls = {
+        "project": lambda: project(joints, cam),
+        "back_project": lambda: back_project(np.zeros((15, 2)), joints[:, 2], cam),
+        # the TTO objective, with and without a reprojection term
+        "reprojection": lambda: reprojection_loss_grad(
+            joints[None], np.zeros((1, 15, 2)), np.ones((1, 15)), cam),
+        "optimize": lambda: optimize(track, None, cam, TtoConfig(iters_per_stage=1), skel),
+    }
+    for name, call in calls.items():
+        with pytest.raises(BehindCameraError) as info:
+            call()
+        assert str(info.value) == "a depth is z <= 0, at or behind the camera", name
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.01, max_value=100.0))
 def test_projection_scale_covariance(lam):
@@ -116,3 +136,12 @@ def test_rotation_preserves_bone_lengths(skel):
 def test_intrinsics_validate():
     with pytest.raises(ValueError):
         CameraIntrinsics(fx=0.0, fy=100.0, cx=0.0, cy=0.0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="focal lengths must be finite"):
+            CameraIntrinsics(fx=value, fy=100.0, cx=0.0, cy=0.0)
+        with pytest.raises(ValueError, match="focal lengths must be finite"):
+            CameraIntrinsics(fx=100.0, fy=value, cx=0.0, cy=0.0)
+        with pytest.raises(ValueError, match="principal point must be finite"):
+            CameraIntrinsics(fx=100.0, fy=100.0, cx=value, cy=0.0)
+        with pytest.raises(ValueError, match="principal point must be finite"):
+            CameraIntrinsics(fx=100.0, fy=100.0, cx=0.0, cy=value)

@@ -113,6 +113,24 @@ def test_match_fuse_eval_subcommands(tmp_path):
         assert tto_trace.read_bytes() == (run_dir / "trace.csv").read_bytes()
 
 
+def test_trace_is_header_only_when_nothing_is_refined(tmp_path):
+    # one person over 5 frames: no run is longer than the largest default
+    # window (5), so nothing is refined, yet --trace still writes its file
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"scene": {
+        "num_persons": 1, "num_frames": 5, "motions": [{"kind": "constant"}]}}))
+    scene = tmp_path / "scene"
+    assert main(["synth", "--config", str(config_path), "--out", str(scene)]) == 0
+    td, bu = str(scene / "td.jsonl"), str(scene / "bu.jsonl")
+    run_dir, tto_trace = tmp_path / "run", tmp_path / "tto" / "trace.csv"
+    assert main(["run", "--config", str(config_path), "--out", str(run_dir), td, bu,
+                 "--trace", str(run_dir / "trace.csv")]) == 0
+    assert main(["tto", "--config", str(config_path), "--out", str(tmp_path / "tto.jsonl"),
+                 str(run_dir / "fused.jsonl"), "--trace", str(tto_trace)]) == 0
+    header = b"track,iteration,stage,l_traj,l_rep,l_bone,total,step,halvings\r\n"
+    assert (run_dir / "trace.csv").read_bytes() == tto_trace.read_bytes() == header
+
+
 def test_default_config_heatmap_chain(tmp_path, skel):
     from dualpose.frames_io import read_frames
 

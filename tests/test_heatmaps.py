@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpose.camera import CameraIntrinsics, project, rotate_points_about_y
-from dualpose.errors import OutOfGridError, SchemaError
+from dualpose.errors import FrameMismatchError, OutOfGridError, SchemaError
 from dualpose.frames_io import load_config
 from dualpose.heatmaps import (
     WINDOW_SIGMAS,
@@ -667,7 +667,7 @@ def test_render_stack_error_order(skel):
     inside = pose3d_camera(rest_pose() + (0.0, 0.0, 5000.0))
     with pytest.raises(ValueError, match="one tag value per pose"):
         render_stack([inside], cam, skel, 128, 96, tags=[0.0, 1.0])
-    with pytest.raises(ValueError, match="camera-centric"):
+    with pytest.raises(FrameMismatchError, match="camera-centric"):
         render_stack([inside, pose3d_person(rest_pose())], cam, skel, 128, 96)
     with pytest.raises(OutOfGridError, match="outside the heatmap grid"):
         render_stack([inside, pose3d_camera(rest_pose() + (0.0, 0.0, 500.0))], cam, skel,

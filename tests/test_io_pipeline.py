@@ -20,7 +20,7 @@ from dualpose.matching import default_tau_match, pose_similarity
 from dualpose.metrics import evaluate_frames
 from dualpose.pipeline import aligned_frames, link_tracks, match_frames, run_pipeline
 from dualpose.skeleton import Frame, Pose2D, Pose3D, pose3d_camera, rest_pose
-from dualpose.synth import benchmark_camera, generate, make_benchmark_spec
+from dualpose.synth import MotionSpec, SceneSpec, benchmark_camera, generate, make_benchmark_spec
 
 from conftest import random_camera_pose
 from oracles import link_tracks_loops
@@ -575,12 +575,19 @@ def test_run_pipeline_td_passthrough_warns(tmp_path, skel):
 
 
 def test_pipeline_trace_output(tmp_path, skel):
-    paths, _ = write_scene_files(tmp_path, skel,
-                                 spec=make_benchmark_spec(seed=6, num_frames=10))
     config = RunConfig.from_dict({"tto": {"iters_per_stage": 4}})
-    trace_path = tmp_path / "trace.csv"
-    run_pipeline(config, paths["td"], bu_path=paths["bu"],
-                 obs_path=paths["obs"], trace_path=trace_path)
-    lines = trace_path.read_text().strip().splitlines()
-    assert lines[0].startswith("track,iteration,stage")
-    assert len(lines) > 1
+    for name, spec, rows in (
+        ("refined", make_benchmark_spec(seed=6, num_frames=10), True),
+        # one person over 5 frames: no run is longer than the largest default
+        # window (5), so nothing is refined and the trace is its header alone
+        ("nothing_refined",
+         SceneSpec(num_persons=1, num_frames=5, motions=(MotionSpec(),), seed=6), False),
+    ):
+        (tmp_path / name).mkdir()
+        paths, _ = write_scene_files(tmp_path / name, skel, spec=spec)
+        trace_path = tmp_path / name / "trace.csv"
+        result = run_pipeline(config, paths["td"], bu_path=paths["bu"],
+                              obs_path=paths["obs"], trace_path=trace_path)
+        lines = trace_path.read_text().strip().splitlines()
+        assert lines[0] == "track,iteration,stage,l_traj,l_rep,l_bone,total,step,halvings"
+        assert (len(lines) > 1) == rows == bool(result.traces)

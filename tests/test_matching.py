@@ -280,3 +280,9 @@ def test_match_config_validation():
         MatchConfig(fixed_scale_mm=0.0)
     with pytest.raises(ValueError):
         MatchConfig(distance_mode="2d")  # no camera supplied
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="fixed_scale_mm must be finite"):
+            MatchConfig(fixed_scale_mm=value)
+        # a NaN threshold would silently pair nothing, even identical poses
+        with pytest.raises(ValueError, match="tau_match must be finite"):
+            MatchConfig(tau_match=value)

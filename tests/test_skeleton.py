@@ -3,9 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualpose.camera import CameraIntrinsics
 from dualpose.errors import FrameMismatchError
+from dualpose.fusion import FusionStrategy, discriminator_score, fuse_pair, reference_scorers
+from dualpose.heatmaps import render_stack
+from dualpose.matching import MatchConfig, similarity_matrix
+from dualpose.metrics import pck_abs
 from dualpose.skeleton import (
     Frame,
+    Pose2D,
     Pose3D,
     SkeletonSpec,
     TrackSequence,
@@ -17,8 +23,37 @@ from dualpose.skeleton import (
     to_camera_centric,
     to_person_centric,
 )
+from dualpose.ssl_losses import multi_perspective_loss, oracle_lifter, reprojection_loss
 
 from conftest import random_camera_pose
+
+_CAM = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=48.0)
+_CAMERA_POSE = pose3d_camera(rest_pose() + (0.0, 0.0, 5000.0))
+
+# every entry point that needs camera-centric poses, called with person-centric `p`
+CAMERA_CENTRIC_ENTRY_POINTS = {
+    "fuse_pair": lambda p, skel: fuse_pair(_CAMERA_POSE, p, FusionStrategy.linear(), skel),
+    "discriminator_score": lambda p, skel: discriminator_score(
+        p, _CAMERA_POSE, reference_scorers(skel), skel),
+    "similarity_matrix": lambda p, skel: similarity_matrix([_CAMERA_POSE], [p], MatchConfig()),
+    "pck_abs": lambda p, skel: pck_abs(_CAMERA_POSE, p, 150.0),
+    "render_stack": lambda p, skel: render_stack([p], _CAM, skel, 128, 96),
+    "reprojection_loss": lambda p, skel: reprojection_loss(
+        p, Pose2D(joints=np.zeros((15, 2)), conf=np.ones(15)), _CAM),
+    "multi_perspective_loss": lambda p, skel: multi_perspective_loss(
+        p, _CAM, 0.3, oracle_lifter(_CAMERA_POSE), skel),
+    "TrackSequence": lambda p, skel: TrackSequence(0, {0: _CAMERA_POSE, 1: p}),
+    "TrackSequence.add": lambda p, skel: TrackSequence(0, {0: _CAMERA_POSE}).add(1, p),
+    "to_person_centric": lambda p, skel: to_person_centric(p, skel),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CAMERA_CENTRIC_ENTRY_POINTS))
+def test_person_centric_pose_is_rejected_at_every_entry_point(skel, entry):
+    person = pose3d_person(rest_pose())
+    with pytest.raises(FrameMismatchError,
+                       match="^expected a camera-centric pose, got person_centric$"):
+        CAMERA_CENTRIC_ENTRY_POINTS[entry](person, skel)
 
 
 def test_default_skeleton_is_valid_tree(skel):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dualpose.skeleton import (
     default_skeleton,
     rest_pose,
 )
+from dualpose import tto
 from dualpose.tto import (
     MAX_STEP,
     MIN_STEP,
@@ -535,6 +537,27 @@ def test_no_observations_huge_step_stays_in_front_of_camera(skel, cam):
     refined, state = optimize(make_track(joints), None, cam, cfg, skel)
     assert np.all(refined.as_arrays()[1][..., 2] > 0)
     assert any(row.halvings > 0 for row in state.trace)
+
+
+def test_step_behind_camera_is_rejected_at_an_infinite_total(skel, cam, monkeypatch):
+    # the scene above, with the stage's first total reported as inf: every
+    # candidate in front of the camera lowers it, but one behind the camera
+    # has no loss and must still be halved away
+    z = np.array([40.0, 30.0, 20.0, 10.0, 2.0, 2.0])
+    joints = rest_pose()[None] * 0.05 + z[:, None, None] * (0.0, 0.0, 1.0)
+    real_total = tto._stage_total
+    calls = []
+
+    def first_total_inf(*args):
+        calls.append(args)
+        return math.inf if len(calls) == 1 else real_total(*args)
+
+    monkeypatch.setattr(tto, "_stage_total", first_total_inf)
+    cfg = TtoConfig(iters_per_stage=1, step_size=1e6, two_stage=False)
+    refined, state = optimize(make_track(joints), None, cam, cfg, skel)
+    assert state.trace[0].halvings > 0
+    assert math.isfinite(state.trace[0].total)
+    assert np.all(refined.as_arrays()[1][..., 2] > 0)
 
 
 def test_optimize_without_trajectory_rows(skel, cam):
