@@ -29,7 +29,9 @@ from .skeleton import (
     Pose2D,
     Pose3D,
     SkeletonSpec,
+    checked_pose_arrays,
     default_skeleton,
+    poses_from_stack,
 )
 from .fusion import FusionStrategy
 from .heatmaps import HeatmapConfig
@@ -128,22 +130,41 @@ def _parse_person(obj, path: str, source: str,
     dim, expect_dim = dims.pop(), 2 if source == "obs" else 3
     if dim != expect_dim:
         raise SchemaError(f"{path}.joints: expected {expect_dim}-element joints, got {dim}")
-    # The pose constructor is the one check of an accepted person's numbers;
-    # only a person it rejects is walked entry by entry to name the bad one.
-    conf_raw = obj.get("conf")
-    pose = None
-    if isinstance(conf_raw, list) and \
-            set(map(type, chain(conf_raw, *joints_raw))) <= _NUMBER_TYPES:
-        try:
-            pose = _pose(source, joints_raw, conf_raw)
-        except (OverflowError, ValueError):  # OverflowError: an int beyond float64
-            pass
-    if pose is None:
-        pose = _pose(source, *_checked_numbers(joints_raw, conf_raw, path))
+    pose = _pose(source, *_checked_numbers(joints_raw, obj.get("conf"), path))
     person_id = obj.get("person_id")
     if person_id is not None and not _is_int(person_id):
         raise SchemaError(f"{path}.person_id: expected an integer or null")
     return pose, person_id
+
+
+def _stacked_persons(persons_raw: list, source: str, num_joints: int | None
+                     ) -> tuple[list[Pose3D | Pose2D], list[int | None]] | None:
+    """A record's poses and ids, all persons checked together as one
+    (n, K, d) joints stack and one (n, K) confidence stack.
+
+    Returns None when any check fails, and for a record without persons or
+    with persons of differing joint counts: the person-by-person walk then
+    reads the record or names its first bad entry.
+    """
+    if not all(type(p) is dict for p in persons_raw):
+        return None
+    ids = [p.get("person_id") for p in persons_raw]
+    joints_raw = [p.get("joints") for p in persons_raw]
+    conf_raw = [p.get("conf") for p in persons_raw]
+    try:
+        # Only JSON numbers may reach numpy, which would also convert bools
+        # and numeric strings.
+        if not (all(pid is None or _is_int(pid) for pid in ids)
+                and set(map(type, chain(chain.from_iterable(chain.from_iterable(joints_raw)),
+                                        chain.from_iterable(conf_raw)))) <= _NUMBER_TYPES):
+            return None
+        joints, conf = checked_pose_arrays(joints_raw, conf_raw, 2 if source == "obs" else 3,
+                                           stacked=True)
+    except (OverflowError, TypeError, ValueError):  # OverflowError: an int beyond float64
+        return None
+    if num_joints not in (None, joints.shape[1]):
+        return None
+    return poses_from_stack(joints, conf, None if source == "obs" else Frame.CAMERA_CENTRIC), ids
 
 
 def _parse_record(obj, where: str, num_joints: int | None) -> FrameRecord:
@@ -157,11 +178,15 @@ def _parse_record(obj, where: str, num_joints: int | None) -> FrameRecord:
     persons_raw = obj.get("persons")
     if not isinstance(persons_raw, list):
         raise SchemaError(f"{where}: persons: expected a list")
-    persons, ids = [], []
-    for i, p in enumerate(persons_raw):
-        pose, person_id = _parse_person(p, f"{where}: persons[{i}]", source, num_joints)
-        persons.append(pose)
-        ids.append(person_id)
+    stacked = _stacked_persons(persons_raw, source, num_joints)
+    if stacked is not None:
+        persons, ids = stacked
+    else:
+        persons, ids = [], []
+        for i, p in enumerate(persons_raw):
+            pose, person_id = _parse_person(p, f"{where}: persons[{i}]", source, num_joints)
+            persons.append(pose)
+            ids.append(person_id)
     return FrameRecord(obj["frame_index"], source, persons, ids, origin=where)
 
 

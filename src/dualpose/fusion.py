@@ -20,6 +20,8 @@ from .skeleton import (
     Pose3D,
     SkeletonSpec,
     bone_lengths_of,
+    checked_pose_arrays,
+    poses_from_stack,
     require_camera_centric,
     rest_pose,
     to_person_centric,
@@ -69,43 +71,41 @@ class FusionStrategy:
 
 def fuse_pair(p_td: Pose3D, p_bu: Pose3D, strategy: FusionStrategy,
               skel: SkeletonSpec) -> Pose3D:
-    """Combine one matched TD/BU pair into a single camera-centric pose.
+    """Combine one matched TD/BU pair into a single camera-centric pose: the
+    one-pair case of ``fuse_frame``."""
+    pair = MatchResult(pairs=((0, 0, 0.0),), unmatched_td=(), unmatched_bu=())
+    return fuse_frame(pair, [p_td], [p_bu], strategy, skel)[0]
 
-    A pluggable integrator's pose is returned as it is; the closed-form
-    variants take the per-joint maximum of the two inputs' confidences.
-    """
-    require_camera_centric(p_td, p_bu)
-    if p_td.num_joints != p_bu.num_joints:
-        raise ValueError("poses must share one skeleton")
-    if strategy.variant == "pluggable":
-        return strategy.integrator(p_td, p_bu)
 
+def _fuse_stacks(td_joints: np.ndarray, td_conf: np.ndarray, bu_joints: np.ndarray,
+                 bu_conf: np.ndarray, strategy: FusionStrategy,
+                 root_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form fusion of n pairs at once: (n, K, 3) joints and (n, K)
+    confidences per side.  Every output entry is computed from its own
+    pair's entries alone, as for a lone pair."""
     if strategy.variant == "hard":
         # TD relative pose, root x/y from TD, root depth from BU.
-        td_root = p_td.joints[skel.root_index]
-        bu_root = p_bu.joints[skel.root_index]
-        new_root = np.array([td_root[0], td_root[1], bu_root[2]])
-        joints = p_td.joints - td_root + new_root
+        td_root = td_joints[:, root_index:root_index + 1]
+        new_root = np.concatenate(
+            [td_root[..., :2], bu_joints[:, root_index:root_index + 1, 2:]], axis=-1)
+        joints = td_joints - td_root + new_root
     elif strategy.variant == "linear":
-        w_td = p_td.conf[:, None]
-        w_bu = p_bu.conf[:, None]
+        w_td = td_conf[..., None]
+        w_bu = bu_conf[..., None]
         denom = w_td + w_bu
         # Zero-confidence joints on both sides fall back to the pose with
         # higher overall confidence (ties go to TD).
-        fallback = p_td.joints if float(np.mean(p_td.conf)) >= float(np.mean(p_bu.conf)) \
-            else p_bu.joints
-        blended = np.where(
+        td_first = np.mean(td_conf, axis=-1) >= np.mean(bu_conf, axis=-1)
+        fallback = np.where(td_first[:, None, None], td_joints, bu_joints)
+        joints = np.where(
             denom > 0.0,
-            (w_td * p_td.joints + w_bu * p_bu.joints) / np.where(denom > 0.0, denom, 1.0),
+            (w_td * td_joints + w_bu * bu_joints) / np.where(denom > 0.0, denom, 1.0),
             fallback,
         )
-        joints = blended
     else:  # weighted
         a = strategy.alpha
-        joints = a * p_td.joints + (1.0 - a) * p_bu.joints
-
-    conf = np.maximum(p_td.conf, p_bu.conf)
-    return Pose3D(joints=joints, conf=conf, frame=Frame.CAMERA_CENTRIC)
+        joints = a * td_joints + (1.0 - a) * bu_joints
+    return joints, np.maximum(td_conf, bu_conf)
 
 
 def fuse_frame(match: MatchResult, td: list[Pose3D], bu: list[Pose3D],
@@ -113,21 +113,38 @@ def fuse_frame(match: MatchResult, td: list[Pose3D], bu: list[Pose3D],
     """Fuse matched pairs and pass unmatched poses through unchanged.
 
     Output order: fused pairs (by td index), unmatched TD, unmatched BU.
+    The closed-form variants fuse all pairs in one broadcast and take the
+    per-joint maximum of each pair's confidences; a pluggable integrator
+    runs once per pair and its pose is kept as it is.  The paired poses
+    must be camera-centric and share one joint count.
     """
-    out: list[Pose3D] = []
     for i, j, _ in match.pairs:
         if not (0 <= i < len(td) and 0 <= j < len(bu)):
             raise IndexError(f"match pair ({i}, {j}) out of range")
-        out.append(fuse_pair(td[i], bu[j], strategy, skel))
     for i in match.unmatched_td:
         if not 0 <= i < len(td):
             raise IndexError(f"unmatched td index {i} out of range")
-        out.append(td[i])
     for j in match.unmatched_bu:
         if not 0 <= j < len(bu):
             raise IndexError(f"unmatched bu index {j} out of range")
-        out.append(bu[j])
-    return out
+    td_paired = [td[i] for i, _, _ in match.pairs]
+    bu_paired = [bu[j] for _, j, _ in match.pairs]
+    require_camera_centric(*td_paired, *bu_paired)
+    if len({p.num_joints for p in (*td_paired, *bu_paired)}) > 1:
+        raise ValueError("poses must share one skeleton")
+    if strategy.variant == "pluggable":
+        fused = [strategy.integrator(a, b) for a, b in zip(td_paired, bu_paired)]
+    elif td_paired:
+        joints, conf = _fuse_stacks(
+            np.stack([p.joints for p in td_paired]), np.stack([p.conf for p in td_paired]),
+            np.stack([p.joints for p in bu_paired]), np.stack([p.conf for p in bu_paired]),
+            strategy, skel.root_index)
+        fused = poses_from_stack(*checked_pose_arrays(joints, conf, 3, stacked=True),
+                                 Frame.CAMERA_CENTRIC)
+    else:
+        fused = []
+    return (fused + [td[i] for i in match.unmatched_td]
+            + [bu[j] for j in match.unmatched_bu])
 
 
 @dataclass(frozen=True)

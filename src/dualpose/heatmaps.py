@@ -200,7 +200,7 @@ def group_by_tags(peaks: list[list[tuple[float, float, float]]],
     it starts a new group.  Missing joints get position (0, 0) and conf 0.
     Peaks are placed one by one, since each placement moves a mean tag.
     """
-    if theta_tag <= 0:
+    if not theta_tag > 0:
         raise ValueError("theta_tag must be positive")
     k = len(peaks)
     # every peak's tag in one call: one row per joint, padded with the

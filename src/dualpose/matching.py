@@ -77,7 +77,7 @@ def _oks_kernel(d2, s, sigma):
 
 def oks(joint_a, joint_b, s: float, sigma: float) -> float:
     """Object keypoint similarity: exp(-d^2 / (2 s^2 sigma^2))."""
-    if s <= 0 or sigma <= 0:
+    if not (s > 0 and sigma > 0):
         raise ValueError("s and sigma must be positive")
     a = np.asarray(joint_a, dtype=np.float64)
     b = np.asarray(joint_b, dtype=np.float64)

@@ -159,7 +159,7 @@ def pa_mpjpe(pred: Pose3D, gt: Pose3D) -> float:
 
 def pck(pred: Pose3D, gt: Pose3D, threshold_mm: float, skel: SkeletonSpec) -> float:
     """Fraction of joints whose root-aligned distance is below threshold."""
-    if threshold_mm <= 0:
+    if not threshold_mm > 0:
         raise ValueError("threshold must be positive")
     _check_pair(pred, gt)
     dists = _root_aligned_distances(pred.joints, gt.joints, skel.root_index)
@@ -168,7 +168,7 @@ def pck(pred: Pose3D, gt: Pose3D, threshold_mm: float, skel: SkeletonSpec) -> fl
 
 def pck_abs(pred: Pose3D, gt: Pose3D, threshold_mm: float) -> float:
     """Fraction of joints within threshold using raw camera-centric distances."""
-    if threshold_mm <= 0:
+    if not threshold_mm > 0:
         raise ValueError("threshold must be positive")
     require_camera_centric(pred, gt)
     _check_pair(pred, gt)
@@ -183,7 +183,7 @@ def auc_thresholds(max_mm: float = DEFAULT_AUC_MAX_MM,
     Zero is excluded so that error-free predictions score exactly 1 under
     the strict less-than comparison.
     """
-    if step_mm <= 0:
+    if not step_mm > 0:
         raise ValueError("step must be positive")
     count = int(round(max_mm / step_mm))
     return step_mm * np.arange(1, count + 1)
@@ -286,7 +286,7 @@ def _mean_conf(poses: list[Pose3D]) -> np.ndarray:
 def _pooled_ap(scenes: list[tuple[np.ndarray, np.ndarray]], radius_mm: float) -> float:
     """Root AP over scenes given as (mean confidences (n,), root distances
     (n, m)); detections are ranked by confidence, ties by scene and index."""
-    if radius_mm <= 0:
+    if not radius_mm > 0:
         raise ValueError("radius must be positive")
     num_gt = sum(dists.shape[1] for _, dists in scenes)
     conf = np.concatenate([c for c, _ in scenes]) if scenes else np.zeros(0)
@@ -346,7 +346,7 @@ def _f1_matches(table: np.ndarray, root: int) -> tuple[np.ndarray, int, int]:
 def _f1_tally(matches: tuple[np.ndarray, int, int],
               threshold_m: float) -> tuple[int, int, int]:
     """(TP, FP, FN) of one frame's ``_f1_matches`` at a threshold in meters."""
-    if threshold_m <= 0:
+    if not threshold_m > 0:
         raise ValueError("threshold must be positive")
     dists, extra, missed = matches
     hits = int(np.sum(dists < threshold_m * 1000.0))

@@ -176,22 +176,51 @@ def rest_pose(scale: float = 1.0) -> np.ndarray:
     return DEFAULT_REST_OFFSETS_MM * float(scale)
 
 
-def _freeze_pose(pose, dim: int) -> None:
-    """Check a pose's (K, dim) joints and (K,) confidences and store both
-    as read-only float64 arrays."""
-    joints = np.asarray(pose.joints, dtype=np.float64)
-    conf = np.asarray(pose.conf, dtype=np.float64)
-    if joints.ndim != 2 or joints.shape[1] != dim:
-        raise ValueError(f"joints must be (K, {dim}), got {joints.shape}")
-    if conf.shape != (joints.shape[0],):
+def checked_pose_arrays(joints, conf, dim: int,
+                        stacked: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The package's one check of pose numbers.
+
+    Takes one pose's (K, dim) joints and (K,) confidences, or with
+    ``stacked`` n poses' (n, K, dim) joints and (n, K) confidences, and
+    returns both as read-only float64 copies.  Raises ValueError.
+    """
+    joints = np.array(joints, dtype=np.float64)
+    conf = np.array(conf, dtype=np.float64)
+    if joints.ndim != 2 + stacked or joints.shape[-1] != dim:
+        raise ValueError(f"joints must be ({'n, ' * stacked}K, {dim}), got {joints.shape}")
+    if conf.shape != joints.shape[:-1]:
         raise ValueError("conf must be (K,) matching joints")
     if not np.isfinite(joints).all():
         raise ValueError("joint coordinates must be finite")
     # NaN fails both comparisons and +-inf one of them.
     if not ((conf >= 0.0) & (conf <= 1.0)).all():
         raise ValueError("confidences must be finite and within [0, 1]")
-    object.__setattr__(pose, "joints", _frozen_array(joints))
-    object.__setattr__(pose, "conf", _frozen_array(conf))
+    joints.setflags(write=False)
+    conf.setflags(write=False)
+    return joints, conf
+
+
+def _freeze_pose(pose, dim: int) -> None:
+    """Check a pose's joints and confidences and store both as read-only
+    float64 arrays."""
+    joints, conf = checked_pose_arrays(pose.joints, pose.conf, dim)
+    object.__setattr__(pose, "joints", joints)
+    object.__setattr__(pose, "conf", conf)
+
+
+def poses_from_stack(joints: np.ndarray, conf: np.ndarray,
+                     frame: Frame | None) -> list:
+    """One pose per row of stacks that ``checked_pose_arrays(...,
+    stacked=True)`` returned: Pose3D tagged ``frame``, or Pose2D when
+    ``frame`` is None.  Each pose holds read-only row views of the stacks
+    and is not checked again."""
+    cls, extra = (Pose2D, {}) if frame is None else (Pose3D, {"frame": frame})
+    poses = []
+    for j, c in zip(joints, conf):
+        pose = object.__new__(cls)
+        pose.__dict__.update(joints=j, conf=c, **extra)
+        poses.append(pose)
+    return poses
 
 
 @dataclass(frozen=True)

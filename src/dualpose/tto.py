@@ -12,9 +12,9 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .camera import CameraIntrinsics, checked_depths
 from .errors import (
@@ -24,6 +24,9 @@ from .errors import (
     NumericFailureError,
 )
 from .skeleton import Pose2D, SkeletonSpec, TrackSequence, bone_lengths_of
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 STEP_GROWTH = 2.0
 MIN_STEP = 1e-18
@@ -247,6 +250,10 @@ def _trajectory_stencil(t_count: int, windows: tuple[tuple[int, int], ...]
     weights at t .. t+window-1, so ``S @ joints`` gives every residual.
     An order without enough frames has no rows.
     """
+    # imported here, by its one user, so that commands that never refine a
+    # track do not load scipy
+    from scipy import sparse
+
     cols, vals, row_len = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0, np.intp)]
     for order, w in windows:
         if t_count > w:

@@ -479,3 +479,39 @@ def render_stack_loops(poses, cam, skel, width, height, sigma_px=2.0, tags=None)
         rel_maps[joint] = np.array(rel_vals)[winner]
     root_vals = np.array([pose.joints[skel.root_index, 2] for pose in poses])
     return joint_maps, tag_maps, rel_maps, root_vals[np.argmax(root_gauss, axis=0)]
+
+
+def fuse_frame_per_pair(match, td, bu, strategy, skel):
+    """Per-pair fusion: each matched pair fused on its own, then unmatched
+    TD and unmatched BU poses passed through."""
+    from dualpose.skeleton import Frame, Pose3D
+
+    def fuse(p_td, p_bu):
+        if strategy.variant == "pluggable":
+            return strategy.integrator(p_td, p_bu)
+        if strategy.variant == "hard":
+            td_root = p_td.joints[skel.root_index]
+            bu_root = p_bu.joints[skel.root_index]
+            new_root = np.array([td_root[0], td_root[1], bu_root[2]])
+            joints = p_td.joints - td_root + new_root
+        elif strategy.variant == "linear":
+            w_td = p_td.conf[:, None]
+            w_bu = p_bu.conf[:, None]
+            denom = w_td + w_bu
+            fallback = p_td.joints if float(np.mean(p_td.conf)) >= float(np.mean(p_bu.conf)) \
+                else p_bu.joints
+            joints = np.where(
+                denom > 0.0,
+                (w_td * p_td.joints + w_bu * p_bu.joints) / np.where(denom > 0.0, denom, 1.0),
+                fallback,
+            )
+        else:
+            a = strategy.alpha
+            joints = a * p_td.joints + (1.0 - a) * p_bu.joints
+        conf = np.maximum(p_td.conf, p_bu.conf)
+        return Pose3D(joints=joints, conf=conf, frame=Frame.CAMERA_CENTRIC)
+
+    out = [fuse(td[i], bu[j]) for i, j, _ in match.pairs]
+    out.extend(td[i] for i in match.unmatched_td)
+    out.extend(bu[j] for j in match.unmatched_bu)
+    return out

@@ -97,12 +97,22 @@ def test_invalid_input_raises_value_error_as_in_scipy(cost):
         linear_sum_assignment(cost)
 
 
-def test_package_import_leaves_scipy_optimize_out():
+def _scipy_modules_after_package_import() -> list[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
     code = ("import sys, dualpose, dualpose.cli; "
-            "sys.exit('scipy.optimize' in sys.modules)")
+            "print(*sorted(m for m in sys.modules if m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr or "import dualpose loaded scipy.optimize"
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_package_import_leaves_scipy_optimize_out():
+    assert "scipy.optimize" not in _scipy_modules_after_package_import()
+
+
+def test_package_import_leaves_scipy_sparse_out():
+    # the first trajectory stencil loads scipy.sparse, not the import
+    assert "scipy.sparse" not in _scipy_modules_after_package_import()

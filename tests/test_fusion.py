@@ -18,6 +18,7 @@ from dualpose.matching import MatchConfig, MatchResult, match_sets
 from dualpose.skeleton import pose3d_camera, pose3d_person, rest_pose
 
 from conftest import random_camera_pose
+from oracles import fuse_frame_per_pair
 
 STRATEGIES = [
     FusionStrategy.hard(),
@@ -114,6 +115,94 @@ def test_fuse_frame_index_errors(skel):
     bad = MatchResult(pairs=((0, 3, 1.0),), unmatched_td=(), unmatched_bu=())
     with pytest.raises(IndexError):
         fuse_frame(bad, td, td, FusionStrategy.linear(), skel)
+
+
+ALL_STRATEGIES = STRATEGIES + [
+    FusionStrategy.pluggable(lambda p_td, p_bu: p_td.with_joints(p_bu.joints)),
+]
+
+
+def _dyadic_conf(rng, k):
+    """Confidences in steps of 1/8, so every mean is exact."""
+    return rng.integers(0, 9, size=k) / 8.0
+
+
+def _fusion_frames(skel):
+    """(name, match, td, bu) frames covering the fallback cases of ``linear``."""
+    rng = np.random.default_rng(59)
+    k = skel.num_joints
+    td = [random_camera_pose(rng, skel, center=(800.0 * i, 0, 4000), conf=_dyadic_conf(rng, k))
+          for i in range(9)]
+    bu = [random_camera_pose(rng, skel, center=(800.0 * i, 0, 4100), conf=_dyadic_conf(rng, k))
+          for i in range(8)]
+    # Pairs 0-2: joints 0-4 carry zero confidence on both sides, with TD,
+    # BU and neither side ahead in mean confidence.
+    for i, (td_c, bu_c) in enumerate([(0.75, 0.5), (0.5, 0.75), (0.5, 0.5)]):
+        td_conf = np.full(k, td_c)
+        bu_conf = np.full(k, bu_c)
+        td_conf[:5] = bu_conf[:5] = 0.0
+        td[i] = random_camera_pose(rng, skel, center=(800.0 * i, 0, 4000), conf=td_conf)
+        bu[i] = random_camera_pose(rng, skel, center=(800.0 * i, 0, 4100), conf=bu_conf)
+    # Pair 3: equal mean confidences from permuted per-joint values, and
+    # joint 0 unconfident on both sides.
+    conf = _dyadic_conf(rng, k)
+    conf[0] = 0.0
+    td[3] = random_camera_pose(rng, skel, center=(2400.0, 0, 4000), conf=conf)
+    bu[3] = random_camera_pose(rng, skel, center=(2400.0, 0, 4100),
+                               conf=np.concatenate([[0.0], conf[:0:-1]]))
+    pairs = tuple((i, j, 1.0) for i, j in [(0, 0), (1, 1), (2, 2), (3, 3), (4, 6), (6, 4), (7, 5)])
+    return [
+        ("pairs", MatchResult(pairs, unmatched_td=(5, 8), unmatched_bu=(7,)), td, bu),
+        ("one-pair", MatchResult(pairs[3:4], unmatched_td=(), unmatched_bu=()), td, bu),
+        ("no-pairs", MatchResult((), unmatched_td=(2, 0), unmatched_bu=(1,)), td, bu),
+        ("only-td", MatchResult((), unmatched_td=(0, 1), unmatched_bu=()), td, []),
+        ("empty", MatchResult((), unmatched_td=(), unmatched_bu=()), [], []),
+    ]
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.variant)
+def test_fuse_frame_equals_per_pair_fusion_bit_for_bit(strategy, skel):
+    for name, match, td, bu in _fusion_frames(skel):
+        fused = fuse_frame(match, td, bu, strategy, skel)
+        expected = fuse_frame_per_pair(match, td, bu, strategy, skel)
+        assert len(fused) == len(expected), name
+        for got, want in zip(fused, expected):
+            assert np.array_equal(got.joints, want.joints), name
+            assert np.array_equal(got.conf, want.conf), name
+            assert got.frame is want.frame
+        n_pairs = len(match.pairs)
+        assert all(got is want for got, want in zip(fused[n_pairs:], expected[n_pairs:]))
+
+
+def test_fusion_frames_reach_every_linear_fallback(skel):
+    _, match, td, bu = _fusion_frames(skel)[0]
+    unconfident = [(td[i].conf == 0) & (bu[j].conf == 0) for i, j, _ in match.pairs[:4]]
+    assert all(mask.any() for mask in unconfident)
+    td_means = [float(np.mean(td[i].conf)) for i in range(4)]
+    bu_means = [float(np.mean(bu[j].conf)) for j in range(4)]
+    assert td_means[0] > bu_means[0] and td_means[1] < bu_means[1]
+    assert td_means[2] == bu_means[2] and td_means[3] == bu_means[3]
+    # a tie keeps the TD joints where neither side is confident
+    out = fuse_frame(match, td, bu, FusionStrategy.linear(), skel)
+    assert np.array_equal(out[3].joints[0], td[3].joints[0])
+    assert np.array_equal(out[1].joints[0], bu[1].joints[0])
+
+
+def test_fuse_frame_poses_are_read_only(skel):
+    _, match, td, bu = _fusion_frames(skel)[0]
+    for pose in fuse_frame(match, td, bu, FusionStrategy.linear(), skel)[:len(match.pairs)]:
+        for arr in (pose.joints, pose.conf, pose.joints.base, pose.conf.base):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
+def test_fuse_frame_rejects_paired_poses_of_two_skeletons(skel):
+    rng = np.random.default_rng(60)
+    td = [random_camera_pose(rng, skel) for _ in range(2)]
+    short = pose3d_camera(td[1].joints[:-1])
+    match = MatchResult(((0, 0, 1.0), (1, 1, 1.0)), unmatched_td=(), unmatched_bu=())
+    with pytest.raises(ValueError, match="share one skeleton"):
+        fuse_frame(match, td, [td[0], short], FusionStrategy.linear(), skel)
 
 
 def constant_scorers(v1a, v1b=None, v2=0.5, skel=None):

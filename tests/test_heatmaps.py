@@ -131,6 +131,14 @@ def test_extract_rejects_bad_threshold():
         extract_peaks(stack, 0.0)
 
 
+def test_group_rejects_nan_theta_tag():
+    tags = np.zeros((1, 8, 8))
+    peaks = [[(3.0, 3.0, 0.9)]]
+    assert len(group_by_tags(peaks, tags, theta_tag=1.0)) == 1
+    with pytest.raises(ValueError, match="theta_tag must be positive"):
+        group_by_tags(peaks, tags, theta_tag=float("nan"))
+
+
 def test_group_single_person_constant_tag():
     k, h, w = 3, 32, 32
     joint = np.stack([gaussian_map(h, w, 10.0 + 4 * j, 16.0, 1.5) for j in range(k)])

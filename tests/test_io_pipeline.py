@@ -204,6 +204,81 @@ def test_bool_frame_index_or_person_id_rejected(tmp_path, key, where):
         read_frames(path)
 
 
+def _write_record(tmp_path, record):
+    path = tmp_path / "record.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    return path
+
+
+def test_first_bad_entry_of_the_last_person_is_named(tmp_path, skel):
+    record = _frame_line("td", 3, num_persons=3, num_joints=skel.num_joints)
+    record["persons"][2]["joints"][11][1] = float("nan")
+    record["persons"][2]["joints"][13][0] = "1.5"
+    with pytest.raises(SchemaError) as info:
+        read_frames(_write_record(tmp_path, record), skel.num_joints)
+    assert str(info.value).endswith("line 1: persons[2].joints[11]: value must be finite")
+
+
+def test_ragged_record_fails_with_the_joint_count_message(tmp_path, skel):
+    k = skel.num_joints
+    record = _frame_line("td", 3, num_persons=3, num_joints=k)
+    del record["persons"][1]["joints"][-1]
+    del record["persons"][1]["conf"][-1]
+    path = _write_record(tmp_path, record)
+    with pytest.raises(SchemaError,
+                       match=rf"line 1: persons\[1\]\.joints: expected {k} joints, got {k - 1}$"):
+        read_frames(path, k)
+    # without a skeleton to hold them to, persons of differing joint counts read
+    rec = read_frames(path)[0]
+    assert [p.num_joints for p in rec.persons] == [k, k - 1, k]
+
+
+@pytest.mark.parametrize("person", [0, 1, 2])
+@pytest.mark.parametrize("bad, message", [
+    (True, "expected a number, got True"),
+    ("1.5", "expected a number, got '1.5'"),
+    (10 ** 400, "value is out of the float64 range"),
+], ids=["bool", "string", "huge-int"])
+@pytest.mark.parametrize("field", ["joints", "conf"])
+def test_bad_entry_in_any_person_keeps_its_message(tmp_path, field, bad, message, person):
+    record = _frame_line("td", 3, num_persons=3)
+    if field == "joints":
+        record["persons"][person]["joints"][3][0] = bad
+    else:
+        record["persons"][person]["conf"][3] = bad
+    with pytest.raises(SchemaError) as info:
+        read_frames(_write_record(tmp_path, record))
+    assert str(info.value).endswith(f"line 1: persons[{person}].{field}[3]: {message}")
+
+
+def test_record_without_persons_reads(tmp_path):
+    (rec,) = read_frames(_write_record(tmp_path, _frame_line("td", 3, num_persons=0)), 4)
+    assert rec.persons == [] and rec.ids == []
+
+
+@pytest.mark.parametrize("source, dim", [("td", 3), ("obs", 2)])
+def test_read_poses_cannot_be_written(tmp_path, source, dim):
+    (rec,) = read_frames(_write_record(tmp_path, _frame_line(source, dim, num_persons=3)))
+    for pose in rec.persons:
+        for arr in (pose.joints, pose.conf, pose.joints.base, pose.conf.base):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
+def test_read_poses_equal_constructed_poses(tmp_path):
+    record = _frame_line("td", 3, num_persons=3)
+    record["persons"][1]["joints"][0] = [1, -2, 2 ** 60 + 1]
+    record["persons"][2]["conf"] = [0, 1, 0.25, 1]
+    record["persons"][2]["person_id"] = None
+    (rec,) = read_frames(_write_record(tmp_path, record))
+    assert rec.ids == [0, 1, None]
+    for pose, person in zip(rec.persons, record["persons"]):
+        want = Pose3D(joints=person["joints"], conf=person["conf"], frame=Frame.CAMERA_CENTRIC)
+        assert type(pose) is Pose3D and pose.frame is Frame.CAMERA_CENTRIC
+        assert pose.joints.dtype == pose.conf.dtype == np.float64
+        assert np.array_equal(pose.joints, want.joints) and np.array_equal(pose.conf, want.conf)
+
+
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310,
                1e308, -1e308, 1.7976931348623157e308, 3.0, -42.0, 2.0 ** 53, 1e16)
 FINITE = st.one_of(st.sampled_from(EDGE_FLOATS),

@@ -275,6 +275,14 @@ def test_tau_match_demotes_low_similarity(skel):
     assert result.unmatched_bu == (0,)
 
 
+@pytest.mark.parametrize("s, sigma", [(float("nan"), 0.1), (300.0, float("nan"))])
+def test_oks_rejects_nan_scale_or_sigma(s, sigma):
+    a, b = np.zeros(3), np.ones(3)
+    assert 0.0 < oks(a, b, 300.0, 0.1) < 1.0
+    with pytest.raises(ValueError, match="s and sigma must be positive"):
+        oks(a, b, s, sigma)
+
+
 def test_match_config_validation():
     with pytest.raises(ValueError):
         MatchConfig(fixed_scale_mm=0.0)

@@ -307,6 +307,28 @@ def test_shared_assignment_f1_counts_equal_per_threshold_oracle(skel):
         evaluate_frames(pred_frames, gt_frames, skel, MetricThresholds(f1_thresholds_m=(0.0,)))
 
 
+_POSE = pose3d_camera(rest_pose() + (0.0, 0.0, 3000.0))
+
+# Each positivity check, called with NaN: a NaN threshold compares False
+# with everything, so it must fail the check, not score 0 or raise later.
+NAN_THRESHOLD_SITES = {
+    "pck": (lambda skel, x: pck(_POSE, _POSE, x, skel), "threshold must be positive"),
+    "pck_abs": (lambda skel, x: pck_abs(_POSE, _POSE, x), "threshold must be positive"),
+    "auc_thresholds": (lambda skel, x: auc_thresholds(step_mm=x), "step must be positive"),
+    "ap_root": (lambda skel, x: ap_root([_POSE], [_POSE], skel, x), "radius must be positive"),
+    "f1_counts": (lambda skel, x: f1_counts([_POSE], [_POSE], x, skel),
+                  "threshold must be positive"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(NAN_THRESHOLD_SITES))
+def test_nan_threshold_is_rejected(site, skel):
+    call, message = NAN_THRESHOLD_SITES[site]
+    call(skel, 1.0)
+    with pytest.raises(ValueError, match=message):
+        call(skel, float("nan"))
+
+
 def test_greedy_root_match_prefers_nearest():
     pred = np.array([[0.0, 0, 0], [100.0, 0, 0]])
     gt = np.array([[90.0, 0, 0], [1.0, 0, 0]])
