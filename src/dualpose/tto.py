@@ -12,9 +12,9 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .camera import CameraIntrinsics, checked_depths
 from .errors import (
@@ -25,12 +25,11 @@ from .errors import (
 )
 from .skeleton import Pose2D, SkeletonSpec, TrackSequence, bone_lengths_of
 
-if TYPE_CHECKING:
-    from scipy import sparse
-
 STEP_GROWTH = 2.0
 MIN_STEP = 1e-18
 MAX_STEP = 1e9
+# frames per trajectory stencil block
+BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,11 @@ class TtoConfig:
         for name in ("c_rep_stage1", "c_rep_stage2", "c_bone"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
-        if self.iters_per_stage < 1:
-            raise ValueError("iters_per_stage must be >= 1")
+        n = self.iters_per_stage
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"iters_per_stage must be an integer >= 1, got {n!r}")
+        if not isinstance(self.two_stage, bool):
+            raise ValueError(f"two_stage must be True or False, got {self.two_stage!r}")
         if not 0 < self.step_size < math.inf:
             raise ValueError("step_size must be finite and positive")
 
@@ -141,11 +143,12 @@ class _Objective:
     observations, with everything that does not depend on the joints
     computed once.
 
-    The trajectory residuals are one sparse stencil times the joints and
-    the bone vectors one incidence matrix times the joints, so each term is
-    a few whole-array operations; both operators are cached.  The
-    reprojection term exists only when observations are given; the check
-    that every joint lies in front of the camera runs either way.
+    The trajectory residuals are one batched product of small dense stencil
+    blocks with overlapping windows of the joints, and the bone vectors one
+    incidence matrix times the joints, so each term is a few whole-array
+    operations; both operators are cached.  The reprojection term exists
+    only when observations are given; the check that every joint lies in
+    front of the camera runs either way.
 
     Each term method evaluates one loss term and keeps its residuals; the
     matching ``*_grad`` method builds that term's gradient from them, so a
@@ -160,8 +163,23 @@ class _Objective:
         self.k = k
         self.shape = (t_count, k, 3)
         self.coeff = coeff = 2.0 / k
-        self.stencil, self.stencil_t = _trajectory_stencil(
+        self.blocks, self.gather, halo = _trajectory_blocks(
             t_count, tuple(sorted((windows or {}).items())))
+        n_blocks, rows, span = self.blocks.shape
+        n_orders = rows // BLOCK
+        # Both buffers belong to this objective alone: each evaluation
+        # overwrites them.  `frames` holds the joints after `halo` zero rows,
+        # padded to whole blocks; block b reads its rows b*BLOCK .. b*BLOCK +
+        # span - 1.  `residuals` holds one row per (frame, order), then `halo`
+        # frames of zero rows; the gradient of block b's frames reads the
+        # residuals of frames b*BLOCK .. b*BLOCK + span - 1.
+        self.halo = halo
+        self.frames = np.zeros((halo + n_blocks * BLOCK, 3 * k))
+        self.frame_windows = _block_windows(self.frames, n_blocks, BLOCK, span)
+        residuals = np.zeros(((n_blocks * BLOCK + halo) * n_orders, 3 * k))
+        self.traj_res = residuals[:n_blocks * rows].reshape(n_blocks, rows, 3 * k)
+        self.res_windows = _block_windows(residuals, n_blocks, BLOCK * n_orders,
+                                          span * n_orders)
         bones = np.zeros((0, 2), dtype=np.intp) if bones is None \
             else np.asarray(bones, dtype=np.intp)
         self.incidence = _bone_incidence(k, bones.tobytes())
@@ -195,12 +213,15 @@ class _Objective:
         return grad_pos, c_bone * g_latents
 
     def trajectory(self, positions: np.ndarray) -> float:
-        res = self.stencil @ positions.reshape(self.shape[0], -1)
-        self.traj_res = res
+        t_count, halo = self.shape[0], self.halo
+        self.frames[halo:halo + t_count] = positions.reshape(t_count, -1)
+        res = np.matmul(self.blocks, self.frame_windows, out=self.traj_res)
         return float(np.vdot(res, res)) / self.k
 
     def trajectory_grad(self) -> np.ndarray:
-        return (self.coeff * (self.stencil_t @ self.traj_res)).reshape(self.shape)
+        grad = np.matmul(self.gather, self.res_windows)  # (n_blocks, BLOCK, 3K)
+        grad = self.coeff * grad.reshape(-1, 3 * self.k)[:self.shape[0]]
+        return grad.reshape(self.shape)
 
     def bone(self, positions: np.ndarray, latents: np.ndarray) -> float:
         diff = self.incidence @ positions  # (T, nB, 3): child minus parent
@@ -239,32 +260,55 @@ class _Objective:
 # one entry per track length and set of windows; bounded, so a process that
 # refines tracks of many lengths does not keep every stencil it ever built
 @lru_cache(maxsize=256)
-def _trajectory_stencil(t_count: int, windows: tuple[tuple[int, int], ...]
-                        ) -> tuple[sparse.csr_array, sparse.csr_array]:
-    """The trajectory stencil S of a track of ``t_count`` frames, and its
-    transpose, as CSR matrices.
+def _trajectory_blocks(t_count: int, windows: tuple[tuple[int, int], ...]
+                       ) -> tuple[np.ndarray, np.ndarray, int]:
+    """The trajectory stencil of a track of ``t_count`` frames as dense
+    blocks: (blocks, gather, halo).
 
-    For each enabled (order, window) with ``t_count > window``, in order,
-    row t of that order's block predicts frame t + window from frames
-    t .. t+window-1: it holds +1 at t + window and minus the extrapolation
-    weights at t .. t+window-1, so ``S @ joints`` gives every residual.
-    An order without enough frames has no rows.
+    For each enabled (order, window w) with ``t_count > w``, the residual of
+    order o at frame p (w <= p < t_count) is frame p minus the extrapolation
+    weights applied to frames p-w .. p-1; an order without enough frames
+    has no residuals.  ``halo`` is the largest window of an order with
+    residuals and c = BLOCK.
+
+    ``blocks`` (n_blocks, c * n_orders, c + halo) gives the residuals:
+    block b reads frames b*c - halo .. b*c + c - 1 and row i * n_orders + o
+    is order o's residual at frame b*c + i, or zero where that frame has
+    none.  ``gather`` (c, (c + halo) * n_orders) is the transpose of the
+    same stencil for any block: row j collects frame b*c + j's gradient
+    from the residuals of frames b*c .. b*c + c + halo - 1, laid out as in
+    ``blocks``' rows.  The blocks cover ceil(t_count / c) * c frames.
+    Both arrays are cached and read-only.
     """
-    # imported here, by its one user, so that commands that never refine a
-    # track do not load scipy
-    from scipy import sparse
+    orders = [(order, w) for order, w in windows if t_count > w]
+    halo = max((w for _, w in orders), default=0)
+    c = BLOCK
+    span = c + halo
+    n_blocks = -(-t_count // c)
+    # band[q, o, halo + f]: the weight of frame f in order o's residual at
+    # frame q, with frames counted from a block's first predicted frame
+    band = np.zeros((span, len(orders), span + halo))
+    q = np.arange(span)[:, None]
+    for j, (order, w) in enumerate(orders):
+        taps = np.append(-extrapolation_weights(w, order), 1.0)
+        band[q, j, q + np.arange(halo - w, halo + 1)] = taps
+    frame = np.arange(n_blocks)[:, None] * c + np.arange(c)
+    has_residual = (frame[..., None] >= [w for _, w in orders]) & (frame[..., None] < t_count)
+    blocks = np.where(has_residual[..., None], band[:c, :, :span], 0.0)
+    blocks = blocks.reshape(n_blocks, c * len(orders), span)
+    gather = band[:, :, halo:span].transpose(2, 0, 1).reshape(c, span * len(orders))
+    blocks.setflags(write=False)
+    gather.setflags(write=False)
+    return blocks, gather, halo
 
-    cols, vals, row_len = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0, np.intp)]
-    for order, w in windows:
-        if t_count > w:
-            rows = t_count - w
-            cols.append((np.arange(rows)[:, None] + np.arange(w + 1)).ravel())
-            vals.append(np.tile(np.append(-extrapolation_weights(w, order), 1.0), rows))
-            row_len.append(np.full(rows, w + 1))
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(row_len))))
-    stencil = sparse.csr_array((np.concatenate(vals), np.concatenate(cols), indptr),
-                               shape=(len(indptr) - 1, t_count))
-    return stencil, stencil.T.tocsr()
+
+def _block_windows(buffer: np.ndarray, n_blocks: int, step: int, rows: int
+                   ) -> np.ndarray:
+    """Read-only view (n_blocks, rows, columns) of a 2-D buffer whose block b
+    is rows b*step .. b*step + rows - 1; consecutive blocks overlap."""
+    row, col = buffer.strides
+    return as_strided(buffer, shape=(n_blocks, rows, buffer.shape[1]),
+                      strides=(step * row, row, col), writeable=False)
 
 
 @lru_cache(maxsize=None)

@@ -97,16 +97,23 @@ def test_invalid_input_raises_value_error_as_in_scipy(cost):
         linear_sum_assignment(cost)
 
 
-def _scipy_modules_after_package_import() -> list[str]:
+def _scipy_modules_after(code: str, cwd: pathlib.Path | None = None) -> list[str]:
+    """Names of the scipy modules loaded after running ``code`` in a fresh
+    interpreter that imports dualpose from this checkout; they are printed
+    on the last line, after anything ``code`` prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
-    code = ("import sys, dualpose, dualpose.cli; "
-            "print(*sorted(m for m in sys.modules if m.startswith('scipy.')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    code += ("\nimport sys\n"
+             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return proc.stdout.splitlines()[-1].split()
+
+
+def _scipy_modules_after_package_import() -> list[str]:
+    return _scipy_modules_after("import dualpose, dualpose.cli")
 
 
 def test_package_import_leaves_scipy_optimize_out():
@@ -114,5 +121,24 @@ def test_package_import_leaves_scipy_optimize_out():
 
 
 def test_package_import_leaves_scipy_sparse_out():
-    # the first trajectory stencil loads scipy.sparse, not the import
+    # scipy.sparse costs about 0.25 s and 13 MB in any process that loads it
     assert "scipy.sparse" not in _scipy_modules_after_package_import()
+
+
+def test_run_pass_loads_no_scipy(tmp_path):
+    # synth and a whole run pass, refinement included, load no scipy module
+    (tmp_path / "config.json").write_text(
+        '{"scene": {"num_persons": 1, "num_frames": 12, "motions": [{"kind": "constant"}]},'
+        ' "tto": {"iters_per_stage": 5}}')
+    code = (
+        "from dualpose.cli import main\n"
+        "assert main(['synth', '--config', 'config.json', '--out', 's']) == 0\n"
+        "assert main(['run', 's/td.jsonl', 's/bu.jsonl', '--obs', 's/obs.jsonl',\n"
+        "             '--gt', 's/gt.jsonl', '--config', 'config.json', '--out', 'r',\n"
+        "             '--trace', 'r/trace.csv']) == 0\n"
+    )
+    modules = _scipy_modules_after(code, cwd=tmp_path)
+    # the pass refined the track: 2 stages of 5 iterations
+    trace = (tmp_path / "r" / "trace.csv").read_text().splitlines()
+    assert len(trace) == 1 + 2 * 5
+    assert modules == []

@@ -207,10 +207,18 @@ def assert_close_to_oracle(value, expected):
 
 def test_trajectory_loss_grad_matches_loop_oracle():
     rng = np.random.default_rng(94)
-    # ({3: 4}, 9) has one enabled order; the last three have stencils with
-    # no rows: no enabled order, or a track shorter than every window
+    c = tto.BLOCK  # frames per stencil block
+    # ({3: 4}, 9) has one enabled order; the (t_count, default windows) cases
+    # end one frame before, on and after a block edge, and mid-block after
+    # three blocks; ({2: 12}, 30) has a window wider than BLOCK, and
+    # ({1: 2, 3: 9}, 9) an order with rows beside one without.  The last
+    # three have stencils with no rows: no enabled order, or a track shorter
+    # than every window
     for windows, t_count in (({1: 2, 2: 5, 3: 5}, 30), ({1: 3, 3: 4}, 12),
                              ({2: 6}, 7), ({1: 2, 2: 5, 3: 5}, 5), ({3: 4}, 9),
+                             ({1: 2, 2: 5, 3: 5}, c - 1), ({1: 2, 2: 5, 3: 5}, c),
+                             ({1: 2, 2: 5, 3: 5}, c + 1), ({1: 2, 2: 5, 3: 5}, 3 * c + 2),
+                             ({2: 12}, 30), ({1: 2, 3: 9}, 9),
                              ({}, 6), ({1: 2, 2: 5, 3: 5}, 2), ({2: 6}, 6)):
         joints = 4000.0 + 80.0 * rng.standard_normal((t_count, 6, 3))
         stencils = {o: extrapolation_weights(w, o) for o, w in windows.items()
@@ -219,6 +227,24 @@ def test_trajectory_loss_grad_matches_loop_oracle():
         expected_loss, expected_grad = trajectory_loss_grad_loops(joints, stencils)
         assert loss == pytest.approx(expected_loss, rel=ORACLE_REL)
         assert_close_to_oracle(grad, expected_grad)
+
+
+def test_objectives_of_one_shape_keep_their_own_trajectory_state():
+    # two objectives of the same (T, windows) share the cached stencil, not
+    # their buffers: each gradient is that of its own last evaluation
+    rng = np.random.default_rng(95)
+    windows = {1: 2, 2: 5, 3: 5}
+    first = tto._Objective((20, 6), windows=windows)
+    second = tto._Objective((20, 6), windows=windows)
+    for _ in range(3):
+        x, y = 4000.0 + 80.0 * rng.standard_normal((2, 20, 6, 3))
+        loss_x = first.trajectory(x)
+        loss_y = second.trajectory(y)
+        expected_x = trajectory_loss_grad(x, windows)
+        expected_y = trajectory_loss_grad(y, windows)
+        assert (loss_x, loss_y) == (expected_x[0], expected_y[0])
+        assert np.array_equal(first.trajectory_grad(), expected_x[1])
+        assert np.array_equal(second.trajectory_grad(), expected_y[1])
 
 
 # --- bone loss ------------------------------------------------------------
@@ -623,6 +649,21 @@ def test_config_validation():
 def test_config_rejects_negative_window_and_non_finite_values(field, value):
     with pytest.raises(ValueError, match=field):
         TtoConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("iters_per_stage", 2.5), ("iters_per_stage", True), ("two_stage", "no"),
+])
+def test_config_rejects_non_integer_iters_and_non_bool_two_stage(field, value):
+    with pytest.raises(ValueError, match=field):
+        TtoConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integer_iters(skel, cam):
+    cfg = TtoConfig(iters_per_stage=np.int64(3))
+    seq, _ = consistent_sequence(skel, t_count=8)
+    _, state = optimize(seq, None, cam, cfg, skel)
+    assert len(state.trace) == 2 * 3
 
 
 def test_config_file_with_negative_window_names_the_field(tmp_path):
