@@ -29,7 +29,6 @@ from .skeleton import (
     Pose2D,
     Pose3D,
     SkeletonSpec,
-    checked_pose_arrays,
     default_skeleton,
     poses_from_stack,
 )
@@ -158,13 +157,13 @@ def _stacked_persons(persons_raw: list, source: str, num_joints: int | None
                 and set(map(type, chain(chain.from_iterable(chain.from_iterable(joints_raw)),
                                         chain.from_iterable(conf_raw)))) <= _NUMBER_TYPES):
             return None
-        joints, conf = checked_pose_arrays(joints_raw, conf_raw, 2 if source == "obs" else 3,
-                                           stacked=True)
+        poses = poses_from_stack(joints_raw, conf_raw,
+                                 None if source == "obs" else Frame.CAMERA_CENTRIC)
     except (OverflowError, TypeError, ValueError):  # OverflowError: an int beyond float64
         return None
-    if num_joints not in (None, joints.shape[1]):
+    if num_joints not in (None, poses[0].num_joints):
         return None
-    return poses_from_stack(joints, conf, None if source == "obs" else Frame.CAMERA_CENTRIC), ids
+    return poses, ids
 
 
 def _parse_record(obj, where: str, num_joints: int | None) -> FrameRecord:

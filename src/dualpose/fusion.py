@@ -20,7 +20,6 @@ from .skeleton import (
     Pose3D,
     SkeletonSpec,
     bone_lengths_of,
-    checked_pose_arrays,
     poses_from_stack,
     require_camera_centric,
     rest_pose,
@@ -139,8 +138,7 @@ def fuse_frame(match: MatchResult, td: list[Pose3D], bu: list[Pose3D],
             np.stack([p.joints for p in td_paired]), np.stack([p.conf for p in td_paired]),
             np.stack([p.joints for p in bu_paired]), np.stack([p.conf for p in bu_paired]),
             strategy, skel.root_index)
-        fused = poses_from_stack(*checked_pose_arrays(joints, conf, 3, stacked=True),
-                                 Frame.CAMERA_CENTRIC)
+        fused = poses_from_stack(joints, conf, Frame.CAMERA_CENTRIC)
     else:
         fused = []
     return (fused + [td[i] for i in match.unmatched_td]

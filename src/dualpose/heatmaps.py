@@ -16,7 +16,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, back_project, project
 from .errors import OutOfGridError, SchemaError
-from .skeleton import Frame, Pose2D, Pose3D, SkeletonSpec, require_camera_centric
+from .skeleton import Frame, Pose2D, Pose3D, SkeletonSpec, poses_from_stack, require_camera_centric
 
 MAGIC = b"PHMS"
 FORMAT_VERSION = 1
@@ -228,15 +228,13 @@ def group_by_tags(peaks: list[list[tuple[float, float, float]]],
                 best["joints"][joint] = (u, v, score)
                 best["tag_sum"] += tag
                 best["n"] += 1
-    poses = []
-    for g in groups:
-        joints = np.zeros((k, 2))
-        conf = np.zeros(k)
+    joints = np.zeros((len(groups), k, 2))
+    conf = np.zeros((len(groups), k))
+    for row, g in enumerate(groups):
         for joint, (u, v, score) in g["joints"].items():
-            joints[joint] = (u, v)
-            conf[joint] = min(max(score, 0.0), 1.0)
-        poses.append(Pose2D(joints=joints, conf=conf))
-    return poses
+            joints[row, joint] = (u, v)
+            conf[row, joint] = min(max(score, 0.0), 1.0)
+    return poses_from_stack(joints, conf, None)
 
 
 def retrieve_depths(joints: np.ndarray, stack: HeatmapStack, skel: SkeletonSpec
@@ -373,8 +371,7 @@ def decode_poses(stack: HeatmapStack, cam: CameraIntrinsics, skel: SkeletonSpec,
     conf = np.array([pose.conf for pose in poses2d])
     depths = np.array(z_root)[:, None] + np.where(conf > 0.0, z_rel, 0.0)
     joints = back_project([pose.joints for pose in poses2d], depths, cam)
-    return [Pose3D(joints=j, conf=pose.conf, frame=Frame.CAMERA_CENTRIC)
-            for j, pose in zip(joints, poses2d)]
+    return poses_from_stack(joints, conf, Frame.CAMERA_CENTRIC)
 
 
 def write_stack(stack: HeatmapStack, path) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -208,12 +209,16 @@ def _freeze_pose(pose, dim: int) -> None:
     object.__setattr__(pose, "conf", conf)
 
 
-def poses_from_stack(joints: np.ndarray, conf: np.ndarray,
-                     frame: Frame | None) -> list:
-    """One pose per row of stacks that ``checked_pose_arrays(...,
-    stacked=True)`` returned: Pose3D tagged ``frame``, or Pose2D when
-    ``frame`` is None.  Each pose holds read-only row views of the stacks
-    and is not checked again."""
+def poses_from_stack(joints, conf, frame: Frame | None) -> list:
+    """The package's one constructor for a batch of poses: one pose per row
+    of n poses' (n, K, d) joints and (n, K) confidences, Pose3D tagged
+    ``frame`` (d = 3) or Pose2D when ``frame`` is None (d = 2).  Both stacks
+    are checked once, by ``checked_pose_arrays``; each pose holds read-only
+    row views of the checked copies.  Raises ValueError."""
+    if frame is not None and not isinstance(frame, Frame):
+        raise ValueError(f"frame must be a Frame enum, got {frame!r}")
+    joints, conf = checked_pose_arrays(joints, conf, 2 if frame is None else 3,
+                                       stacked=True)
     cls, extra = (Pose2D, {}) if frame is None else (Pose3D, {"frame": frame})
     poses = []
     for j, c in zip(joints, conf):
@@ -328,10 +333,34 @@ def bone_lengths(pose: Pose3D, skel: SkeletonSpec) -> np.ndarray:
 
 def bone_lengths_of(joints: np.ndarray, skel: SkeletonSpec) -> np.ndarray:
     """Bone lengths for a raw (..., K, 3) joint array."""
-    joints = np.asarray(joints, dtype=np.float64)
-    bones = skel.bone_array
-    diff = joints[..., bones[:, 1], :] - joints[..., bones[:, 0], :]
-    return np.linalg.norm(diff, axis=-1)
+    incidence = bone_incidence(skel.num_joints, skel.bone_array.tobytes())
+    return vector_lengths(incidence @ np.asarray(joints, dtype=np.float64))
+
+
+@lru_cache(maxsize=None)
+def bone_incidence(k: int, bones: bytes) -> np.ndarray:
+    """The signed (n_bones, k) incidence matrix B of a skeleton: row i holds
+    +1 at bone i's child and -1 at its parent, so ``B @ joints`` gives the
+    bone vectors of (..., k, 3) joints and ``B.T @ per_bone`` adds each
+    bone's gradient to its child and subtracts it from its parent.
+
+    ``bones`` is the bytes of an (n_bones, 2) intp array of (parent, child).
+    The returned array is cached and read-only.
+    """
+    pairs = np.frombuffer(bones, dtype=np.intp).reshape(-1, 2)
+    rows = np.arange(len(pairs))
+    incidence = np.zeros((len(pairs), k))
+    incidence[rows, pairs[:, 1]] += 1.0
+    incidence[rows, pairs[:, 0]] -= 1.0
+    incidence.setflags(write=False)
+    return incidence
+
+
+def vector_lengths(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of (..., 3) vectors: the sum np.linalg.norm forms,
+    without its reduction overhead."""
+    sq = vectors * vectors
+    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 
 @dataclass
@@ -350,7 +379,8 @@ class TrackSequence:
 
     def add(self, frame_index: int, pose: Pose3D) -> None:
         require_camera_centric(pose)
-        if self.frames and frame_index <= max(self.frames):
+        # the keys are sorted, so the last one is the largest
+        if self.frames and frame_index <= next(reversed(self.frames)):
             if frame_index in self.frames:
                 raise ValueError(f"frame {frame_index} already present")
             self.frames = dict(sorted({**self.frames, frame_index: pose}.items()))
@@ -376,8 +406,8 @@ class TrackSequence:
         idx = self.frame_indices
         if joints.shape[0] != len(idx):
             raise ValueError("joint array frame count does not match track")
-        frames = {
-            i: self.frames[i].with_joints(joints[t])
-            for t, i in enumerate(idx)
-        }
-        return TrackSequence(person_id=self.person_id, frames=frames)
+        if not idx:
+            return TrackSequence(person_id=self.person_id)
+        conf = np.stack([self.frames[i].conf for i in idx])
+        poses = poses_from_stack(joints, conf, Frame.CAMERA_CENTRIC)
+        return TrackSequence(person_id=self.person_id, frames=dict(zip(idx, poses)))

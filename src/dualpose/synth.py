@@ -7,6 +7,7 @@ deterministic under the scene seed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .skeleton import (
     Pose3D,
     SkeletonSpec,
     TrackSequence,
+    poses_from_stack,
     rest_pose,
 )
 
@@ -55,10 +57,17 @@ class MotionSpec:
                 f"{self.kind} motion allows at most {self._DEGREE[self.kind] + 1} "
                 f"polynomial coefficients, got {coeffs.shape[0]}"
             )
+        # the comparisons are False for NaN, so NaN fails them too
+        if not (np.isfinite(coeffs).all() and abs(self.yaw_rate) < math.inf):
+            raise SceneSpecError("root coefficients and yaw rate must be finite")
+        if not 0 <= self.swing_amplitude_mm < math.inf:
+            raise SceneSpecError("swing amplitude must be finite and non-negative")
+        if not 0 < self.body_scale < math.inf:
+            raise SceneSpecError("body scale must be finite and positive")
         if self.kind != "sinusoidal" and self.swing_amplitude_mm != 0.0:
             raise SceneSpecError("swing amplitude requires sinusoidal motion")
-        if self.swing_period_frames <= 0:
-            raise SceneSpecError("swing period must be positive")
+        if not 0 < self.swing_period_frames < math.inf:
+            raise SceneSpecError("swing period must be finite and positive")
         object.__setattr__(self, "root_coeffs",
                            tuple(tuple(row) for row in coeffs))
 
@@ -94,8 +103,9 @@ class SceneSpec:
                 raise SceneSpecError("probabilities must lie in [0, 1]")
         if not 0.0 <= self.conf_base <= 1.0 or not 0.0 <= self.conf_jitter <= 1.0:
             raise SceneSpecError("confidence parameters must lie in [0, 1]")
-        if self.sigma_3d_mm < 0 or self.sigma_2d_px < 0:
-            raise SceneSpecError("noise sigmas must be non-negative")
+        # the comparisons are False for NaN, so NaN fails them too
+        if not (0 <= self.sigma_3d_mm < math.inf and 0 <= self.sigma_2d_px < math.inf):
+            raise SceneSpecError("noise sigmas must be finite and non-negative")
         object.__setattr__(self, "motions", tuple(self.motions))
 
 
@@ -124,6 +134,7 @@ def _gt_joints(spec: SceneSpec, skel: SkeletonSpec, rng: np.random.Generator
                ) -> np.ndarray:
     """(P, T, K, 3) exact joint positions."""
     k = skel.num_joints
+    limbs = np.flatnonzero(np.arange(k) != skel.root_index)
     out = np.empty((spec.num_persons, spec.num_frames, k, 3))
     for p, motion in enumerate(spec.motions):
         offsets = rest_pose(motion.body_scale)
@@ -135,9 +146,7 @@ def _gt_joints(spec: SceneSpec, skel: SkeletonSpec, rng: np.random.Generator
             if motion.kind == "sinusoidal" and motion.swing_amplitude_mm > 0.0:
                 swing = motion.swing_amplitude_mm * np.sin(
                     2.0 * np.pi * t / motion.swing_period_frames + phases)
-                for j in range(k):
-                    if j != skel.root_index:
-                        joints[j, axes[j]] += swing[j]
+                joints[limbs, axes[limbs]] += swing[limbs]
             if motion.yaw_rate != 0.0:
                 joints = rotate_points_about_y(joints, motion.yaw_rate * t,
                                                np.zeros(3))
@@ -164,19 +173,16 @@ def generate(spec: SceneSpec, cam: CameraIntrinsics, skel: SkeletonSpec) -> Scen
         conf = spec.conf_base - spec.conf_jitter * rng.random(shape)
         return np.clip(conf, 0.0, 1.0)
 
+    def per_frame(joints: np.ndarray, conf: np.ndarray, frame: Frame | None) -> list[list]:
+        """One batch of poses per frame of (P, T, K, d) joints and (P, T, K)
+        confidences."""
+        return [poses_from_stack(joints[:, t], conf[:, t], frame) for t in range(t_count)]
+
     def noisy_source() -> list[list[Pose3D]]:
         noise = spec.sigma_3d_mm * rng.standard_normal(gt.shape)
         conf = confidences((p_count, t_count, k))
         drops = rng.random((p_count, t_count, k)) < spec.drop_prob
-        frames: list[list[Pose3D]] = []
-        for t in range(t_count):
-            frames.append([
-                Pose3D(joints=gt[p, t] + noise[p, t],
-                       conf=np.where(drops[p, t], 0.0, conf[p, t]),
-                       frame=Frame.CAMERA_CENTRIC)
-                for p in range(p_count)
-            ])
-        return frames
+        return per_frame(gt + noise, np.where(drops, 0.0, conf), Frame.CAMERA_CENTRIC)
 
     noisy_td = noisy_source()
     noisy_bu = noisy_source()
@@ -184,21 +190,13 @@ def generate(spec: SceneSpec, cam: CameraIntrinsics, skel: SkeletonSpec) -> Scen
     noise_2d = spec.sigma_2d_px * rng.standard_normal((p_count, t_count, k, 2))
     conf_2d = confidences((p_count, t_count, k))
     drops_2d = rng.random((p_count, t_count, k)) < spec.drop_prob
-    obs_2d: list[list[Pose2D]] = []
-    for t in range(t_count):
-        obs_2d.append([
-            Pose2D(joints=project(gt[p, t], cam) + noise_2d[p, t],
-                   conf=np.where(drops_2d[p, t], 0.0, conf_2d[p, t]))
-            for p in range(p_count)
-        ])
+    obs_2d = per_frame(project(gt, cam) + noise_2d, np.where(drops_2d, 0.0, conf_2d), None)
 
-    gt_tracks = []
-    for p in range(p_count):
-        frames = {
-            t: Pose3D(joints=gt[p, t], conf=np.ones(k), frame=Frame.CAMERA_CENTRIC)
-            for t in range(t_count)
-        }
-        gt_tracks.append(TrackSequence(person_id=p, frames=frames))
+    gt_tracks = [
+        TrackSequence(person_id=p, frames=dict(enumerate(
+            poses_from_stack(gt[p], np.ones((t_count, k)), Frame.CAMERA_CENTRIC))))
+        for p in range(p_count)
+    ]
 
     return SceneData(gt_tracks=gt_tracks, noisy_td=noisy_td, noisy_bu=noisy_bu,
                      obs_2d=obs_2d)

@@ -16,14 +16,15 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .camera import CameraIntrinsics, checked_depths
+from .camera import CameraIntrinsics, checked_depths, project
 from .errors import (
     BehindCameraError,
     InsufficientHistoryError,
     MisalignedFramesError,
     NumericFailureError,
 )
-from .skeleton import Pose2D, SkeletonSpec, TrackSequence, bone_lengths_of
+from .skeleton import (Pose2D, SkeletonSpec, TrackSequence, bone_incidence, bone_lengths_of,
+                       vector_lengths)
 
 STEP_GROWTH = 2.0
 MIN_STEP = 1e-18
@@ -182,11 +183,10 @@ class _Objective:
                                           span * n_orders)
         bones = np.zeros((0, 2), dtype=np.intp) if bones is None \
             else np.asarray(bones, dtype=np.intp)
-        self.incidence = _bone_incidence(k, bones.tobytes())
+        self.incidence = bone_incidence(k, bones.tobytes())
         self.cam = cam
         if cam is not None:
-            self.obs_u = np.ascontiguousarray(uv[..., 0])
-            self.obs_v = np.ascontiguousarray(uv[..., 1])
+            self.obs_uv = uv
             self.conf = conf
             self.rep_weight = conf * coeff
 
@@ -225,9 +225,7 @@ class _Objective:
 
     def bone(self, positions: np.ndarray, latents: np.ndarray) -> float:
         diff = self.incidence @ positions  # (T, nB, 3): child minus parent
-        sq = diff * diff
-        # the sum np.linalg.norm forms, without its reduction overhead
-        self.bone_lengths = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+        self.bone_lengths = vector_lengths(diff)
         self.bone_diff = diff
         self.bone_res = res = self.bone_lengths - latents
         return float(np.vdot(res, res))
@@ -239,11 +237,10 @@ class _Objective:
 
     def reprojection(self, positions: np.ndarray) -> float:
         self.positions = positions
-        z = checked_depths(positions[..., 2])
-        cam = self.cam
-        self.ru = ru = cam.fx * positions[..., 0] / z + cam.cx - self.obs_u
-        self.rv = rv = cam.fy * positions[..., 1] / z + cam.cy - self.obs_v
-        return float(np.vdot(self.conf, ru * ru + rv * rv)) / self.k
+        self.rep_res = res = project(positions, self.cam)
+        res -= self.obs_uv
+        sq = res * res
+        return float(np.vdot(self.conf, sq[..., 0] + sq[..., 1])) / self.k
 
     def reprojection_grad(self) -> np.ndarray:
         positions, cam = self.positions, self.cam
@@ -251,8 +248,8 @@ class _Objective:
         w = self.rep_weight / z
         grad = np.empty_like(positions)
         # d(fx * x / z)/dx = fx / z and d(fx * x / z)/dz = -(fx / z) * x / z
-        grad[..., 0] = g_x = (cam.fx * w) * self.ru
-        grad[..., 1] = g_y = (cam.fy * w) * self.rv
+        grad[..., 0] = g_x = (cam.fx * w) * self.rep_res[..., 0]
+        grad[..., 1] = g_y = (cam.fy * w) * self.rep_res[..., 1]
         grad[..., 2] = -(g_x * positions[..., 0] + g_y * positions[..., 1]) / z
         return grad
 
@@ -309,25 +306,6 @@ def _block_windows(buffer: np.ndarray, n_blocks: int, step: int, rows: int
     row, col = buffer.strides
     return as_strided(buffer, shape=(n_blocks, rows, buffer.shape[1]),
                       strides=(step * row, row, col), writeable=False)
-
-
-@lru_cache(maxsize=None)
-def _bone_incidence(k: int, bones: bytes) -> np.ndarray:
-    """The signed (n_bones, k) incidence matrix B of a skeleton: row i holds
-    +1 at bone i's child and -1 at its parent, so ``B @ joints`` gives the
-    bone vectors of (T, k, 3) joints and ``B.T @ per_bone`` adds each bone's
-    gradient to its child and subtracts it from its parent.
-
-    ``bones`` is the bytes of an (n_bones, 2) intp array of (parent, child).
-    The returned array is cached and read-only.
-    """
-    pairs = np.frombuffer(bones, dtype=np.intp).reshape(-1, 2)
-    rows = np.arange(len(pairs))
-    incidence = np.zeros((len(pairs), k))
-    incidence[rows, pairs[:, 1]] += 1.0
-    incidence[rows, pairs[:, 0]] -= 1.0
-    incidence.setflags(write=False)
-    return incidence
 
 
 def _consecutive_joints(seq: TrackSequence) -> np.ndarray:

@@ -465,6 +465,15 @@ def test_config_rejects_mistyped_or_invalid_values(section, key, value):
         RunConfig.from_dict(data)
 
 
+def test_config_rejects_a_bad_scene_motion():
+    data = RunConfig.default().to_dict()
+    data["scene"] = {"num_persons": 1, "num_frames": 5,
+                     "motions": [{"kind": "constant", "body_scale": 0.0}]}
+    with pytest.raises(SchemaError,
+                       match=r"^config\.scene\.motions\[0\]: body scale must be finite"):
+        RunConfig.from_dict(data)
+
+
 def test_aligned_frames_requires_a_prediction_for_every_gt_frame(skel):
     rng = np.random.default_rng(8)
     gt = {t: ([random_camera_pose(rng, skel)], [0]) for t in range(3)}

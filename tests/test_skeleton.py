@@ -19,6 +19,7 @@ from dualpose.skeleton import (
     default_skeleton,
     pose3d_camera,
     pose3d_person,
+    poses_from_stack,
     rest_pose,
     to_camera_centric,
     to_person_centric,
@@ -80,6 +81,24 @@ def test_skeleton_rejects_wrong_bone_count():
 def test_pose_conf_validated():
     with pytest.raises(ValueError):
         pose3d_camera(np.zeros((15, 3)), conf=np.full(15, 1.5))
+
+
+_NAN_JOINT = np.zeros((2, 15, 3))
+_NAN_JOINT[1, 4, 0] = np.nan
+
+
+@pytest.mark.parametrize("joints, conf, frame, message", [
+    (_NAN_JOINT, np.ones((2, 15)), Frame.CAMERA_CENTRIC, "finite"),
+    (np.zeros((2, 15, 3)), np.full((2, 15), 1.5), Frame.CAMERA_CENTRIC, "confidences"),
+    (np.zeros((2, 15, 3)), np.full((2, 15), -0.1), Frame.CAMERA_CENTRIC, "confidences"),
+    (np.zeros((2, 15, 2)), np.ones((2, 15)), Frame.CAMERA_CENTRIC, r"\(n, K, 3\)"),
+    (np.zeros((2, 15, 3)), np.ones((2, 15)), None, r"\(n, K, 2\)"),
+    (np.zeros((2, 15, 3)), np.ones((2, 15)), "camera_centric", "Frame enum"),
+], ids=["nan-joint", "conf-above-1", "conf-below-0", "2d-joints-as-3d", "3d-joints-as-2d",
+        "string-tag"])
+def test_poses_from_stack_checks_its_stacks(joints, conf, frame, message):
+    with pytest.raises(ValueError, match=message):
+        poses_from_stack(joints, conf, frame)
 
 
 def test_to_camera_centric_translates_zero_pose(skel):
@@ -185,6 +204,11 @@ def test_track_sequence_sorts_and_validates(skel):
     poses = {i: random_camera_pose(rng, skel) for i in (5, 1, 3)}
     track = TrackSequence(person_id=0, frames=poses)
     assert track.frame_indices == [1, 3, 5]
+    track.add(6, poses[1])
+    track.add(2, poses[3])
+    assert track.frame_indices == [1, 2, 3, 5, 6]
+    with pytest.raises(ValueError, match="frame 3 already present"):
+        track.add(3, poses[5])
     with pytest.raises(FrameMismatchError):
         TrackSequence(person_id=1, frames={0: pose3d_person(np.zeros((15, 3)))})
 
@@ -196,3 +220,5 @@ def test_track_as_arrays_round_trip(skel):
     rebuilt = track.with_joints(joints + 1.0)
     _, joints2, _ = rebuilt.as_arrays()
     assert np.allclose(joints2, joints + 1.0)
+    empty = TrackSequence(7).with_joints(np.zeros((0, 15, 3)))
+    assert empty.person_id == 7 and len(empty) == 0

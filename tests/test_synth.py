@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,32 @@ def test_spec_validation():
         MotionSpec(kind="constant", root_coeffs=((0, 0, 100), (1, 1, 1)))
     with pytest.raises(SceneSpecError):
         MotionSpec(kind="warp")
+    for sigmas in ({"sigma_3d_mm": math.nan}, {"sigma_2d_px": math.inf}):
+        with pytest.raises(SceneSpecError, match="noise sigmas"):
+            simple_spec(**sigmas)
+    for bad, message in [
+        ({"root_coeffs": ((0.0, math.nan, 3000.0),)}, "root coefficients"),
+        ({"body_scale": math.nan}, "body scale"),
+        ({"body_scale": 0.0}, "body scale"),
+        ({"body_scale": -1.0}, "body scale"),
+        ({"yaw_rate": math.inf}, "yaw rate"),
+        ({"swing_period_frames": math.nan}, "swing period"),
+        ({"swing_amplitude_mm": math.inf}, "swing amplitude"),
+        ({"swing_amplitude_mm": math.nan}, "swing amplitude"),
+        ({"swing_amplitude_mm": -40.0}, "swing amplitude"),
+    ]:
+        with pytest.raises(SceneSpecError, match=message):
+            MotionSpec(kind="sinusoidal", **bad)
+
+
+@pytest.mark.parametrize("persons, frames", [(0, 4), (2, 1)])
+def test_generate_gives_one_list_of_persons_per_frame(skel, persons, frames):
+    spec = simple_spec(num_persons=persons, num_frames=frames,
+                       motions=simple_spec().motions[:persons], sigma_3d_mm=5.0)
+    data = generate(spec, benchmark_camera(), skel)
+    for per_frame in (data.noisy_td, data.noisy_bu, data.obs_2d, data.gt_frames()):
+        assert [len(poses) for poses in per_frame] == [persons] * frames
+    assert [track.frame_indices for track in data.gt_tracks] == [list(range(frames))] * persons
 
 
 def test_benchmark_spec_properties(skel):
