@@ -42,6 +42,7 @@ from .pipeline import (
     run_pipeline,
     write_traces,
 )
+from .skeleton import stack_poses
 from .synth import generate, make_benchmark_spec
 
 
@@ -94,8 +95,8 @@ def _cmd_synth(args, config: RunConfig) -> int:
         heat = config.heatmap
         cam = grid_camera(config.camera, heat.width, heat.height)
         # every frame must fit the grid before any file is written
-        joints = np.reshape([[pose.joints for pose in poses] for poses in sources["gt"]],
-                            (data.num_frames, -1, 3))
+        joints = stack_poses([pose for poses in sources["gt"] for pose in poses],
+                             (config.skeleton.num_joints, 3))[0].reshape(data.num_frames, -1, 3)
         uv = project(joints, cam)
         off = ~in_grid(uv[..., 0], uv[..., 1], heat.width, heat.height).all(axis=1)
         if off.any():

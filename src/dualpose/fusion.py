@@ -23,6 +23,7 @@ from .skeleton import (
     poses_from_stack,
     require_camera_centric,
     rest_pose,
+    stack_poses,
     to_person_centric,
 )
 
@@ -115,7 +116,7 @@ def fuse_frame(match: MatchResult, td: list[Pose3D], bu: list[Pose3D],
     The closed-form variants fuse all pairs in one broadcast and take the
     per-joint maximum of each pair's confidences; a pluggable integrator
     runs once per pair and its pose is kept as it is.  The paired poses
-    must be camera-centric and share one joint count.
+    must be camera-centric and have the skeleton's joint count.
     """
     for i, j, _ in match.pairs:
         if not (0 <= i < len(td) and 0 <= j < len(bu)):
@@ -129,18 +130,14 @@ def fuse_frame(match: MatchResult, td: list[Pose3D], bu: list[Pose3D],
     td_paired = [td[i] for i, _, _ in match.pairs]
     bu_paired = [bu[j] for _, j, _ in match.pairs]
     require_camera_centric(*td_paired, *bu_paired)
-    if len({p.num_joints for p in (*td_paired, *bu_paired)}) > 1:
-        raise ValueError("poses must share one skeleton")
+    joints, conf = stack_poses([*td_paired, *bu_paired], (skel.num_joints, 3))
     if strategy.variant == "pluggable":
         fused = [strategy.integrator(a, b) for a, b in zip(td_paired, bu_paired)]
-    elif td_paired:
-        joints, conf = _fuse_stacks(
-            np.stack([p.joints for p in td_paired]), np.stack([p.conf for p in td_paired]),
-            np.stack([p.joints for p in bu_paired]), np.stack([p.conf for p in bu_paired]),
-            strategy, skel.root_index)
-        fused = poses_from_stack(joints, conf, Frame.CAMERA_CENTRIC)
     else:
-        fused = []
+        n = len(td_paired)
+        fused = poses_from_stack(
+            *_fuse_stacks(joints[:n], conf[:n], joints[n:], conf[n:], strategy, skel.root_index),
+            Frame.CAMERA_CENTRIC)
     return (fused + [td[i] for i in match.unmatched_td]
             + [bu[j] for j in match.unmatched_bu])
 
@@ -196,8 +193,9 @@ def corrupt_pair(pair: tuple[Pose3D, Pose3D], seed: int, mask_rate: float,
     for rate in (mask_rate, drop_rate):
         if not 0.0 <= rate <= 1.0:
             raise ValueError("rates must be within [0, 1]")
-    if shift_sigma_mm < 0:
-        raise ValueError("shift_sigma_mm must be non-negative")
+    # the comparisons are False for NaN, so NaN fails them too
+    if not 0 <= shift_sigma_mm < math.inf:
+        raise ValueError("shift_sigma_mm must be finite and non-negative")
     rng = np.random.default_rng(seed)
     k = pair[0].num_joints
     masks = rng.random((2, k)) < mask_rate

@@ -16,7 +16,8 @@ import numpy as np
 
 from .camera import CameraIntrinsics, back_project, project
 from .errors import OutOfGridError, SchemaError
-from .skeleton import Frame, Pose2D, Pose3D, SkeletonSpec, poses_from_stack, require_camera_centric
+from .skeleton import (Frame, Pose2D, Pose3D, SkeletonSpec, poses_from_stack,
+                       require_camera_centric, stack_poses)
 
 MAGIC = b"PHMS"
 FORMAT_VERSION = 1
@@ -292,7 +293,7 @@ def render_stack(poses: list[Pose3D], cam: CameraIntrinsics, skel: SkeletonSpec,
     if len(tags) != n:
         raise ValueError("one tag value per pose required")
     require_camera_centric(*poses)
-    joints = np.stack([pose.joints for pose in poses])  # (n, K, 3)
+    joints = stack_poses(poses, (k, 3))[0]
     uv = project(joints, cam)
     if not in_grid(uv[..., 0], uv[..., 1], width, height).all():
         raise OutOfGridError("pose projects outside the heatmap grid")
@@ -350,7 +351,7 @@ def decode_stack(stack: HeatmapStack, skel: SkeletonSpec,
     peaks = extract_peaks(stack, theta_peak)
     poses = [pose for pose in group_by_tags(peaks, stack.tag_maps, theta_tag)
              if pose.conf[skel.root_index] > 0.0]
-    joints = np.reshape([pose.joints for pose in poses], (-1, stack.num_joints, 2))
+    joints = stack_poses(poses, (stack.num_joints, 2))[0]
     z_root, z_rel = retrieve_depths(joints, stack, skel)
     return list(zip(poses, z_root.tolist(), z_rel))
 
@@ -368,10 +369,9 @@ def decode_poses(stack: HeatmapStack, cam: CameraIntrinsics, skel: SkeletonSpec,
     if not decoded:
         return []
     poses2d, z_root, z_rel = zip(*decoded)
-    conf = np.array([pose.conf for pose in poses2d])
+    uv, conf = stack_poses(poses2d, (stack.num_joints, 2))
     depths = np.array(z_root)[:, None] + np.where(conf > 0.0, z_rel, 0.0)
-    joints = back_project([pose.joints for pose in poses2d], depths, cam)
-    return poses_from_stack(joints, conf, Frame.CAMERA_CENTRIC)
+    return poses_from_stack(back_project(uv, depths, cam), conf, Frame.CAMERA_CENTRIC)
 
 
 def write_stack(stack: HeatmapStack, path) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .assignment import linear_sum_assignment
 from .camera import CameraIntrinsics, project
-from .skeleton import Pose3D, default_oks_sigmas, require_camera_centric
+from .skeleton import Pose3D, default_oks_sigmas, require_camera_centric, stack_poses
 
 # Poses collapsed to a point still need a positive OKS scale.
 MIN_SCALE_MM = 1.0
@@ -118,25 +118,21 @@ def similarity_matrix(td: list[Pose3D], bu: list[Pose3D], cfg: MatchConfig,
     """
     if not td or not bu:
         return np.zeros((len(td), len(bu)), dtype=np.float64)
-    poses = (*td, *bu)
-    require_camera_centric(*poses)
-    k = td[0].num_joints
-    if any(p.num_joints != k for p in poses):
-        raise ValueError("poses must share one skeleton")
+    require_camera_centric(*td, *bu)
+    joints, conf = stack_poses([*td, *bu])
+    k = joints.shape[1]
     sigma = default_oks_sigmas(k) if sigma is None else np.asarray(sigma)
     if sigma.shape != (k,):
         raise ValueError(f"sigma must have shape ({k},)")
     # Axes (td, bu, joint[, coordinate]).  Each entry's sums run over its own
     # pair's elements in the same order as for a lone pair, so an entry does
     # not depend on the other poses of the sets.
-    td_joints = np.stack([p.joints for p in td])
-    s = _pair_scales(td_joints, cfg)[:, None, None]
-    a = _joint_positions(np.stack([p.joints for p in bu]), cfg)[None]
-    b = _joint_positions(td_joints, cfg)[:, None]
-    d2 = np.sum((a - b) ** 2, axis=-1)
+    n = len(td)
+    s = _pair_scales(joints[:n], cfg)[:, None, None]
+    positions = _joint_positions(joints, cfg)
+    d2 = np.sum((positions[None, n:] - positions[:n, None]) ** 2, axis=-1)
     kern = _oks_kernel(d2, s, sigma)
-    w = np.minimum(np.stack([p.conf for p in bu])[None],
-                   np.stack([p.conf for p in td])[:, None])
+    w = np.minimum(conf[None, n:], conf[:n, None])
     return np.sum(w * kern, axis=-1)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .assignment import linear_sum_assignment
 from .errors import DegenerateGeometryError
-from .skeleton import Pose3D, SkeletonSpec, require_camera_centric
+from .skeleton import Pose3D, SkeletonSpec, require_camera_centric, stack_poses
 
 DEFAULT_PCK_THRESHOLD_MM = 150.0
 DEFAULT_AUC_MAX_MM = 150.0
@@ -94,11 +94,6 @@ class MetricReport:
                     writer.writerow([f.name, repr(getattr(self, f.name))])
 
 
-def _check_pair(pred: Pose3D, gt: Pose3D) -> None:
-    if pred.num_joints != gt.num_joints:
-        raise ValueError("prediction and ground truth must share one skeleton")
-
-
 def _root_aligned_distances(pred: np.ndarray, gt: np.ndarray, root: int) -> np.ndarray:
     """Per-joint distances of paired (..., K, 3) joint stacks after moving
     each pose's root to the origin."""
@@ -109,8 +104,8 @@ def _root_aligned_distances(pred: np.ndarray, gt: np.ndarray, root: int) -> np.n
 
 def mpjpe(pred: Pose3D, gt: Pose3D, skel: SkeletonSpec) -> float:
     """Mean per-joint position error after root-translation alignment (mm)."""
-    _check_pair(pred, gt)
-    return float(np.mean(_root_aligned_distances(pred.joints, gt.joints, skel.root_index)))
+    (p, g), _ = stack_poses([pred, gt])
+    return float(np.mean(_root_aligned_distances(p, g, skel.root_index)))
 
 
 def similarity_align(source: np.ndarray, target: np.ndarray
@@ -153,16 +148,16 @@ def _pa_errors(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
 def pa_mpjpe(pred: Pose3D, gt: Pose3D) -> float:
     """MPJPE after optimal similarity (Procrustes) alignment of pred onto gt
     (the 1-pair case of the stacked alignment)."""
-    _check_pair(pred, gt)
-    return float(_pa_errors(pred.joints, gt.joints))
+    (p, g), _ = stack_poses([pred, gt])
+    return float(_pa_errors(p, g))
 
 
 def pck(pred: Pose3D, gt: Pose3D, threshold_mm: float, skel: SkeletonSpec) -> float:
     """Fraction of joints whose root-aligned distance is below threshold."""
     if not threshold_mm > 0:
         raise ValueError("threshold must be positive")
-    _check_pair(pred, gt)
-    dists = _root_aligned_distances(pred.joints, gt.joints, skel.root_index)
+    (p, g), _ = stack_poses([pred, gt])
+    dists = _root_aligned_distances(p, g, skel.root_index)
     return float(np.mean(dists < threshold_mm))
 
 
@@ -171,8 +166,8 @@ def pck_abs(pred: Pose3D, gt: Pose3D, threshold_mm: float) -> float:
     if not threshold_mm > 0:
         raise ValueError("threshold must be positive")
     require_camera_centric(pred, gt)
-    _check_pair(pred, gt)
-    dists = np.linalg.norm(pred.joints - gt.joints, axis=-1)
+    (p, g), _ = stack_poses([pred, gt])
+    dists = np.linalg.norm(p - g, axis=-1)
     return float(np.mean(dists < threshold_mm))
 
 
@@ -231,15 +226,14 @@ def greedy_root_match(pred_roots: np.ndarray, gt_roots: np.ndarray,
 
 
 def _distance_table(pred_set: list[Pose3D], gt_set: list[Pose3D], skel: SkeletonSpec
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One frame's joints stacked once, (n, K, 3) and (m, K, 3), and its
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One frame's poses stacked once: the predictions' (n, K, 3) joints and
+    (n,) mean confidences, the (m, K, 3) ground-truth joints, and the
     camera-centric distance table J (n, m, K); every person pairing reads
     the root distances ``J[..., root]``."""
-    pred, gt = (np.stack([p.joints for p in poses]) if poses
-                else np.zeros((0, skel.num_joints, 3)) for poses in (pred_set, gt_set))
-    if pred.shape[1:] != gt.shape[1:]:
-        raise ValueError("prediction and ground truth must share one skeleton")
-    return pred, gt, _pairwise_distances(pred, gt)
+    shape = (skel.num_joints, 3)
+    (pred, conf), (gt, _) = stack_poses(pred_set, shape), stack_poses(gt_set, shape)
+    return pred, conf.mean(axis=1), gt, _pairwise_distances(pred, gt)
 
 
 def _greedy_distances(pred: np.ndarray, gt: np.ndarray, table: np.ndarray, root: int):
@@ -264,7 +258,7 @@ def pck_set(pred_set: list[Pose3D], gt_set: list[Pose3D], threshold_mm: float,
     Joints of unmatched ground-truth persons count as incorrect; surplus
     predictions are ignored by this metric.
     """
-    pred, gt, table = _distance_table(pred_set, gt_set, skel)
+    pred, _, gt, table = _distance_table(pred_set, gt_set, skel)
     _, _, rel, abs_dists = _greedy_distances(pred, gt, table, skel.root_index)
     return _fraction_within(abs_dists if absolute else rel, threshold_mm, gt[..., 0].size)
 
@@ -274,13 +268,9 @@ def auc_rel(pred_set: list[Pose3D], gt_set: list[Pose3D], skel: SkeletonSpec,
             step_mm: float = DEFAULT_AUC_STEP_MM) -> float:
     """Mean of the set-level PCK over the threshold grid (discrete AUC)."""
     grid = auc_thresholds(max_mm, step_mm)
-    pred, gt, table = _distance_table(pred_set, gt_set, skel)
+    pred, _, gt, table = _distance_table(pred_set, gt_set, skel)
     rel = _greedy_distances(pred, gt, table, skel.root_index)[2]
     return float(np.mean([_fraction_within(rel, t, gt[..., 0].size) for t in grid]))
-
-
-def _mean_conf(poses: list[Pose3D]) -> np.ndarray:
-    return np.stack([p.conf for p in poses]).mean(axis=1) if poses else np.zeros(0)
 
 
 def _pooled_ap(scenes: list[tuple[np.ndarray, np.ndarray]], radius_mm: float) -> float:
@@ -323,9 +313,9 @@ def ap_root_pooled(scenes: list[tuple[list[Pose3D], list[Pose3D]]],
                    skel: SkeletonSpec,
                    radius_mm: float = DEFAULT_AP_ROOT_RADIUS_MM) -> float:
     """Root AP pooled over several scenes with a shared confidence ranking."""
-    return _pooled_ap([(_mean_conf(preds),
-                        _distance_table(preds, gts, skel)[2][..., skel.root_index])
-                       for preds, gts in scenes], radius_mm)
+    tables = (_distance_table(preds, gts, skel) for preds, gts in scenes)
+    return _pooled_ap([(conf, table[..., skel.root_index]) for _, conf, _, table in tables],
+                      radius_mm)
 
 
 def _f1_matches(table: np.ndarray, root: int) -> tuple[np.ndarray, int, int]:
@@ -364,7 +354,7 @@ def f1_counts(pred_set: list[Pose3D], gt_set: list[Pose3D], threshold_m: float,
     Joints of unmatched ground-truth persons are FNs; joints of unmatched
     predictions are FPs.
     """
-    table = _distance_table(pred_set, gt_set, skel)[2]
+    table = _distance_table(pred_set, gt_set, skel)[3]
     return _f1_tally(_f1_matches(table, skel.root_index), threshold_m)
 
 
@@ -411,7 +401,7 @@ def evaluate_frames(pred_frames: list[list[Pose3D]],
     ap_scenes = []
 
     for preds, gts in zip(pred_frames, gt_frames):
-        pred, gt, table = _distance_table(preds, gts, skel)
+        pred, conf, gt, table = _distance_table(preds, gts, skel)
         rows, cols, rel, absolute = _greedy_distances(pred, gt, table, root)
         total_gt_joints += gt[..., 0].size
         matched += rows.size
@@ -428,7 +418,7 @@ def evaluate_frames(pred_frames: list[list[Pose3D]],
             f1_acc[t][0] += tp
             f1_acc[t][1] += fp
             f1_acc[t][2] += fn
-        ap_scenes.append((_mean_conf(preds), table[..., root].copy()))
+        ap_scenes.append((conf, table[..., root].copy()))
 
     all_rel = np.concatenate(rel_dists)
     all_abs = np.concatenate(abs_dists)

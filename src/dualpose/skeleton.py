@@ -219,16 +219,37 @@ def poses_from_stack(joints, conf, frame: Frame | None) -> list:
         raise ValueError(f"frame must be a Frame enum, got {frame!r}")
     joints, conf = checked_pose_arrays(joints, conf, 2 if frame is None else 3,
                                        stacked=True)
-    cls, extra = (Pose2D, {}) if frame is None else (Pose3D, {"frame": frame})
+    cls = Pose2D if frame is None else Pose3D
     poses = []
     for j, c in zip(joints, conf):
         pose = object.__new__(cls)
-        pose.__dict__.update(joints=j, conf=c, **extra)
+        object.__setattr__(pose, "joints", j)
+        object.__setattr__(pose, "conf", c)
+        if frame is not None:
+            object.__setattr__(pose, "frame", frame)
         poses.append(pose)
     return poses
 
 
-@dataclass(frozen=True)
+def stack_poses(poses, shape: tuple[int, int] | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of ``poses_from_stack``: n poses' (n, K, d) joints and (n, K)
+    confidences, or (0, K, d) and (0, K) stacks for no poses and a ``shape``.
+    The package's one check that poses share one skeleton (it checks no frame
+    tag): each pose's joints must have ``shape`` (K, d), else the first
+    pose's.  Raises ValueError."""
+    if shape is None and not poses:
+        raise ValueError("stacking no poses needs the skeleton's shape")
+    shape = shape or poses[0].joints.shape
+    if any(pose.joints.shape != shape for pose in poses):
+        raise ValueError("poses must share one skeleton")
+    # np.array copies a list of equal-shape arrays as np.stack does, in less
+    # time; the reshape gives an empty list its shape
+    return (np.array([pose.joints for pose in poses]).reshape(-1, *shape),
+            np.array([pose.conf for pose in poses]).reshape(-1, shape[0]))
+
+
+@dataclass(frozen=True, slots=True)
 class Pose2D:
     """K joint positions in pixels with per-joint confidences."""
 
@@ -243,7 +264,7 @@ class Pose2D:
         return self.joints.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose3D:
     """K joint positions in mm with per-joint confidences and a frame tag."""
 
@@ -396,10 +417,7 @@ class TrackSequence:
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(frame_indices (T,), joints (T, K, 3), conf (T, K)) in frame order."""
-        idx = np.array(self.frame_indices, dtype=np.intp)
-        joints = np.stack([self.frames[i].joints for i in self.frame_indices])
-        conf = np.stack([self.frames[i].conf for i in self.frame_indices])
-        return idx, joints, conf
+        return np.array(self.frame_indices, dtype=np.intp), *stack_poses(list(self.frames.values()))
 
     def with_joints(self, joints: np.ndarray) -> "TrackSequence":
         """Copy of this track with replaced joint positions (same conf/indices)."""
@@ -408,6 +426,6 @@ class TrackSequence:
             raise ValueError("joint array frame count does not match track")
         if not idx:
             return TrackSequence(person_id=self.person_id)
-        conf = np.stack([self.frames[i].conf for i in idx])
-        poses = poses_from_stack(joints, conf, Frame.CAMERA_CENTRIC)
+        poses = poses_from_stack(joints, stack_poses(list(self.frames.values()))[1],
+                                 Frame.CAMERA_CENTRIC)
         return TrackSequence(person_id=self.person_id, frames=dict(zip(idx, poses)))

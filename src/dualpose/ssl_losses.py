@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .camera import CameraIntrinsics, back_project, project, rotate_about_y
+from .camera import CameraIntrinsics, back_project, project_pose, rotate_about_y
 from .skeleton import Frame, Pose2D, Pose3D, SkeletonSpec, require_camera_centric
 from .tto import reprojection_loss_grad
 
@@ -44,8 +44,7 @@ def multi_perspective_loss(p3d_pseudo: Pose3D, cam: CameraIntrinsics,
     require_camera_centric(p3d_pseudo)
     pivot = p3d_pseudo.joints[skel.root_index]
     rotated = rotate_about_y(p3d_pseudo, angle, pivot)
-    p2d = Pose2D(joints=project(rotated.joints, cam), conf=rotated.conf)
-    relifted = lifter(p2d, cam)
+    relifted = lifter(project_pose(rotated, cam), cam)
     diff = relifted.joints - rotated.joints
     return float(np.mean(np.sum(diff * diff, axis=-1)))
 
@@ -67,8 +66,9 @@ class SslWeightState:
             raise ValueError("e_rep and e_mp must be matching 1-D arrays")
         if e_rep.size == 0:
             raise ValueError("batch must be non-empty")
-        if np.any(e_rep < 0) or np.any(e_mp < 0):
-            raise ValueError("errors must be non-negative")
+        # NaN fails both comparisons and +inf the second
+        if not all(((e >= 0.0) & (e < np.inf)).all() for e in (e_rep, e_mp)):
+            raise ValueError("errors must be finite and non-negative")
         object.__setattr__(self, "e_rep", e_rep)
         object.__setattr__(self, "e_mp", e_mp)
 

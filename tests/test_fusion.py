@@ -203,6 +203,11 @@ def test_fuse_frame_rejects_paired_poses_of_two_skeletons(skel):
     match = MatchResult(((0, 0, 1.0), (1, 1, 1.0)), unmatched_td=(), unmatched_bu=())
     with pytest.raises(ValueError, match="share one skeleton"):
         fuse_frame(match, td, [td[0], short], FusionStrategy.linear(), skel)
+    # pairs of one joint count that is not the skeleton's, pluggable or not
+    pair = MatchResult(((0, 0, 1.0),), unmatched_td=(), unmatched_bu=())
+    for strategy in (FusionStrategy.linear(), FusionStrategy.pluggable(lambda a, b: a)):
+        with pytest.raises(ValueError, match="share one skeleton"):
+            fuse_frame(pair, [short], [short], strategy, skel)
 
 
 def constant_scorers(v1a, v1b=None, v2=0.5, skel=None):
@@ -284,6 +289,13 @@ def test_corrupt_pair_no_rates_is_identity(skel):
     for before, after in zip(pair, out):
         assert np.array_equal(before.joints, after.joints)
         assert np.array_equal(before.conf, after.conf)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+def test_corrupt_pair_rejects_a_bad_shift_sigma(skel, sigma):
+    pose = random_camera_pose(np.random.default_rng(58), skel)
+    with pytest.raises(ValueError, match="^shift_sigma_mm must be finite and non-negative$"):
+        corrupt_pair((pose, pose), seed=1, mask_rate=0.0, shift_sigma_mm=sigma, drop_rate=0.0)
 
 
 def test_corrupt_pair_full_mask(skel):

@@ -677,6 +677,8 @@ def test_render_stack_error_order(skel):
         render_stack([inside], cam, skel, 128, 96, tags=[0.0, 1.0])
     with pytest.raises(FrameMismatchError, match="camera-centric"):
         render_stack([inside, pose3d_person(rest_pose())], cam, skel, 128, 96)
+    with pytest.raises(ValueError, match="share one skeleton"):
+        render_stack([pose3d_camera(inside.joints[:-1])], cam, skel, 128, 96)
     with pytest.raises(OutOfGridError, match="outside the heatmap grid"):
         render_stack([inside, pose3d_camera(rest_pose() + (0.0, 0.0, 500.0))], cam, skel,
                      128, 96)

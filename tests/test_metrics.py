@@ -329,6 +329,41 @@ def test_nan_threshold_is_rejected(site, skel):
         call(skel, float("nan"))
 
 
+_SHORT = pose3d_camera(_POSE.joints[:-1])
+
+
+def _last_pair(sets):
+    return sets[0][-1], sets[1][-1]
+
+
+# Each metric, called with a pose of another joint count than the rest;
+# the set metrics also with both sides of 14 joints against the 15-joint
+# skeleton, which they used to score.
+TWO_SKELETON_SITES = {
+    "mpjpe": lambda skel, sets: mpjpe(*_last_pair(sets), skel),
+    "pa_mpjpe": lambda skel, sets: pa_mpjpe(*_last_pair(sets)),
+    "pck": lambda skel, sets: pck(*_last_pair(sets), 150.0, skel),
+    "pck_abs": lambda skel, sets: pck_abs(*_last_pair(sets), 250.0),
+    "pck_set": lambda skel, sets: pck_set(*sets, 150.0, skel),
+    "auc_rel": lambda skel, sets: auc_rel(*sets, skel),
+    "ap_root": lambda skel, sets: ap_root(*sets, skel),
+    "f1_counts": lambda skel, sets: f1_counts(*sets, 1.0, skel),
+    "evaluate_frames": lambda skel, sets: evaluate_frames(*([[], s] for s in sets), skel),
+}
+
+
+@pytest.mark.parametrize("site", sorted(TWO_SKELETON_SITES))
+def test_metrics_reject_poses_of_two_skeletons(site, skel):
+    call = TWO_SKELETON_SITES[site]
+    call(skel, ([_POSE], [_POSE]))
+    for sets in (([_POSE], [_SHORT]), ([_SHORT], [_POSE]), ([_POSE, _SHORT], [_POSE])):
+        with pytest.raises(ValueError, match="^poses must share one skeleton$"):
+            call(skel, sets)
+    if site not in ("mpjpe", "pa_mpjpe", "pck", "pck_abs"):
+        with pytest.raises(ValueError, match="^poses must share one skeleton$"):
+            call(skel, ([_SHORT], [_SHORT]))
+
+
 def test_greedy_root_match_prefers_nearest():
     pred = np.array([[0.0, 0, 0], [100.0, 0, 0]])
     gt = np.array([[90.0, 0, 0], [1.0, 0, 0]])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from dualpose.skeleton import (
     pose3d_person,
     poses_from_stack,
     rest_pose,
+    stack_poses,
     to_camera_centric,
     to_person_centric,
 )
@@ -99,6 +102,59 @@ _NAN_JOINT[1, 4, 0] = np.nan
 def test_poses_from_stack_checks_its_stacks(joints, conf, frame, message):
     with pytest.raises(ValueError, match=message):
         poses_from_stack(joints, conf, frame)
+
+
+# signed zeros, subnormals and extremes must come back bit for bit
+_EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.7976931348623157e308,
+                         -1e308, 3.0, 2.0 ** 53])
+
+
+@pytest.mark.parametrize("frame", [None, Frame.CAMERA_CENTRIC, Frame.PERSON_CENTRIC])
+def test_stack_poses_inverts_poses_from_stack(frame):
+    rng = np.random.default_rng(12)
+    d = 2 if frame is None else 3
+    joints = rng.choice(_EDGE_VALUES, (4, 6, d)) * rng.choice([1.0, -1.0], (4, 6, d))
+    joints[0, 0] = -0.0
+    conf = rng.choice(np.array([0.0, -0.0, 5e-324, 0.5, 1.0]), (4, 6))
+    for shape in (None, (6, d)):
+        got_joints, got_conf = stack_poses(poses_from_stack(joints, conf, frame), shape)
+        for got, want in ((got_joints, joints), (got_conf, conf)):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_stack_poses_rejects_poses_of_two_skeletons(skel):
+    rng = np.random.default_rng(13)
+    pose = random_camera_pose(rng, skel)
+    short = pose3d_camera(pose.joints[:-1])
+    flat = Pose2D(joints=pose.joints[:, :2], conf=pose.conf)
+    for poses, shape in (([pose, short], None), ([short, pose], None), ([pose, flat], None),
+                         ([pose, pose], (14, 3)), ([short], (15, 3)), ([pose], (15, 2))):
+        with pytest.raises(ValueError, match="^poses must share one skeleton$"):
+            stack_poses(poses, shape)
+
+
+def test_stack_poses_of_no_poses_needs_the_shape():
+    joints, conf = stack_poses([], (15, 3))
+    assert joints.shape == (0, 15, 3) and conf.shape == (0, 15)
+    assert joints.dtype == conf.dtype == np.float64
+    assert stack_poses([], (7, 2))[0].shape == (0, 7, 2)
+    with pytest.raises(ValueError, match="shape"):
+        stack_poses([])
+    with pytest.raises(ValueError, match="shape"):
+        TrackSequence(0).as_arrays()
+
+
+def test_poses_have_no_instance_dict_and_stay_frozen():
+    batch = poses_from_stack(np.zeros((2, 15, 3)), np.ones((2, 15)), Frame.CAMERA_CENTRIC)
+    flat = poses_from_stack(np.zeros((1, 15, 2)), np.ones((1, 15)), None)
+    built = Pose3D(joints=np.zeros((15, 3)), conf=np.ones(15), frame=Frame.CAMERA_CENTRIC)
+    for pose in (*batch, *flat, built, Pose2D(joints=np.zeros((15, 2)), conf=np.ones(15))):
+        assert not hasattr(pose, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pose.joints = np.ones_like(pose.joints)
+    assert batch[0].frame is Frame.CAMERA_CENTRIC
 
 
 def test_to_camera_centric_translates_zero_pose(skel):

@@ -141,6 +141,10 @@ def test_ssl_weights_validation():
         SslWeightState(r=0, e_rep=np.array([1.0]), e_mp=np.array([1.0]))
     with pytest.raises(ValueError):
         SslWeightState(r=1, e_rep=np.array([]), e_mp=np.array([]))
+    for bad in (np.nan, np.inf, -1.0):
+        for e_rep, e_mp in (([bad, 1.0], [0.0, 1.0]), ([0.0, 1.0], [1.0, bad])):
+            with pytest.raises(ValueError, match="^errors must be finite and non-negative$"):
+                SslWeightState(r=1, e_rep=np.array(e_rep), e_mp=np.array(e_mp))
 
 
 def test_ssl_total():
