@@ -31,6 +31,7 @@ from .skeleton import (
     SkeletonSpec,
     default_skeleton,
     poses_from_stack,
+    require_camera_centric,
 )
 from .fusion import FusionStrategy
 from .heatmaps import HeatmapConfig
@@ -52,7 +53,8 @@ class FrameRecord:
     """All persons of one source at one frame index.
 
     ``persons`` are camera-centric Pose3D objects, or Pose2D for the 2D
-    observation source ``obs``; ``ids[i]`` is the person id of
+    observation source ``obs`` (others raise ValueError, and FrameMismatchError
+    for a person-centric Pose3D); ``ids[i]`` is the person id of
     ``persons[i]``, None when unlabeled (the default).  ``origin`` is where
     the record was read, ``"<path>: line N"``, and empty for a record built
     in memory.
@@ -67,6 +69,11 @@ class FrameRecord:
     def __post_init__(self):
         if self.source not in SOURCES:
             raise SchemaError(f"unknown source {self.source!r}; expected one of {SOURCES}")
+        kind = Pose2D if self.source == "obs" else Pose3D
+        if not all(isinstance(pose, kind) for pose in self.persons):
+            raise ValueError(f"a {self.source!r} record holds {kind.__name__} persons")
+        if kind is Pose3D:
+            require_camera_centric(*self.persons)
         if self.ids is None:
             self.ids = [None] * len(self.persons)
         if len(self.ids) != len(self.persons):

@@ -278,16 +278,15 @@ def render_stack(poses: list[Pose3D], cam: CameraIntrinsics, skel: SkeletonSpec,
     and the nearest person's tag and depths, outside the disks; their
     decoded poses are the same.
     """
+    # the comparisons are False for NaN, so NaN fails them too
+    if not 0 < sigma_px < math.inf:
+        raise ValueError(f"sigma_px must be finite and positive, got {sigma_px!r}")
     k = skel.num_joints
     n = len(poses)
     joint_maps = np.zeros((k, height, width))
     tag_maps = np.zeros((k, height, width))
     rel_maps = np.zeros((k, height, width))
     root_map = np.zeros((height, width))
-    if n == 0:
-        return HeatmapStack(width=width, height=height, joint_maps=joint_maps,
-                            tag_maps=tag_maps, rel_depth_maps=rel_maps,
-                            root_depth_map=root_map)
     if tags is None:
         tags = [float(2 * i) for i in range(n)]
     if len(tags) != n:
@@ -338,6 +337,17 @@ def render_stack(poses: list[Pose3D], cam: CameraIntrinsics, skel: SkeletonSpec,
                         root_depth_map=root_map)
 
 
+def _decode(stack: HeatmapStack, skel: SkeletonSpec, theta_peak: float, theta_tag: float
+            ) -> tuple[list[Pose2D], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``decode_stack``'s kept 2D poses, as poses and as (n, K, 2) joints and
+    (n, K) confidences, with their (n,) root and (n, K) relative depths."""
+    peaks = extract_peaks(stack, theta_peak)
+    poses = [pose for pose in group_by_tags(peaks, stack.tag_maps, theta_tag)
+             if pose.conf[skel.root_index] > 0.0]
+    joints, conf = stack_poses(poses, (stack.num_joints, 2))
+    return poses, joints, conf, *retrieve_depths(joints, stack, skel)
+
+
 def decode_stack(stack: HeatmapStack, skel: SkeletonSpec,
                  theta_peak: float = DEFAULT_PEAK_THRESHOLD,
                  theta_tag: float = DEFAULT_TAG_THRESHOLD
@@ -348,11 +358,7 @@ def decode_stack(stack: HeatmapStack, skel: SkeletonSpec,
     Persons whose root joint was not detected are dropped (their absolute
     depth is unreadable); the depths of the rest are read in one gather.
     """
-    peaks = extract_peaks(stack, theta_peak)
-    poses = [pose for pose in group_by_tags(peaks, stack.tag_maps, theta_tag)
-             if pose.conf[skel.root_index] > 0.0]
-    joints = stack_poses(poses, (stack.num_joints, 2))[0]
-    z_root, z_rel = retrieve_depths(joints, stack, skel)
+    poses, _, _, z_root, z_rel = _decode(stack, skel, theta_peak, theta_tag)
     return list(zip(poses, z_root.tolist(), z_rel))
 
 
@@ -365,12 +371,8 @@ def decode_poses(stack: HeatmapStack, cam: CameraIntrinsics, skel: SkeletonSpec,
     at its own depth, all persons in one call.  Undetected joints reuse the
     root depth so the lifted point stays finite (their confidence remains 0).
     """
-    decoded = decode_stack(stack, skel, theta_peak, theta_tag)
-    if not decoded:
-        return []
-    poses2d, z_root, z_rel = zip(*decoded)
-    uv, conf = stack_poses(poses2d, (stack.num_joints, 2))
-    depths = np.array(z_root)[:, None] + np.where(conf > 0.0, z_rel, 0.0)
+    _, uv, conf, z_root, z_rel = _decode(stack, skel, theta_peak, theta_tag)
+    depths = z_root[:, None] + np.where(conf > 0.0, z_rel, 0.0)
     return poses_from_stack(back_project(uv, depths, cam), conf, Frame.CAMERA_CENTRIC)
 
 

@@ -116,8 +116,8 @@ def similarity_matrix(td: list[Pose3D], bu: list[Pose3D], cfg: MatchConfig,
     ``sigma`` holds the per-joint OKS sigmas (a skeleton's ``oks_sigma``);
     it defaults to ``default_oks_sigmas`` of the joint count.
     """
-    if not td or not bu:
-        return np.zeros((len(td), len(bu)), dtype=np.float64)
+    if not td and not bu:
+        return np.zeros((0, 0))
     require_camera_centric(*td, *bu)
     joints, conf = stack_poses([*td, *bu])
     k = joints.shape[1]

@@ -15,7 +15,8 @@ import numpy as np
 
 from .assignment import linear_sum_assignment
 from .errors import DegenerateGeometryError
-from .skeleton import Pose3D, SkeletonSpec, require_camera_centric, stack_poses
+from .skeleton import (Pose3D, SkeletonSpec, require_camera_centric, stack_poses,
+                       vector_lengths)
 
 DEFAULT_PCK_THRESHOLD_MM = 150.0
 DEFAULT_AUC_MAX_MM = 150.0
@@ -99,7 +100,7 @@ def _root_aligned_distances(pred: np.ndarray, gt: np.ndarray, root: int) -> np.n
     each pose's root to the origin."""
     p = pred - pred[..., root:root + 1, :]
     g = gt - gt[..., root:root + 1, :]
-    return np.linalg.norm(p - g, axis=-1)
+    return vector_lengths(p - g)
 
 
 def mpjpe(pred: Pose3D, gt: Pose3D, skel: SkeletonSpec) -> float:
@@ -142,7 +143,7 @@ def similarity_align(source: np.ndarray, target: np.ndarray
 def _pa_errors(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """PA-MPJPE of each pose pair of two paired (..., K, 3) joint stacks."""
     aligned = similarity_align(pred, gt)[0]
-    return np.mean(np.linalg.norm(aligned - gt, axis=-1), axis=-1)
+    return np.mean(vector_lengths(aligned - gt), axis=-1)
 
 
 def pa_mpjpe(pred: Pose3D, gt: Pose3D) -> float:
@@ -167,7 +168,7 @@ def pck_abs(pred: Pose3D, gt: Pose3D, threshold_mm: float) -> float:
         raise ValueError("threshold must be positive")
     require_camera_centric(pred, gt)
     (p, g), _ = stack_poses([pred, gt])
-    dists = np.linalg.norm(p - g, axis=-1)
+    dists = vector_lengths(p - g)
     return float(np.mean(dists < threshold_mm))
 
 
@@ -186,7 +187,7 @@ def auc_thresholds(max_mm: float = DEFAULT_AUC_MAX_MM,
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n, m, ...) distances between the rows of ``a`` (n, ..., 3) and ``b``."""
-    return np.linalg.norm(a[:, None] - b[None], axis=-1)
+    return vector_lengths(a[:, None] - b[None])
 
 
 def _greedy_pairs(dists: np.ndarray, gate: float = math.inf
@@ -327,9 +328,7 @@ def _f1_matches(table: np.ndarray, root: int) -> tuple[np.ndarray, int, int]:
     joints of unmatched ground-truth persons).
     """
     n, m, k = table.shape
-    rows = cols = np.zeros(0, dtype=np.intp)
-    if n and m:
-        rows, cols = linear_sum_assignment(table[..., root])
+    rows, cols = linear_sum_assignment(table[..., root])
     return table[rows, cols].ravel(), k * (n - rows.size), k * (m - rows.size)
 
 
@@ -409,9 +408,8 @@ def evaluate_frames(pred_frames: list[list[Pose3D]],
         extra += len(pred) - rows.size
         rel_dists.append(rel.ravel())
         abs_dists.append(absolute.ravel())
-        if rows.size:
-            pa_pred.append(pred[rows])
-            pa_gt.append(gt[cols])
+        pa_pred.append(pred[rows])
+        pa_gt.append(gt[cols])
         f1_matches = _f1_matches(table, root)
         for t in th.f1_thresholds_m:
             tp, fp, fn = _f1_tally(f1_matches, t)

@@ -219,10 +219,7 @@ def run_pipeline(config: RunConfig, td_path, bu_path=None, gt_path=None,
     supplied.
     """
     num_joints = config.skeleton.num_joints
-    td_records = read_frames(td_path, num_joints)
-    if not td_records and bu_path is None:
-        raise SchemaError(f"{td_path}: no frames found")
-    td_map = records_to_pose_map(td_records)
+    td_map = records_to_pose_map(read_frames(td_path, num_joints))
 
     if bu_path is not None:
         bu_map = records_to_pose_map(read_frames(bu_path, num_joints))
@@ -236,7 +233,8 @@ def run_pipeline(config: RunConfig, td_path, bu_path=None, gt_path=None,
 
     fused = fuse_sources(config, td_map, bu_map)
     if not fused:
-        raise SchemaError("inputs contain no frames")
+        inputs = td_path if bu_path is None else f"{td_path} and {bu_path}"
+        raise SchemaError(f"{inputs}: no frames found")
 
     refined, traces = refine_tracks(fused, obs_map, config)
     if trace_path is not None:

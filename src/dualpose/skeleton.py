@@ -424,8 +424,6 @@ class TrackSequence:
         idx = self.frame_indices
         if joints.shape[0] != len(idx):
             raise ValueError("joint array frame count does not match track")
-        if not idx:
-            return TrackSequence(person_id=self.person_id)
-        poses = poses_from_stack(joints, stack_poses(list(self.frames.values()))[1],
-                                 Frame.CAMERA_CENTRIC)
+        conf = stack_poses(list(self.frames.values()), joints.shape[1:])[1]
+        poses = poses_from_stack(joints, conf, Frame.CAMERA_CENTRIC)
         return TrackSequence(person_id=self.person_id, frames=dict(zip(idx, poses)))

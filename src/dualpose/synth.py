@@ -164,7 +164,7 @@ def generate(spec: SceneSpec, cam: CameraIntrinsics, skel: SkeletonSpec) -> Scen
     """
     rng = np.random.default_rng(spec.seed)
     gt = _gt_joints(spec, skel, rng)
-    if gt.size and np.any(gt[..., 2] <= 0.0):
+    if np.any(gt[..., 2] <= 0.0):
         raise SceneSpecError("ground-truth joints must stay in front of the camera")
 
     p_count, t_count, k, _ = gt.shape

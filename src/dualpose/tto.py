@@ -24,7 +24,7 @@ from .errors import (
     NumericFailureError,
 )
 from .skeleton import (Pose2D, SkeletonSpec, TrackSequence, bone_incidence, bone_lengths_of,
-                       vector_lengths)
+                       stack_poses, vector_lengths)
 
 STEP_GROWTH = 2.0
 MIN_STEP = 1e-18
@@ -398,12 +398,8 @@ def _observation_arrays(seq: TrackSequence,
         raise MisalignedFramesError(
             f"observations reference frames absent from the track: {stray[:5]}"
         )
-    for t, i in enumerate(idx):
-        obs = observations.get(i)
-        if obs is None:
-            continue
-        uv[t] = obs.joints
-        conf[t] = obs.conf
+    rows = [t for t, i in enumerate(idx) if observations.get(i) is not None]
+    uv[rows], conf[rows] = stack_poses([observations[idx[t]] for t in rows], (k, 2))
     return uv, conf
 
 

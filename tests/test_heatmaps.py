@@ -357,6 +357,8 @@ def test_render_zero_poses_gives_zero_stack(skel, cam):
     stack = render_stack([], cam, skel, width=32, height=24)
     assert not stack.joint_maps.any()
     assert not stack.root_depth_map.any()
+    assert decode_stack(stack, skel) == []
+    assert decode_poses(stack, cam, skel) == []
 
 
 def test_render_decode_two_person_grouping(skel):
@@ -675,6 +677,8 @@ def test_render_stack_error_order(skel):
     inside = pose3d_camera(rest_pose() + (0.0, 0.0, 5000.0))
     with pytest.raises(ValueError, match="one tag value per pose"):
         render_stack([inside], cam, skel, 128, 96, tags=[0.0, 1.0])
+    with pytest.raises(ValueError, match="one tag value per pose"):
+        render_stack([], cam, skel, 128, 96, tags=[1.0, 2.0])
     with pytest.raises(FrameMismatchError, match="camera-centric"):
         render_stack([inside, pose3d_person(rest_pose())], cam, skel, 128, 96)
     with pytest.raises(ValueError, match="share one skeleton"):
@@ -682,6 +686,15 @@ def test_render_stack_error_order(skel):
     with pytest.raises(OutOfGridError, match="outside the heatmap grid"):
         render_stack([inside, pose3d_camera(rest_pose() + (0.0, 0.0, 500.0))], cam, skel,
                      128, 96)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("persons", [0, 1])
+def test_render_stack_rejects_a_bad_sigma(skel, sigma, persons):
+    cam = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=48.0)
+    poses = [pose3d_camera(rest_pose() + (0.0, 0.0, 5000.0))] * persons
+    with pytest.raises(ValueError, match=f"sigma_px must be finite and positive, got {sigma!r}"):
+        render_stack(poses, cam, skel, 128, 96, sigma_px=sigma)
 
 
 def test_read_stack_keeps_float32_planes_and_decodes_as_their_float64_copy(tmp_path, skel):

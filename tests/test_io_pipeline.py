@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dualpose.errors import MisalignedFramesError, SchemaError
+from dualpose.errors import FrameMismatchError, MisalignedFramesError, SchemaError
 from dualpose.frames_io import (
     FrameRecord,
     RunConfig,
@@ -19,7 +19,7 @@ from dualpose.frames_io import (
 from dualpose.matching import default_tau_match, pose_similarity
 from dualpose.metrics import evaluate_frames
 from dualpose.pipeline import aligned_frames, link_tracks, match_frames, run_pipeline
-from dualpose.skeleton import Frame, Pose2D, Pose3D, pose3d_camera, rest_pose
+from dualpose.skeleton import Frame, Pose2D, Pose3D, pose3d_camera, pose3d_person, rest_pose
 from dualpose.synth import MotionSpec, SceneSpec, benchmark_camera, generate, make_benchmark_spec
 
 from conftest import random_camera_pose
@@ -249,6 +249,18 @@ def test_bad_entry_in_any_person_keeps_its_message(tmp_path, field, bad, message
     with pytest.raises(SchemaError) as info:
         read_frames(_write_record(tmp_path, record))
     assert str(info.value).endswith(f"line 1: persons[{person}].{field}[3]: {message}")
+
+
+@pytest.mark.parametrize("source, person, error, message", [
+    ("gt", Pose2D(joints=np.zeros((15, 2)), conf=np.ones(15)), ValueError,
+     "'gt' record holds Pose3D persons"),
+    ("obs", pose3d_camera(rest_pose() + (0.0, 0.0, 4000.0)), ValueError,
+     "'obs' record holds Pose2D persons"),
+    ("td", pose3d_person(rest_pose()), FrameMismatchError, "camera-centric"),
+], ids=["pose2d-in-gt", "pose3d-in-obs", "person-centric-in-td"])
+def test_record_persons_must_fit_the_source(source, person, error, message):
+    with pytest.raises(error, match=message):
+        poses_to_record(0, source, [person])
 
 
 def test_record_without_persons_reads(tmp_path):
@@ -656,6 +668,18 @@ def test_run_pipeline_td_passthrough_warns(tmp_path, skel):
                               gt_path=paths["gt"], obs_path=paths["obs"])
     assert result.report is not None
     assert len(result.refined_records) == 8
+
+
+def test_run_pipeline_on_inputs_without_frames_names_them(tmp_path):
+    td, bu = tmp_path / "td.jsonl", tmp_path / "bu.jsonl"
+    td.write_text("")
+    bu.write_text("")
+    config = RunConfig.default()
+    with pytest.raises(SchemaError, match=f"^{re.escape(f'{td} and {bu}')}: no frames found$"):
+        run_pipeline(config, td, bu)
+    with pytest.warns(UserWarning, match="passthrough"), \
+            pytest.raises(SchemaError, match=f"^{re.escape(str(td))}: no frames found$"):
+        run_pipeline(config, td)
 
 
 def test_pipeline_trace_output(tmp_path, skel):

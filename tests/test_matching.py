@@ -196,6 +196,22 @@ def test_similarity_matrix_rejects_person_centric_and_mixed_joint_counts(skel):
         similarity_matrix(td + [short], bu, MatchConfig())
     with pytest.raises(ValueError, match="sigma"):
         similarity_matrix(td, bu, MatchConfig(), np.ones(k - 1))
+    # against an empty side, the same checks run on the other side
+    for side in ([centered], [*td, centered]):
+        with pytest.raises(FrameMismatchError):
+            similarity_matrix(side, [], MatchConfig())
+        with pytest.raises(FrameMismatchError):
+            similarity_matrix([], side, MatchConfig())
+        with pytest.raises(FrameMismatchError):
+            match_sets(side, [], MatchConfig())
+    with pytest.raises(ValueError, match="share one skeleton"):
+        similarity_matrix(td + [short], [], MatchConfig())
+    with pytest.raises(ValueError, match="share one skeleton"):
+        similarity_matrix([], bu + [short], MatchConfig())
+    with pytest.raises(ValueError, match="sigma"):
+        similarity_matrix([short], [], MatchConfig(), skel.oks_sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        similarity_matrix([], bu, MatchConfig(), np.ones(k - 1))
 
 
 def test_match_identity_on_same_sets(skel):

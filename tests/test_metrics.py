@@ -440,6 +440,37 @@ def test_evaluate_frames_report(skel):
     assert all(v == 1.0 for v in perfect.f1_at.values())
 
 
+def test_evaluate_frames_with_an_empty_side(skel):
+    """Frames where the predictions or the ground truth hold nobody add
+    misses and extras, and no pair; the reports are pinned."""
+    rng = np.random.default_rng(120)
+    a, b, c = (random_camera_pose(rng, skel, center=(i * 2500.0, 0, 4000)) for i in range(3))
+    noisy = [pose3d_camera(p.joints + rng.standard_normal((15, 3)) * 40.0) for p in (a, b, c)]
+    report = evaluate_frames([noisy[:2], [], noisy[2:], []], [[a, b], [c], [], []], skel)
+    counted = report.to_dict()
+    # the distances' last bits may vary with the platform's SIMD and LAPACK
+    assert counted.pop("mpjpe_mm") == pytest.approx(90.92570269814229, rel=1e-12)
+    assert counted.pop("pa_mpjpe_mm") == pytest.approx(58.794838562875505, rel=1e-9)
+    assert counted == {
+        "pck": 62.22222222222222, "pck_abs": 66.66666666666666,
+        "auc_rel": 27.481481481481477, "ap_root": 66.66666666666666,
+        "f1_at": {"0.4": 0.6666666666666666, "0.8": 0.6666666666666666,
+                  "1.2": 0.6666666666666666},
+        "matched_persons": 2, "missed_persons": 1, "extra_persons": 1}
+    alone = evaluate_frames([noisy[:2]], [[a, b]], skel)
+    assert (report.mpjpe_mm, report.pa_mpjpe_mm) == (alone.mpjpe_mm, alone.pa_mpjpe_mm)
+    no_pred = evaluate_frames([[], []], [[a], []], skel).to_dict()
+    assert no_pred == {"mpjpe_mm": None, "pa_mpjpe_mm": None, "pck": 0.0, "pck_abs": 0.0,
+                       "auc_rel": 0.0, "ap_root": 0.0,
+                       "f1_at": {"0.4": 0.0, "0.8": 0.0, "1.2": 0.0},
+                       "matched_persons": 0, "missed_persons": 1, "extra_persons": 0}
+    no_gt = evaluate_frames([[a], []], [[], []], skel).to_dict()
+    assert no_gt == {"mpjpe_mm": None, "pa_mpjpe_mm": None, "pck": 100.0, "pck_abs": 100.0,
+                     "auc_rel": 100.0, "ap_root": 0.0,
+                     "f1_at": {"0.4": 0.0, "0.8": 0.0, "1.2": 0.0},
+                     "matched_persons": 0, "missed_persons": 0, "extra_persons": 1}
+
+
 def test_report_serialization(tmp_path, skel):
     rng = np.random.default_rng(119)
     gts = [[random_camera_pose(rng, skel)]]

@@ -278,3 +278,5 @@ def test_track_as_arrays_round_trip(skel):
     assert np.allclose(joints2, joints + 1.0)
     empty = TrackSequence(7).with_joints(np.zeros((0, 15, 3)))
     assert empty.person_id == 7 and len(empty) == 0
+    with pytest.raises(ValueError, match="share one skeleton"):
+        track.with_joints(joints[:, :-1])

@@ -439,6 +439,14 @@ def test_tto_loss_misaligned_observations(skel, cam):
         tto_loss(seq, obs, cam, state, TtoConfig(), stage=1, skel=skel)
 
 
+def test_observation_of_another_joint_count_is_rejected(skel, cam):
+    seq, joints = consistent_sequence(skel)
+    obs = {3: Pose2D(joints=np.zeros((4, 2)), conf=np.zeros(4))}
+    state = TtoState(positions=joints, bone_latents=bone_lengths_of(joints[0], skel))
+    with pytest.raises(ValueError, match="poses must share one skeleton"):
+        tto_loss(seq, obs, cam, state, TtoConfig(), stage=1, skel=skel)
+
+
 def test_optimize_identity_on_optimal_input(skel, cam):
     seq, joints = consistent_sequence(skel, t_count=10)
     obs = {
