@@ -50,8 +50,6 @@ def _add_common(parser: argparse.ArgumentParser, trace: bool = False,
                 out_dir: bool = False) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON run configuration (defaults apply if omitted)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the configured seed")
     parser.add_argument("--out", type=Path, required=True,
                         help="output directory" if out_dir else "output file")
     parser.set_defaults(out_dir=out_dir)
@@ -75,17 +73,10 @@ def _make_output_dirs(args) -> None:
         path.mkdir(parents=True, exist_ok=True)
 
 
-def _load(args) -> RunConfig:
-    config = load_config(args.config) if args.config else RunConfig.default()
-    if args.seed is not None:
-        config.seed = args.seed
-        if config.scene is not None:
-            config.scene = dataclasses.replace(config.scene, seed=args.seed)
-    return config
-
-
 def _cmd_synth(args, config: RunConfig) -> int:
     spec = config.scene or make_benchmark_spec(config.seed)
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=args.seed)
     data = generate(spec, config.camera, config.skeleton)
     out = args.out
     ids = list(range(spec.num_persons))
@@ -163,7 +154,7 @@ def _cmd_fuse(args, config: RunConfig) -> int:
 def _cmd_tto(args, config: RunConfig) -> int:
     k = config.skeleton.num_joints
     pose_map = records_to_pose_map(read_frames(args.poses, k))
-    obs_map = records_to_obs_map(read_frames(args.obs, k)) if args.obs else None
+    obs_map = records_to_obs_map(read_frames(args.obs, k)) if args.obs else {}
     refined, traces = refine_tracks(pose_map, obs_map, config)
     write_frames(pose_map_to_records(refined, "fused"), args.out)
     if args.trace is not None:
@@ -209,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic scene as frame files")
     _add_common(p, out_dir=True)
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the configured seed")
     p.add_argument("--heatmaps", action="store_true",
                    help="also render per-frame heatmap stacks")
     p.set_defaults(func=_cmd_synth)
@@ -257,7 +250,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load(args)
+        config = load_config(args.config) if args.config else RunConfig.default()
         _make_output_dirs(args)
         return args.func(args, config)
     except NumericFailureError as exc:

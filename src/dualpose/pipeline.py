@@ -135,11 +135,8 @@ def fuse_sources(config: RunConfig, td_map: PoseMap, bu_map: PoseMap) -> PoseMap
     return fused
 
 
-def track_observations(track: TrackSequence, obs_map: ObsMap | None
-                       ) -> dict[int, Pose2D] | None:
+def track_observations(track: TrackSequence, obs_map: ObsMap) -> dict[int, Pose2D]:
     """Observations aligned to one track, matched by person_id."""
-    if obs_map is None:
-        return None
     out: dict[int, Pose2D] = {}
     for frame_idx in track.frame_indices:
         if frame_idx not in obs_map:
@@ -149,7 +146,7 @@ def track_observations(track: TrackSequence, obs_map: ObsMap | None
             if pid == track.person_id:
                 out[frame_idx] = pose
                 break
-    return out or None
+    return out
 
 
 def contiguous_runs(track: TrackSequence) -> list[TrackSequence]:
@@ -162,7 +159,7 @@ def contiguous_runs(track: TrackSequence) -> list[TrackSequence]:
     return [TrackSequence(person_id=track.person_id, frames=run) for run in runs]
 
 
-def refine_tracks(frames: PoseMap, obs_map: ObsMap | None, config: RunConfig
+def refine_tracks(frames: PoseMap, obs_map: ObsMap, config: RunConfig
                   ) -> tuple[PoseMap, dict[int | str, list[TraceRow]]]:
     """Link per-frame poses into tracks and refine each track by TTO.
 
@@ -227,9 +224,7 @@ def run_pipeline(config: RunConfig, td_path, bu_path=None, gt_path=None,
         warnings.warn("no bottom-up input: running in TD passthrough mode")
         bu_map = {}
 
-    obs_map = None
-    if obs_path is not None:
-        obs_map = records_to_obs_map(read_frames(obs_path, num_joints))
+    obs_map = {} if obs_path is None else records_to_obs_map(read_frames(obs_path, num_joints))
 
     fused = fuse_sources(config, td_map, bu_map)
     if not fused:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -87,8 +86,9 @@ class SkeletonSpec:
         sigma = np.asarray(sigma, dtype=np.float64)
         if sigma.shape != (k,):
             raise ValueError(f"oks_sigma must have shape ({k},), got {sigma.shape}")
-        if np.any(sigma <= 0):
-            raise ValueError("all oks_sigma entries must be positive")
+        # the comparison is False for NaN, so NaN fails it too
+        if not np.all((sigma > 0) & (sigma < np.inf)):
+            raise ValueError("all oks_sigma entries must be finite and positive")
         object.__setattr__(self, "oks_sigma", _frozen_array(sigma))
 
     def _check_tree(self, k: int) -> None:
@@ -238,9 +238,12 @@ def stack_poses(poses, shape: tuple[int, int] | None = None
     The package's one check that poses share one skeleton (it checks no frame
     tag): each pose's joints must have ``shape`` (K, d), else the first
     pose's.  Raises ValueError."""
-    if shape is None and not poses:
-        raise ValueError("stacking no poses needs the skeleton's shape")
-    shape = shape or poses[0].joints.shape
+    if shape is None:
+        if not poses:
+            raise ValueError("stacking no poses needs the skeleton's shape")
+        shape = poses[0].joints.shape
+    elif len(shape) != 2:
+        raise ValueError(f"a pose stack's shape must be (K, d), got {shape}")
     if any(pose.joints.shape != shape for pose in poses):
         raise ValueError("poses must share one skeleton")
     # np.array copies a list of equal-shape arrays as np.stack does, in less
@@ -354,26 +357,22 @@ def bone_lengths(pose: Pose3D, skel: SkeletonSpec) -> np.ndarray:
 
 def bone_lengths_of(joints: np.ndarray, skel: SkeletonSpec) -> np.ndarray:
     """Bone lengths for a raw (..., K, 3) joint array."""
-    incidence = bone_incidence(skel.num_joints, skel.bone_array.tobytes())
+    incidence = bone_incidence(skel.num_joints, skel.bone_array)
     return vector_lengths(incidence @ np.asarray(joints, dtype=np.float64))
 
 
-@lru_cache(maxsize=None)
-def bone_incidence(k: int, bones: bytes) -> np.ndarray:
+def bone_incidence(k: int, bones: np.ndarray) -> np.ndarray:
     """The signed (n_bones, k) incidence matrix B of a skeleton: row i holds
     +1 at bone i's child and -1 at its parent, so ``B @ joints`` gives the
     bone vectors of (..., k, 3) joints and ``B.T @ per_bone`` adds each
     bone's gradient to its child and subtracts it from its parent.
 
-    ``bones`` is the bytes of an (n_bones, 2) intp array of (parent, child).
-    The returned array is cached and read-only.
+    ``bones`` is an (n_bones, 2) int array of (parent, child).
     """
-    pairs = np.frombuffer(bones, dtype=np.intp).reshape(-1, 2)
-    rows = np.arange(len(pairs))
-    incidence = np.zeros((len(pairs), k))
-    incidence[rows, pairs[:, 1]] += 1.0
-    incidence[rows, pairs[:, 0]] -= 1.0
-    incidence.setflags(write=False)
+    rows = np.arange(len(bones))
+    incidence = np.zeros((len(bones), k))
+    incidence[rows, bones[:, 1]] += 1.0
+    incidence[rows, bones[:, 0]] -= 1.0
     return incidence
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -106,13 +105,11 @@ class TtoState:
     trace: list[TraceRow] = field(default_factory=list)
 
 
-@lru_cache(maxsize=None)
 def extrapolation_weights(window: int, order: int) -> np.ndarray:
     """Weights w such that w @ history predicts the next sample.
 
     Least-squares polynomial of the given degree fitted at t = 0..window-1
     and evaluated at t = window.  Exact interpolation when window == order+1.
-    The returned array is cached and read-only.
     """
     if window < order + 1:
         raise InsufficientHistoryError(
@@ -122,9 +119,7 @@ def extrapolation_weights(window: int, order: int) -> np.ndarray:
     design = np.vander(t, order + 1, increasing=True)
     basis_next = np.power(float(window), np.arange(order + 1, dtype=np.float64))
     coef = np.linalg.solve(design.T @ design, basis_next)
-    weights = design @ coef
-    weights.setflags(write=False)
-    return weights
+    return design @ coef
 
 
 def fit_trajectory(history: np.ndarray, order: int) -> np.ndarray:
@@ -147,9 +142,9 @@ class _Objective:
     The trajectory residuals are one batched product of small dense stencil
     blocks with overlapping windows of the joints, and the bone vectors one
     incidence matrix times the joints, so each term is a few whole-array
-    operations; both operators are cached.  The reprojection term exists
-    only when observations are given; the check that every joint lies in
-    front of the camera runs either way.
+    operations; both operators are built from this objective's own inputs.
+    The reprojection term exists only when observations are given; the
+    check that every joint lies in front of the camera runs either way.
 
     Each term method evaluates one loss term and keeps its residuals; the
     matching ``*_grad`` method builds that term's gradient from them, so a
@@ -164,8 +159,7 @@ class _Objective:
         self.k = k
         self.shape = (t_count, k, 3)
         self.coeff = coeff = 2.0 / k
-        self.blocks, self.gather, halo = _trajectory_blocks(
-            t_count, tuple(sorted((windows or {}).items())))
+        self.blocks, self.gather, halo = _trajectory_blocks(t_count, windows or {})
         n_blocks, rows, span = self.blocks.shape
         n_orders = rows // BLOCK
         # Both buffers belong to this objective alone: each evaluation
@@ -183,7 +177,7 @@ class _Objective:
                                           span * n_orders)
         bones = np.zeros((0, 2), dtype=np.intp) if bones is None \
             else np.asarray(bones, dtype=np.intp)
-        self.incidence = bone_incidence(k, bones.tobytes())
+        self.incidence = bone_incidence(k, bones)
         self.cam = cam
         if cam is not None:
             self.obs_uv = uv
@@ -254,10 +248,7 @@ class _Objective:
         return grad
 
 
-# one entry per track length and set of windows; bounded, so a process that
-# refines tracks of many lengths does not keep every stencil it ever built
-@lru_cache(maxsize=256)
-def _trajectory_blocks(t_count: int, windows: tuple[tuple[int, int], ...]
+def _trajectory_blocks(t_count: int, windows: dict[int, int]
                        ) -> tuple[np.ndarray, np.ndarray, int]:
     """The trajectory stencil of a track of ``t_count`` frames as dense
     blocks: (blocks, gather, halo).
@@ -275,9 +266,8 @@ def _trajectory_blocks(t_count: int, windows: tuple[tuple[int, int], ...]
     same stencil for any block: row j collects frame b*c + j's gradient
     from the residuals of frames b*c .. b*c + c + halo - 1, laid out as in
     ``blocks``' rows.  The blocks cover ceil(t_count / c) * c frames.
-    Both arrays are cached and read-only.
     """
-    orders = [(order, w) for order, w in windows if t_count > w]
+    orders = [(order, w) for order, w in sorted(windows.items()) if t_count > w]
     halo = max((w for _, w in orders), default=0)
     c = BLOCK
     span = c + halo
@@ -294,8 +284,6 @@ def _trajectory_blocks(t_count: int, windows: tuple[tuple[int, int], ...]
     blocks = np.where(has_residual[..., None], band[:c, :, :span], 0.0)
     blocks = blocks.reshape(n_blocks, c * len(orders), span)
     gather = band[:, :, halo:span].transpose(2, 0, 1).reshape(c, span * len(orders))
-    blocks.setflags(write=False)
-    gather.setflags(write=False)
     return blocks, gather, halo
 
 
@@ -387,13 +375,11 @@ def reprojection_loss_grad(positions: np.ndarray, obs_uv: np.ndarray,
 def _observation_arrays(seq: TrackSequence,
                         observations: dict[int, Pose2D] | None,
                         k: int) -> tuple[np.ndarray, np.ndarray]:
+    observations = observations or {}
     idx = seq.frame_indices
     uv = np.zeros((len(idx), k, 2))
     conf = np.zeros((len(idx), k))
-    if observations is None:
-        return uv, conf
-    frame_set = set(idx)
-    stray = sorted(set(observations) - frame_set)
+    stray = sorted(set(observations) - set(idx))
     if stray:
         raise MisalignedFramesError(
             f"observations reference frames absent from the track: {stray[:5]}"

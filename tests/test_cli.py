@@ -284,6 +284,23 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     assert code == 2
 
 
+def test_numeric_failure_in_refinement_exits_2(tmp_path, capsys):
+    # joints scaled to 1e150 mm at a depth of 1e200 mm overflow the bone
+    # lengths within the first stage
+    from dualpose.frames_io import poses_to_record, write_frames
+    from dualpose.skeleton import pose3d_camera, rest_pose
+
+    fused = tmp_path / "fused.jsonl"
+    write_frames([poses_to_record(t, "fused", [pose3d_camera(rest_pose() * 1e150
+                                                             + (0.0, 0.0, 1e200 + t))], [0])
+                  for t in range(12)], fused)
+    with pytest.warns(RuntimeWarning):
+        code = main(["tto", "--out", str(tmp_path / "refined.jsonl"), str(fused)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: non-finite gradient at stage 1, iteration ")
+
+
 def test_config_with_legacy_corruption_rates_loads(tmp_path):
     # Older configs carried corrupt_pair rates in the fusion section.
     data = RunConfig.default().to_dict()
@@ -336,6 +353,16 @@ def test_trace_flag_is_only_for_tto_and_run(tmp_path, capsys, command, inputs):
               "--trace", str(tmp_path / "trace.csv")])
     assert info.value.code == 2
     assert "unrecognized arguments: --trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, inputs", [("decode", 1), ("match", 2), ("fuse", 2),
+                                             ("tto", 1), ("eval", 2), ("run", 1)])
+def test_seed_flag_is_only_for_synth(tmp_path, capsys, command, inputs):
+    missing = [str(tmp_path / f"missing{i}") for i in range(inputs)]
+    with pytest.raises(SystemExit) as info:
+        main([command, "--out", str(tmp_path / "out"), *missing, "--seed", "5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def _bad_obs_number(scene):

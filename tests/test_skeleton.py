@@ -81,6 +81,14 @@ def test_skeleton_rejects_wrong_bone_count():
         SkeletonSpec(joint_names=("a", "b", "c"), bones=((0, 1),), root_index=0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_skeleton_rejects_an_oks_sigma_that_is_not_finite_and_positive(skel, bad):
+    sigma = skel.oks_sigma.copy()
+    sigma[3] = bad
+    with pytest.raises(ValueError, match="oks_sigma entries must be finite and positive"):
+        dataclasses.replace(skel, oks_sigma=sigma)
+
+
 def test_pose_conf_validated():
     with pytest.raises(ValueError):
         pose3d_camera(np.zeros((15, 3)), conf=np.full(15, 1.5))
@@ -280,3 +288,5 @@ def test_track_as_arrays_round_trip(skel):
     assert empty.person_id == 7 and len(empty) == 0
     with pytest.raises(ValueError, match="share one skeleton"):
         track.with_joints(joints[:, :-1])
+    with pytest.raises(ValueError, match=r"shape must be \(K, d\), got \(\)"):
+        TrackSequence(7).with_joints(np.zeros(0))
