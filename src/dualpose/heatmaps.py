@@ -103,11 +103,14 @@ class HeatmapStack:
                 f"root_depth_map must have shape {(self.height, self.width)}, got {root.shape}"
             )
         object.__setattr__(self, "root_depth_map", root)
-        # NaN fails both comparisons, so this also rejects non-finite maps
-        if not ((self.joint_maps >= 0.0) & (self.joint_maps <= 1.0)).all():
+        # A NaN makes the minimum and the maximum NaN, which fails every
+        # comparison; ``initial`` gives an empty plane bounds that pass.
+        if not (self.joint_maps.min(initial=0.0) >= 0.0
+                and self.joint_maps.max(initial=0.0) <= 1.0):
             raise ValueError("joint_maps values must lie within [0, 1]")
         for name in ("tag_maps", "rel_depth_maps", "root_depth_map"):
-            if not np.isfinite(getattr(self, name)).all():
+            plane = getattr(self, name)
+            if not (-math.inf < plane.min(initial=0.0) and plane.max(initial=0.0) < math.inf):
                 raise ValueError(f"{name} values must be finite")
 
     @property
@@ -165,24 +168,35 @@ def extract_peaks(stack: HeatmapStack, theta_peak: float = DEFAULT_PEAK_THRESHOL
     if not 0.0 < theta_peak < 1.0:
         raise ValueError("theta_peak must lie in (0, 1)")
     k, h, w = stack.joint_maps.shape
-    # Cells above the threshold, each compared strictly against its 8
-    # neighbors in one padded float64 stack (so float32 planes decode as
-    # their float64 copies do); out-of-bounds neighbors are -inf so border
-    # peaks survive.
-    pad = np.full((k, h + 2, w + 2), -np.inf)
-    pad[:, 1:-1, 1:-1] = stack.joint_maps
-    m = pad[:, 1:-1, 1:-1]
-    js, ys, xs = np.nonzero(m >= theta_peak)
-    score = m[js, ys, xs]
-    is_peak = np.ones(score.shape, dtype=bool)
-    for dy in (0, 1, 2):
-        for dx in (0, 1, 2):
-            if dy != 1 or dx != 1:
-                is_peak &= score > pad[js, ys + dy, xs + dx]
-    js, ys, xs, score = js[is_peak], ys[is_peak], xs[is_peak], score[is_peak]
-    # cells on the border keep their integer coordinate along that axis
-    du = np.sign(m[js, ys, np.minimum(xs + 1, w - 1)] - m[js, ys, np.maximum(xs - 1, 0)])
-    dv = np.sign(m[js, np.minimum(ys + 1, h - 1), xs] - m[js, np.maximum(ys - 1, 0), xs])
+    maps = np.ascontiguousarray(stack.joint_maps).reshape(-1)
+    # The smallest value of the planes' dtype that is >= theta_peak: a cell
+    # meets it exactly when its float64 value meets theta_peak, so float32
+    # planes decode as their float64 copies do.  The test is on Python
+    # floats, since a float32 scalar would compare in float32.
+    floor = maps.dtype.type(theta_peak)
+    if float(floor) < theta_peak:
+        floor = np.nextafter(floor, maps.dtype.type(np.inf))
+    cells = np.flatnonzero(maps >= floor)
+    score = maps[cells]
+    # Each candidate against its in-bounds 8 neighbors, by flat index.  A
+    # neighbor's column and row are clipped to the grid, which on the border
+    # gives either another in-bounds neighbor or the cell itself, and the
+    # cell itself is no neighbor.
+    x = cells % w
+    y = cells // w % h
+    cols = (cells - (x > 0), cells, cells + (x < w - 1))
+    rows = (-w * (y > 0), 0, w * (y < h - 1))
+    neighbors = [col + row for row in rows for col in cols]
+    del neighbors[4]  # the cell itself
+    is_peak = np.ones(cells.shape, dtype=bool)
+    for neighbor in neighbors:
+        is_peak &= (score > maps[neighbor]) | (neighbor == cells)
+    cells, score, xs, ys = cells[is_peak], score[is_peak], x[is_peak], y[is_peak]
+    js = cells // (h * w)
+    # cells on the border keep their integer coordinate along that axis;
+    # the sign of a difference of two floats of one dtype is exact
+    du = np.sign(maps[cells + (xs < w - 1)] - maps[cells - (xs > 0)])
+    dv = np.sign(maps[cells + w * (ys < h - 1)] - maps[cells - w * (ys > 0)])
     u = xs + np.where((xs > 0) & (xs < w - 1), 0.25 * du, 0.0)
     v = ys + np.where((ys > 0) & (ys < h - 1), 0.25 * dv, 0.0)
     order = np.lexsort((u, v, -score, js))
@@ -206,36 +220,38 @@ def group_by_tags(peaks: list[list[tuple[float, float, float]]],
     k = len(peaks)
     # every peak's tag in one call: one row per joint, padded with the
     # in-grid point (0, 0), whose samples go unused
-    rows = np.zeros((k, max(map(len, peaks), default=0), 3))
-    for joint, joint_peaks in enumerate(peaks):
-        rows[joint, :len(joint_peaks)] = np.reshape(joint_peaks, (-1, 3))
-    tags = bilinear_sample(tag_maps, rows[..., 0], rows[..., 1]).tolist()
+    width = max(map(len, peaks), default=0)
+    uv = np.array([[(u, v) for u, v, _ in joint_peaks] + [(0.0, 0.0)] * (width - len(joint_peaks))
+                   for joint_peaks in peaks]).reshape(k, width, 2)
+    tags = bilinear_sample(tag_maps, uv[..., 0], uv[..., 1]).tolist()
     groups: list[dict] = []  # {"joints": {k: (u, v, score)}, "tag_sum", "n"}
     for joint, joint_peaks in enumerate(peaks):
-        for (u, v, score), tag in zip(joint_peaks, tags[joint]):
+        # A group's mean moves only when it takes a peak, and that closes it
+        # for this joint, so each open group's mean is taken once per joint.
+        open_groups = [(g["tag_sum"] / g["n"], g) for g in groups if joint not in g["joints"]]
+        for peak, tag in zip(joint_peaks, tags[joint]):
             best = None
             best_dist = None
-            for g in groups:
-                if joint in g["joints"]:
-                    continue
-                dist = abs(g["tag_sum"] / g["n"] - tag)
+            for i, (mean, _) in enumerate(open_groups):
+                dist = abs(mean - tag)
                 if dist <= theta_tag and (best_dist is None or dist < best_dist):
-                    best = g
+                    best = i
                     best_dist = dist
             if best is None:
-                groups.append({"joints": {joint: (u, v, score)},
-                               "tag_sum": tag, "n": 1})
+                groups.append({"joints": {joint: peak}, "tag_sum": tag, "n": 1})
             else:
-                best["joints"][joint] = (u, v, score)
-                best["tag_sum"] += tag
-                best["n"] += 1
-    joints = np.zeros((len(groups), k, 2))
-    conf = np.zeros((len(groups), k))
-    for row, g in enumerate(groups):
+                g = open_groups.pop(best)[1]
+                g["joints"][joint] = peak
+                g["tag_sum"] += tag
+                g["n"] += 1
+    joints = [[0.0] * (2 * k) for _ in groups]
+    conf = [[0.0] * k for _ in groups]
+    for joints_row, conf_row, g in zip(joints, conf, groups):
         for joint, (u, v, score) in g["joints"].items():
-            joints[row, joint] = (u, v)
-            conf[row, joint] = min(max(score, 0.0), 1.0)
-    return poses_from_stack(joints, conf, None)
+            joints_row[2 * joint:2 * joint + 2] = u, v
+            conf_row[joint] = min(max(score, 0.0), 1.0)
+    return poses_from_stack(np.array(joints, dtype=np.float64).reshape(len(groups), k, 2),
+                            np.array(conf, dtype=np.float64).reshape(len(groups), k), None)
 
 
 def retrieve_depths(joints: np.ndarray, stack: HeatmapStack, skel: SkeletonSpec

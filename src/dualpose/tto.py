@@ -438,49 +438,57 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
 
     stages = (1, 2) if cfg.two_stage else (1,)
     iteration = 0
-    for stage in stages:
-        c_rep = cfg.c_rep(stage)
-        step = cfg.step_size
-        comps = objective.value(positions, latents)
-        comps = (*comps, _stage_total(comps, c_rep, cfg.c_bone))
-        grad_pos, grad_lat = objective.grad(c_rep, cfg.c_bone)
-        tried = step
-        for _ in range(cfg.iters_per_stage):
-            if not (np.all(np.isfinite(grad_pos)) and np.all(np.isfinite(grad_lat))):
-                raise NumericFailureError(
-                    f"non-finite gradient at stage {stage}, iteration {iteration}"
-                )
-            accepted = False
-            halvings = 0
-            while step >= MIN_STEP:
-                tried = step
-                cand_pos = positions - step * grad_pos
-                cand_lat = np.maximum(latents - step * grad_lat, 0.0)
-                try:
-                    cand_comps = objective.value(cand_pos, cand_lat)
-                    cand_total = _stage_total(cand_comps, c_rep, cfg.c_bone)
-                except BehindCameraError:
-                    # overshoot past the image plane has no loss: NaN fails the
-                    # comparison, so the step is rejected even at an inf total
-                    cand_total = math.nan
-                if cand_total <= comps[3]:
-                    accepted = True
-                    break
-                step *= 0.5
-                halvings += 1
-            if accepted:
-                positions = cand_pos
-                latents = cand_lat
-                comps = (*cand_comps, cand_total)
-                # the objective still holds the residuals of this candidate
-                grad_pos, grad_lat = objective.grad(c_rep, cfg.c_bone)
-                step = min(step * STEP_GROWTH, MAX_STEP)
-            state.trace.append(TraceRow(
-                iteration=iteration, stage=stage,
-                l_traj=comps[0], l_rep=comps[1], l_bone=comps[2], total=comps[3],
-                step=tried, halvings=halvings,
-            ))
-            iteration += 1
+    # An overflowing or undefined evaluation shows as an inf or NaN loss,
+    # which the line search rejects, or as a non-finite gradient, which
+    # raises NumericFailureError; numpy's RuntimeWarnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for stage in stages:
+            c_rep = cfg.c_rep(stage)
+            step = cfg.step_size
+            comps = objective.value(positions, latents)
+            comps = (*comps, _stage_total(comps, c_rep, cfg.c_bone))
+            grad_pos, grad_lat = objective.grad(c_rep, cfg.c_bone)
+            accepted = True
+            tried = step
+            for _ in range(cfg.iters_per_stage):
+                # the gradient is new at a stage's start and after an accepted
+                # step; a rejected iteration leaves it as it was checked
+                if accepted and not (np.isfinite(grad_pos).all()
+                                     and np.isfinite(grad_lat).all()):
+                    raise NumericFailureError(
+                        f"non-finite gradient at stage {stage}, iteration {iteration}"
+                    )
+                accepted = False
+                halvings = 0
+                while step >= MIN_STEP:
+                    tried = step
+                    cand_pos = positions - step * grad_pos
+                    cand_lat = np.maximum(latents - step * grad_lat, 0.0)
+                    try:
+                        cand_comps = objective.value(cand_pos, cand_lat)
+                        cand_total = _stage_total(cand_comps, c_rep, cfg.c_bone)
+                    except BehindCameraError:
+                        # overshoot past the image plane has no loss: NaN fails the
+                        # comparison, so the step is rejected even at an inf total
+                        cand_total = math.nan
+                    if cand_total <= comps[3]:
+                        accepted = True
+                        break
+                    step *= 0.5
+                    halvings += 1
+                if accepted:
+                    positions = cand_pos
+                    latents = cand_lat
+                    comps = (*cand_comps, cand_total)
+                    # the objective still holds the residuals of this candidate
+                    grad_pos, grad_lat = objective.grad(c_rep, cfg.c_bone)
+                    step = min(step * STEP_GROWTH, MAX_STEP)
+                state.trace.append(TraceRow(
+                    iteration=iteration, stage=stage,
+                    l_traj=comps[0], l_rep=comps[1], l_bone=comps[2], total=comps[3],
+                    step=tried, halvings=halvings,
+                ))
+                iteration += 1
     state.positions = positions
     state.bone_latents = latents
     return seq.with_joints(positions), state

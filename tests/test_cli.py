@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -294,11 +295,11 @@ def test_numeric_failure_in_refinement_exits_2(tmp_path, capsys):
     write_frames([poses_to_record(t, "fused", [pose3d_camera(rest_pose() * 1e150
                                                              + (0.0, 0.0, 1e200 + t))], [0])
                   for t in range(12)], fused)
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(["tto", "--out", str(tmp_path / "refined.jsonl"), str(fused)])
     assert code == 2
-    assert capsys.readouterr().err.startswith(
-        "numeric failure: non-finite gradient at stage 1, iteration ")
+    assert capsys.readouterr().err == "numeric failure: non-finite gradient at stage 1, iteration 17\n"
 
 
 def test_config_with_legacy_corruption_rates_loads(tmp_path):

@@ -420,17 +420,17 @@ def test_read_stack_rejects_garbage(tmp_path):
         read_stack(path)
 
 
-def random_stack(rng, k, h, w, levels=None):
-    """Stack of random planes; ``levels`` > 0 draws joint maps from that many
-    equally spaced values, so neighbors and scores tie."""
+def random_stack(rng, k, h, w, levels=None, dtype=np.float64):
+    """Stack of random planes of ``dtype``; ``levels`` > 0 draws joint maps
+    from that many equally spaced values, so neighbors and scores tie."""
     if levels:
         joint = rng.integers(0, levels + 1, (k, h, w)) / levels
     else:
         joint = rng.random((k, h, w))
-    return HeatmapStack(width=w, height=h, joint_maps=joint,
-                        tag_maps=rng.standard_normal((k, h, w)) * 3.0,
-                        rel_depth_maps=rng.standard_normal((k, h, w)) * 200.0,
-                        root_depth_map=3000.0 + rng.standard_normal((h, w)))
+    return HeatmapStack(width=w, height=h, joint_maps=joint.astype(dtype),
+                        tag_maps=(rng.standard_normal((k, h, w)) * 3.0).astype(dtype),
+                        rel_depth_maps=(rng.standard_normal((k, h, w)) * 200.0).astype(dtype),
+                        root_depth_map=(3000.0 + rng.standard_normal((h, w))).astype(dtype))
 
 
 GRIDS = [(1, 1), (1, 7), (7, 1), (2, 2), (5, 9), (12, 10), (24, 32)]
@@ -448,6 +448,55 @@ def test_extract_peaks_equal_loop_oracle():
                 border += sum(u in (0.0, w - 1) or v in (0.0, h - 1)
                               for joint in peaks for u, v, _ in joint)
     assert border > 50
+
+
+# 0.3 rounded to float32, its float32 neighbor above it, and a threshold
+# between the two
+_F32 = float(np.float32(0.3))
+_F32_NEXT = float(np.nextafter(np.float32(0.3), np.float32(1.0)))
+
+
+@pytest.mark.parametrize("theta", [(_F32 + _F32_NEXT) / 2, _F32, _F32_NEXT, 0.3, 0.5,
+                                   0.5 + 1e-12, 0.9])
+def test_extract_peaks_of_float32_planes_equal_the_loop_oracle_on_their_float64_copy(theta):
+    """A float32 cell meets the threshold exactly when its float64 value
+    does, also for thresholds that float32 cannot hold.  The joint maps
+    mix random values with the values either side of each threshold, so
+    cells lie on both sides of it and on plateaus; with every cell below
+    it, or a one-wide grid, no candidate or no neighbor is left."""
+    rng = np.random.default_rng(82)
+    near = np.array([_F32, _F32_NEXT, 0.5, float(np.nextafter(np.float32(0.5), np.float32(1.0))),
+                     float(np.nextafter(np.float32(0.5), np.float32(0.0)))])
+    found = 0
+    for h, w in GRIDS:
+        for levels in (None, 3):
+            stack = random_stack(rng, 3, h, w, levels, np.float32)
+            joint = np.where(rng.random((3, h, w)) < 0.5, rng.choice(near, (3, h, w)),
+                             stack.joint_maps).astype(np.float32)
+            for maps in (joint, joint * np.float32(0.25)):
+                stack = HeatmapStack(w, h, maps, stack.tag_maps, stack.rel_depth_maps,
+                                     stack.root_depth_map)
+                peaks = extract_peaks(stack, theta)
+                assert peaks == extract_peaks_loops(maps.astype(np.float64), theta)
+                found += sum(map(len, peaks))
+    assert found > 20
+
+
+def test_group_by_tags_on_float32_tag_planes_equals_the_loop_oracle_on_their_float64_copy():
+    rng = np.random.default_rng(83)
+    persons = 0
+    for h, w in GRIDS:
+        stack = random_stack(rng, 4, h, w, 4, np.float32)
+        peaks = extract_peaks(stack, 0.3)
+        for theta_tag in (0.5, 2.0, 8.0):
+            grouped = group_by_tags(peaks, stack.tag_maps, theta_tag)
+            joints, conf = group_by_tags_loops(peaks, stack.tag_maps.astype(np.float64), theta_tag)
+            assert len(grouped) == len(joints)
+            for person, j_exp, c_exp in zip(grouped, joints, conf):
+                assert person.joints.tobytes() == j_exp.tobytes()
+                assert person.conf.tobytes() == c_exp.tobytes()
+            persons += len(grouped)
+    assert persons > 20
 
 
 def test_bilinear_gather_equals_scalar_oracle():
@@ -730,6 +779,47 @@ def test_float32_planes_meet_the_peak_threshold_as_float64():
     assert stack.joint_maps.dtype == np.float32
     assert extract_peaks(stack, 0.5 + 1e-12) == [[]]
     assert extract_peaks(stack, 0.5) == [[(2.0, 2.0, 0.5)]]
+
+
+_PLANE_NAMES = ("joint_maps", "tag_maps", "rel_depth_maps", "root_depth_map")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("plane", range(4))
+def test_stack_rejects_a_non_finite_value_anywhere_in_each_plane(dtype, bad, plane):
+    k, h, w = 2, 3, 4
+    message = ("joint_maps values must lie within [0, 1]" if plane == 0
+               else f"{_PLANE_NAMES[plane]} values must be finite")
+    for cell in (0, 5, -1):
+        planes = [np.full((k, h, w), 0.5, dtype) for _ in range(3)] + [np.full((h, w), 0.5, dtype)]
+        planes[plane].reshape(-1)[cell] = bad
+        with pytest.raises(ValueError) as info:
+            HeatmapStack(w, h, *planes)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stack_bounds_its_joint_maps_to_the_unit_interval(dtype):
+    k, h, w = 2, 3, 4
+    zeros = np.zeros((k, h, w), dtype)
+    for value, accepted in ((-0.0, True), (1.0, True), (-1e-30, False),
+                            (float(np.nextafter(dtype(1.0), dtype(2.0))), False)):
+        joint = np.full((k, h, w), 0.5, dtype)
+        joint[1, 2, 3] = value
+        if accepted:
+            assert HeatmapStack(w, h, joint, zeros, zeros, zeros[0]).joint_maps.dtype == dtype
+        else:
+            with pytest.raises(ValueError, match=r"joint_maps values must lie within \[0, 1\]"):
+                HeatmapStack(w, h, joint, zeros, zeros, zeros[0])
+
+
+def test_stack_with_no_joints_is_valid_and_decodes_to_nothing():
+    empty = np.zeros((0, 3, 4))
+    stack = HeatmapStack(4, 3, empty, empty, empty, np.full((3, 4), 3000.0))
+    assert stack.num_joints == 0
+    assert extract_peaks(stack, 0.3) == []
+    assert group_by_tags([], stack.tag_maps) == []
 
 
 def test_stack_planes_of_other_types_become_float64():
