@@ -42,11 +42,13 @@ def project(points: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
     """Project (..., 3) camera-space mm points to (..., 2) pixel coordinates.
 
     u = fx * x / z + cx, v = fy * y / z + cy.  Raises BehindCameraError for
-    any point with z <= 0.
+    any point with z <= 0.  The result is laid out in memory as the points'
+    (x, y) part is: interleaved for C-ordered points, and two contiguous
+    planes for a (..., 3) view of coordinate planes.
     """
     points = np.asarray(points, dtype=np.float64)
     z = checked_depths(points[..., 2])
-    uv = np.empty(points.shape[:-1] + (2,), dtype=np.float64)
+    uv = np.empty_like(points[..., :2])
     uv[..., 0] = cam.fx * points[..., 0] / z + cam.cx
     uv[..., 1] = cam.fy * points[..., 1] / z + cam.cy
     return uv

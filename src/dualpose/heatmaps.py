@@ -90,19 +90,20 @@ class HeatmapStack:
     root_depth_map: np.ndarray
 
     def __post_init__(self):
-        k = self.joint_maps.shape[0]
-        expected = (k, self.height, self.width)
+        for name in ("joint_maps", "tag_maps", "rel_depth_maps", "root_depth_map"):
+            object.__setattr__(self, name, _plane(getattr(self, name)))
+        k = self.joint_maps.shape[0] if self.joint_maps.ndim == 3 else "K"
         for name in ("joint_maps", "tag_maps", "rel_depth_maps"):
-            arr = _plane(getattr(self, name))
-            if arr.shape != expected:
-                raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")
-            object.__setattr__(self, name, arr)
-        root = _plane(self.root_depth_map)
-        if root.shape != (self.height, self.width):
+            shape = getattr(self, name).shape
+            if shape != (k, self.height, self.width):
+                raise ValueError(
+                    f"{name} must have shape ({k}, {self.height}, {self.width}), got {shape}"
+                )
+        root_shape = self.root_depth_map.shape
+        if root_shape != (self.height, self.width):
             raise ValueError(
-                f"root_depth_map must have shape {(self.height, self.width)}, got {root.shape}"
+                f"root_depth_map must have shape {(self.height, self.width)}, got {root_shape}"
             )
-        object.__setattr__(self, "root_depth_map", root)
         # A NaN makes the minimum and the maximum NaN, which fails every
         # comparison; ``initial`` gives an empty plane bounds that pass.
         if not (self.joint_maps.min(initial=0.0) >= 0.0

@@ -378,7 +378,8 @@ def bone_incidence(k: int, bones: np.ndarray) -> np.ndarray:
 
 def vector_lengths(vectors: np.ndarray) -> np.ndarray:
     """Euclidean lengths of (..., 3) vectors: the sum np.linalg.norm forms,
-    without its reduction overhead."""
+    without its reduction overhead.  On a (..., 3) view of coordinate planes
+    each step runs over whole contiguous planes."""
     sq = vectors * vectors
     return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 

@@ -139,17 +139,25 @@ class _Objective:
     observations, with everything that does not depend on the joints
     computed once.
 
-    The trajectory residuals are one batched product of small dense stencil
-    blocks with overlapping windows of the joints, and the bone vectors one
-    incidence matrix times the joints, so each term is a few whole-array
-    operations; both operators are built from this objective's own inputs.
-    The reprojection term exists only when observations are given; the
-    check that every joint lies in front of the camera runs either way.
+    The joints are held as three (T, K) coordinate planes (x, y, z), and a
+    point of the whole objective is one flat vector: the planes, then one
+    latent length per bone.  On contiguous planes each bone product is one
+    2-D GEMM of the stacked (3T, K) planes with the incidence matrix, and
+    the reprojection and the bone lengths are plane-by-plane operations:
+    `camera.project` and `skeleton.vector_lengths` take (T, K, 3) views of
+    planes, and numpy keeps that layout in their results.  The trajectory
+    residuals are one batched product of small dense stencil blocks with
+    overlapping windows of joint-major (T, 3K) frame rows, which the planes
+    are copied into: the trajectory loss sums the residuals in that row
+    order.  Both operators are built from this objective's own inputs.  The
+    reprojection term exists only when observations are given; the check
+    that every joint lies in front of the camera runs either way.
 
-    Each term method evaluates one loss term and keeps its residuals; the
-    matching ``*_grad`` method builds that term's gradient from them, so a
-    point is evaluated once whether or not its gradient is needed.
-    ``value`` and ``grad`` do this for the whole objective.
+    Each term method evaluates one loss term on (3, T, K) planes and keeps
+    its residuals; the matching ``*_grad`` method builds that term's
+    gradient, as planes, from them, so a point is evaluated once whether or
+    not its gradient is needed.  ``value`` and ``grad`` do this for the
+    whole objective, on flat points.
     """
 
     def __init__(self, shape: tuple[int, int], windows: dict[int, int] | None = None,
@@ -157,7 +165,8 @@ class _Objective:
                  conf: np.ndarray | None = None, cam: CameraIntrinsics | None = None):
         t_count, k = shape
         self.k = k
-        self.shape = (t_count, k, 3)
+        self.planes = (3, t_count, k)
+        self.size = 3 * t_count * k  # of the joints in a point
         self.coeff = coeff = 2.0 / k
         self.blocks, self.gather, halo = _trajectory_blocks(t_count, windows or {})
         n_blocks, rows, span = self.blocks.shape
@@ -168,9 +177,10 @@ class _Objective:
         # span - 1.  `residuals` holds one row per (frame, order), then `halo`
         # frames of zero rows; the gradient of block b's frames reads the
         # residuals of frames b*BLOCK .. b*BLOCK + span - 1.
-        self.halo = halo
-        self.frames = np.zeros((halo + n_blocks * BLOCK, 3 * k))
-        self.frame_windows = _block_windows(self.frames, n_blocks, BLOCK, span)
+        frames = np.zeros((halo + n_blocks * BLOCK, 3 * k))
+        # the x, y and z columns of the joint rows, one strided view each
+        self.frame_coords = frames[halo:halo + t_count].reshape(-1, 3).T
+        self.frame_windows = _block_windows(frames, n_blocks, BLOCK, span)
         residuals = np.zeros(((n_blocks * BLOCK + halo) * n_orders, 3 * k))
         self.traj_res = residuals[:n_blocks * rows].reshape(n_blocks, rows, 3 * k)
         self.res_windows = _block_windows(residuals, n_blocks, BLOCK * n_orders,
@@ -178,73 +188,86 @@ class _Objective:
         bones = np.zeros((0, 2), dtype=np.intp) if bones is None \
             else np.asarray(bones, dtype=np.intp)
         self.incidence = bone_incidence(k, bones)
+        # a contiguous transpose: BLAS multiplies by it faster than by a view
+        self.incidence_t = np.ascontiguousarray(self.incidence.T)
         self.cam = cam
         if cam is not None:
-            self.obs_uv = uv
+            self.obs_uv = np.ascontiguousarray(_planes(np.asarray(uv, dtype=np.float64)))
             self.conf = conf
             self.rep_weight = conf * coeff
 
-    def value(self, positions: np.ndarray, latents: np.ndarray
-              ) -> tuple[float, float, float]:
+    def value(self, point: np.ndarray) -> tuple[float, float, float]:
         """(trajectory, reprojection, bone) loss at the given point."""
+        planes = point[:self.size].reshape(self.planes)
         # the depth check runs first, so a candidate behind the camera costs
         # no other term
         if self.cam is None:
-            checked_depths(positions[..., 2])
+            checked_depths(planes[2])
             l_rep = 0.0
         else:
-            l_rep = self.reprojection(positions)
-        return self.trajectory(positions), l_rep, self.bone(positions, latents)
+            l_rep = self.reprojection(planes)
+        return self.trajectory(planes), l_rep, self.bone(planes, point[self.size:])
 
-    def grad(self, c_rep: float, c_bone: float) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient of L_traj + c_rep*L_rep + c_bone*L_bone w.r.t. joints and
-        latents at the point of the last ``value`` call."""
+    def grad(self, c_rep: float, c_bone: float) -> np.ndarray:
+        """Gradient of L_traj + c_rep*L_rep + c_bone*L_bone w.r.t. the point
+        of the last ``value`` call, as a flat vector."""
+        grad = np.empty(self.size + len(self.incidence))
+        grad_pos = grad[:self.size].reshape(self.planes)
         g_bone, g_latents = self.bone_grad()
-        grad_pos = self.trajectory_grad()
+        self.trajectory_grad(out=grad_pos)
         if self.cam is not None:
             grad_pos += c_rep * self.reprojection_grad()
         grad_pos += c_bone * g_bone
-        return grad_pos, c_bone * g_latents
+        np.multiply(c_bone, g_latents, out=grad[self.size:])
+        return grad
 
-    def trajectory(self, positions: np.ndarray) -> float:
-        t_count, halo = self.shape[0], self.halo
-        self.frames[halo:halo + t_count] = positions.reshape(t_count, -1)
+    def trajectory(self, planes: np.ndarray) -> float:
+        # one plane at a time: numpy copies a plane into a strided column
+        # faster than it transposes the three at once
+        for column, plane in zip(self.frame_coords, planes.reshape(3, -1)):
+            column[...] = plane
         res = np.matmul(self.blocks, self.frame_windows, out=self.traj_res)
         return float(np.vdot(res, res)) / self.k
 
-    def trajectory_grad(self) -> np.ndarray:
+    def trajectory_grad(self, out: np.ndarray) -> np.ndarray:
+        """Write the gradient into the contiguous (3, T, K) planes ``out``."""
         grad = np.matmul(self.gather, self.res_windows)  # (n_blocks, BLOCK, 3K)
-        grad = self.coeff * grad.reshape(-1, 3 * self.k)[:self.shape[0]]
-        return grad.reshape(self.shape)
+        grad = grad.reshape(-1, 3)[:self.size // 3].T
+        np.multiply(self.coeff, grad, out=out.reshape(3, -1))
+        return out
 
-    def bone(self, positions: np.ndarray, latents: np.ndarray) -> float:
-        diff = self.incidence @ positions  # (T, nB, 3): child minus parent
-        self.bone_lengths = vector_lengths(diff)
-        self.bone_diff = diff
+    def bone(self, planes: np.ndarray, latents: np.ndarray) -> float:
+        _, t_count, k = self.planes
+        # (3T, K) @ (K, n_bones): the bone vectors, child minus parent
+        diff = planes.reshape(3 * t_count, k) @ self.incidence_t
+        self.bone_diff = diff = diff.reshape(3, t_count, len(self.incidence))
+        self.bone_lengths = vector_lengths(_joints(diff))
         self.bone_res = res = self.bone_lengths - latents
         return float(np.vdot(res, res))
 
     def bone_grad(self) -> tuple[np.ndarray, np.ndarray]:
         scale = 2.0 * self.bone_res / np.maximum(self.bone_lengths, 1e-12)
-        per_bone = self.bone_diff * scale[..., None]
-        return self.incidence.T @ per_bone, -2.0 * self.bone_res.sum(axis=0)
+        per_bone = self.bone_diff * scale
+        # (3T, n_bones) @ (n_bones, K)
+        per_joint = per_bone.reshape(3 * scale.shape[0], -1) @ self.incidence
+        return per_joint.reshape(self.planes), -2.0 * self.bone_res.sum(axis=0)
 
-    def reprojection(self, positions: np.ndarray) -> float:
-        self.positions = positions
-        self.rep_res = res = project(positions, self.cam)
+    def reprojection(self, planes: np.ndarray) -> float:
+        self.rep_planes = planes
+        self.rep_res = res = _planes(project(_joints(planes), self.cam))
         res -= self.obs_uv
         sq = res * res
-        return float(np.vdot(self.conf, sq[..., 0] + sq[..., 1])) / self.k
+        return float(np.vdot(self.conf, sq[0] + sq[1])) / self.k
 
     def reprojection_grad(self) -> np.ndarray:
-        positions, cam = self.positions, self.cam
-        z = positions[..., 2]
+        (x, y, z), cam = self.rep_planes, self.cam
         w = self.rep_weight / z
-        grad = np.empty_like(positions)
+        grad = np.empty(self.planes)
+        g_x, g_y, g_z = grad
         # d(fx * x / z)/dx = fx / z and d(fx * x / z)/dz = -(fx / z) * x / z
-        grad[..., 0] = g_x = (cam.fx * w) * self.rep_res[..., 0]
-        grad[..., 1] = g_y = (cam.fy * w) * self.rep_res[..., 1]
-        grad[..., 2] = -(g_x * positions[..., 0] + g_y * positions[..., 1]) / z
+        np.multiply(cam.fx * w, self.rep_res[0], out=g_x)
+        np.multiply(cam.fy * w, self.rep_res[1], out=g_y)
+        np.divide(-(g_x * x + g_y * y), z, out=g_z)
         return grad
 
 
@@ -296,6 +319,22 @@ def _block_windows(buffer: np.ndarray, n_blocks: int, step: int, rows: int
                       strides=(step * row, row, col), writeable=False)
 
 
+def _planes(joints: np.ndarray) -> np.ndarray:
+    """The (d, T, K) coordinate planes of (T, K, d) joints, as a view."""
+    return joints.transpose(2, 0, 1)
+
+
+def _joints(planes: np.ndarray) -> np.ndarray:
+    """The (T, K, d) joints of (d, T, K) coordinate planes, as a view."""
+    return planes.transpose(1, 2, 0)
+
+
+def _point(joints: np.ndarray, latents: np.ndarray) -> np.ndarray:
+    """The flat point of (T, K, 3) joints and bone latents: the joints' x, y
+    and z planes, then the latents."""
+    return np.concatenate((_planes(joints), latents), axis=None)
+
+
 def _consecutive_joints(seq: TrackSequence) -> np.ndarray:
     """Joint array (T, K, 3) of a track whose frames are consecutive."""
     idx, joints, _ = seq.as_arrays()
@@ -316,10 +355,10 @@ def trajectory_loss_grad(positions: np.ndarray, windows: dict[int, int]
     distance between the frame's joints and the per-order extrapolation from
     the preceding window.  Frames with insufficient history contribute 0.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    objective = _Objective(positions.shape[:2], windows=windows)
-    loss = objective.trajectory(positions)
-    return loss, objective.trajectory_grad()
+    planes = _planes(np.asarray(positions, dtype=np.float64))
+    objective = _Objective(planes.shape[1:], windows=windows)
+    loss = objective.trajectory(planes)
+    return loss, _joints(objective.trajectory_grad(out=np.empty(planes.shape)))
 
 
 def trajectory_loss(seq: TrackSequence, cfg: TtoConfig) -> float:
@@ -338,10 +377,11 @@ def bone_loss_grad(positions: np.ndarray, bones: np.ndarray, latents: np.ndarray
     Sum over frames and bones of (length - latent)^2.  For fixed positions
     the optimal latent is the per-bone temporal mean length.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    objective = _Objective(positions.shape[:2], bones=bones)
-    loss = objective.bone(positions, latents)
-    return (loss, *objective.bone_grad())
+    planes = _planes(np.asarray(positions, dtype=np.float64))
+    objective = _Objective(planes.shape[1:], bones=bones)
+    loss = objective.bone(planes, latents)
+    grad, grad_latents = objective.bone_grad()
+    return loss, _joints(grad), grad_latents
 
 
 def bone_loss(seq: TrackSequence, latents: np.ndarray, skel: SkeletonSpec) -> float:
@@ -366,10 +406,10 @@ def reprojection_loss_grad(positions: np.ndarray, obs_uv: np.ndarray,
     Sum over frames of the per-frame confidence-weighted mean squared pixel
     residual.  All joint depths must be positive.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    objective = _Objective(positions.shape[:2], uv=obs_uv, conf=obs_conf, cam=cam)
-    loss = objective.reprojection(positions)
-    return loss, objective.reprojection_grad()
+    planes = _planes(np.asarray(positions, dtype=np.float64))
+    objective = _Objective(planes.shape[1:], uv=obs_uv, conf=obs_conf, cam=cam)
+    loss = objective.reprojection(planes)
+    return loss, _joints(objective.reprojection_grad())
 
 
 def _observation_arrays(seq: TrackSequence,
@@ -415,8 +455,8 @@ def tto_loss(seq: TrackSequence, observations: dict[int, Pose2D] | None,
     otherwise)."""
     joints = _consecutive_joints(seq)
     objective = _track_objective(seq, joints, observations, cam, cfg, skel)
-    return _stage_total(objective.value(joints, state.bone_latents), cfg.c_rep(stage),
-                        cfg.c_bone)
+    return _stage_total(objective.value(_point(joints, state.bone_latents)),
+                        cfg.c_rep(stage), cfg.c_bone)
 
 
 def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
@@ -431,10 +471,11 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
     The track's frames must be consecutive (``MisalignedFramesError``
     otherwise; ``pipeline.contiguous_runs`` splits a track at its gaps).
     """
-    positions = _consecutive_joints(seq).copy()
-    objective = _track_objective(seq, positions, observations, cam, cfg, skel)
-    latents = bone_lengths_of(positions[0], skel)
-    state = TtoState(positions=positions, bone_latents=latents, trace=[])
+    joints = _consecutive_joints(seq)
+    objective = _track_objective(seq, joints, observations, cam, cfg, skel)
+    point = _point(joints, bone_lengths_of(joints[0], skel))
+    latents = slice(objective.size, None)
+    trace = []
 
     stages = (1, 2) if cfg.two_stage else (1,)
     iteration = 0
@@ -445,16 +486,15 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
         for stage in stages:
             c_rep = cfg.c_rep(stage)
             step = cfg.step_size
-            comps = objective.value(positions, latents)
+            comps = objective.value(point)
             comps = (*comps, _stage_total(comps, c_rep, cfg.c_bone))
-            grad_pos, grad_lat = objective.grad(c_rep, cfg.c_bone)
+            grad = objective.grad(c_rep, cfg.c_bone)
             accepted = True
             tried = step
             for _ in range(cfg.iters_per_stage):
                 # the gradient is new at a stage's start and after an accepted
                 # step; a rejected iteration leaves it as it was checked
-                if accepted and not (np.isfinite(grad_pos).all()
-                                     and np.isfinite(grad_lat).all()):
+                if accepted and not np.isfinite(grad).all():
                     raise NumericFailureError(
                         f"non-finite gradient at stage {stage}, iteration {iteration}"
                     )
@@ -462,10 +502,10 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
                 halvings = 0
                 while step >= MIN_STEP:
                     tried = step
-                    cand_pos = positions - step * grad_pos
-                    cand_lat = np.maximum(latents - step * grad_lat, 0.0)
+                    cand = point - step * grad
+                    np.maximum(cand[latents], 0.0, out=cand[latents])
                     try:
-                        cand_comps = objective.value(cand_pos, cand_lat)
+                        cand_comps = objective.value(cand)
                         cand_total = _stage_total(cand_comps, c_rep, cfg.c_bone)
                     except BehindCameraError:
                         # overshoot past the image plane has no loss: NaN fails the
@@ -477,18 +517,17 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
                     step *= 0.5
                     halvings += 1
                 if accepted:
-                    positions = cand_pos
-                    latents = cand_lat
+                    point = cand
                     comps = (*cand_comps, cand_total)
                     # the objective still holds the residuals of this candidate
-                    grad_pos, grad_lat = objective.grad(c_rep, cfg.c_bone)
+                    grad = objective.grad(c_rep, cfg.c_bone)
                     step = min(step * STEP_GROWTH, MAX_STEP)
-                state.trace.append(TraceRow(
+                trace.append(TraceRow(
                     iteration=iteration, stage=stage,
                     l_traj=comps[0], l_rep=comps[1], l_bone=comps[2], total=comps[3],
                     step=tried, halvings=halvings,
                 ))
                 iteration += 1
-    state.positions = positions
-    state.bone_latents = latents
+    positions = _joints(point[:objective.size].reshape(objective.planes)).copy()
+    state = TtoState(positions=positions, bone_latents=point[latents], trace=trace)
     return seq.with_joints(positions), state

@@ -250,6 +250,26 @@ def bone_loss_grad_loops(positions, bones, latents):
     return loss, grad, grad_latents
 
 
+def reprojection_loss_grad_loops(positions, uv, conf, cam):
+    """Reprojection loss and gradient by loops over frames and joints: the
+    confidence-weighted squared pixel residual of the pinhole projection,
+    summed over frames and averaged over joints."""
+    positions = np.asarray(positions, dtype=float)
+    t_count, k, _ = positions.shape
+    loss = 0.0
+    grad = np.zeros_like(positions)
+    for t in range(t_count):
+        for j in range(k):
+            x, y, z = positions[t, j]
+            du = cam.fx * x / z + cam.cx - uv[t, j, 0]
+            dv = cam.fy * y / z + cam.cy - uv[t, j, 1]
+            loss += conf[t, j] * (du * du + dv * dv) / k
+            scale = 2.0 * conf[t, j] / k
+            grad[t, j] += scale * np.array([du * cam.fx / z, dv * cam.fy / z,
+                                            -(du * cam.fx * x + dv * cam.fy * y) / (z * z)])
+    return loss, grad
+
+
 def similarity_matrix_loops(td, bu, cfg, sigma):
     """Pose similarities one TD/BU pair at a time:
     sum_k min(c_bu[k], c_td[k]) * exp(-d_k^2 / (2 s^2 sigma_k^2)), with s

@@ -67,6 +67,23 @@ def test_stack_shape_validation():
                      root_depth_map=np.zeros((8, 8)))
 
 
+@pytest.mark.parametrize("plane", range(4))
+def test_stack_accepts_each_plane_as_nested_lists(plane):
+    k, h, w = 2, 3, 4
+    planes = [np.full((k, h, w), 0.5) for _ in range(3)] + [np.full((h, w), 0.5)]
+    planes[plane] = planes[plane].tolist()
+    stack = HeatmapStack(w, h, *planes)
+    assert stack.num_joints == k
+    assert all(p.dtype == np.float64 for p in _stack_planes(stack))
+
+
+def test_stack_reports_the_shape_of_joint_maps_that_are_not_3d():
+    planes = np.zeros((2, 3))
+    with pytest.raises(ValueError, match=re.escape(
+            "joint_maps must have shape (K, 2, 3), got (2, 3)")):
+        HeatmapStack(3, 2, planes, planes, planes, planes)
+
+
 def test_extract_single_gaussian_peak():
     stack = single_joint_stack(u=30.0, v=40.0)
     peaks = extract_peaks(stack, 0.3)
@@ -497,6 +514,22 @@ def test_group_by_tags_on_float32_tag_planes_equals_the_loop_oracle_on_their_flo
                 assert person.conf.tobytes() == c_exp.tobytes()
             persons += len(grouped)
     assert persons > 20
+
+
+def test_bilinear_interpolates_float32_planes_in_float64():
+    # a float32 plane is sampled as its float64 copy: the weights of a point
+    # that float32 cannot hold, and the sums, stay float64
+    grid = (np.arange(20.0).reshape(4, 5) / 7.0).astype(np.float32)
+    grid64 = grid.astype(np.float64)
+    u, v = 1.3, 2.7
+    expected = bilinear_sample(grid64, u, v)
+    # the point tells the two apart: rounded to float32, it samples elsewhere
+    assert bilinear_sample(grid64, np.float32(u), np.float32(v)) != expected
+    assert bilinear_sample(grid, u, v) == expected
+    stack = np.stack([grid, grid[::-1]])
+    points = np.array([[u, 0.5], [3.9, u]]), np.array([[v, 0.25], [v, 1.1]])
+    assert np.array_equal(bilinear_sample(stack, *points),
+                          bilinear_sample(stack.astype(np.float64), *points))
 
 
 def test_bilinear_gather_equals_scalar_oracle():

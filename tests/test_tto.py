@@ -35,7 +35,8 @@ from dualpose.tto import (
     tto_loss,
 )
 
-from oracles import bone_loss_grad_loops, trajectory_loss_grad_loops
+from oracles import (bone_loss_grad_loops, reprojection_loss_grad_loops,
+                     trajectory_loss_grad_loops)
 
 
 def make_track(joints, conf=None):
@@ -230,21 +231,56 @@ def test_trajectory_loss_grad_matches_loop_oracle():
 
 
 def test_objectives_of_one_shape_keep_their_own_trajectory_state():
-    # two objectives of the same (T, windows) share the cached stencil, not
-    # their buffers: each gradient is that of its own last evaluation
+    # two objectives of the same (T, windows) share no buffers: each
+    # gradient is that of its own last evaluation
     rng = np.random.default_rng(95)
     windows = {1: 2, 2: 5, 3: 5}
     first = tto._Objective((20, 6), windows=windows)
     second = tto._Objective((20, 6), windows=windows)
     for _ in range(3):
         x, y = 4000.0 + 80.0 * rng.standard_normal((2, 20, 6, 3))
-        loss_x = first.trajectory(x)
-        loss_y = second.trajectory(y)
+        loss_x = first.value(tto._point(x, []))[0]
+        loss_y = second.value(tto._point(y, []))[0]
         expected_x = trajectory_loss_grad(x, windows)
         expected_y = trajectory_loss_grad(y, windows)
         assert (loss_x, loss_y) == (expected_x[0], expected_y[0])
-        assert np.array_equal(first.trajectory_grad(), expected_x[1])
-        assert np.array_equal(second.trajectory_grad(), expected_y[1])
+        for objective, expected in ((first, expected_x[1]), (second, expected_y[1])):
+            grad = objective.grad(c_rep=1.0, c_bone=1.0).reshape(objective.planes)
+            assert np.array_equal(tto._joints(grad), expected)
+
+
+@pytest.mark.parametrize("observed", [False, True])
+@pytest.mark.parametrize("t_count", [6, tto.BLOCK - 1, tto.BLOCK, tto.BLOCK + 1,
+                                     3 * tto.BLOCK + 2])
+def test_objective_value_and_gradient_match_loop_oracles(skel, cam, t_count, observed):
+    # the whole objective as optimize evaluates it, on flat points of
+    # coordinate planes, against the loop oracles: T = w + 1 for the largest
+    # window w, and one frame before, on and after block edges
+    rng = np.random.default_rng(97 + t_count)
+    windows = TtoConfig().window_map()
+    k, bones = skel.num_joints, skel.bone_array
+    joints = rest_pose()[None] + (0.0, 0.0, 4000.0) + 40.0 * rng.standard_normal((t_count, k, 3))
+    latents = bone_lengths_of(joints, skel).mean(axis=0) + 5.0 * rng.standard_normal(len(bones))
+    uv = project(joints, cam) + 3.0 * rng.standard_normal((t_count, k, 2))
+    conf = rng.random((t_count, k))
+    reprojection = dict(uv=uv, conf=conf, cam=cam) if observed else {}
+    objective = tto._Objective((t_count, k), windows=windows, bones=bones, **reprojection)
+    c_rep, c_bone = TtoConfig().c_rep_stage2, 0.7
+
+    l_traj, l_rep, l_bone = objective.value(tto._point(joints, latents))
+    grad = objective.grad(c_rep, c_bone)
+
+    stencils = {o: extrapolation_weights(w, o) for o, w in windows.items() if t_count > w}
+    traj = trajectory_loss_grad_loops(joints, stencils)
+    bone = bone_loss_grad_loops(joints, bones, latents)
+    rep = reprojection_loss_grad_loops(joints, uv, conf, cam) if observed \
+        else (0.0, np.zeros_like(joints))
+    assert l_traj == pytest.approx(traj[0], rel=ORACLE_REL)
+    assert l_rep == pytest.approx(rep[0], rel=ORACLE_REL)
+    assert l_bone == pytest.approx(bone[0], rel=ORACLE_REL)
+    grad_joints = tto._joints(grad[:objective.size].reshape(objective.planes))
+    assert_close_to_oracle(grad_joints, traj[1] + c_rep * rep[1] + c_bone * bone[1])
+    assert_close_to_oracle(grad[objective.size:], c_bone * bone[2])
 
 
 # --- bone loss ------------------------------------------------------------

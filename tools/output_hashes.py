@@ -13,6 +13,12 @@ object, ``{workload: {seed: {"inputs/<file>" | "out/<file>": sha256}}}``:
 a change that keeps every output byte-identical prints the same object as
 its parent.
 
+The tool sees only the files the workloads write, and no workload writes a
+loss trace (``run --trace``): a change that moves only trace bits, say a
+last-bit difference in one TTO loss term that flips no line-search
+decision, passes unseen.  Compare the trace CSVs of ``run ... --trace
+t.csv`` on the ``refine`` and ``gapped`` scenes for that.
+
 With ``--base REV`` the tool also hashes git revision REV, through that
 revision's own copy of this tool in a ``git worktree`` checked out under a
 temporary directory and removed afterwards.  It then prints, one per line as
