@@ -33,7 +33,7 @@ def checked_depths(z: np.ndarray) -> np.ndarray:
     The package's one z <= 0 check: raises BehindCameraError for a depth at
     or behind the camera.
     """
-    if (z <= 0).any():
+    if np.count_nonzero(z <= 0):
         raise BehindCameraError("a depth is z <= 0, at or behind the camera")
     return z
 

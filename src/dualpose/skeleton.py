@@ -376,12 +376,15 @@ def bone_incidence(k: int, bones: np.ndarray) -> np.ndarray:
     return incidence
 
 
-def vector_lengths(vectors: np.ndarray) -> np.ndarray:
+def vector_lengths(vectors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Euclidean lengths of (..., 3) vectors: the sum np.linalg.norm forms,
     without its reduction overhead.  On a (..., 3) view of coordinate planes
-    each step runs over whole contiguous planes."""
+    each step runs over whole contiguous planes.  With ``out``, a float array
+    of shape ``vectors.shape[:-1]``, the lengths are written there."""
     sq = vectors * vectors
-    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+    lengths = np.add(sq[..., 0], sq[..., 1], out=out)
+    lengths += sq[..., 2]
+    return np.sqrt(lengths, out=out)
 
 
 @dataclass

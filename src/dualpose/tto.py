@@ -3,8 +3,9 @@
 Minimizes a trajectory-smoothness term (polynomial extrapolation residuals
 at orders 1-3), a confidence-weighted reprojection term against 2D
 observations, and a bone-length consistency term with one latent length per
-bone, using fixed-step gradient descent with backtracking halving and a
-two-stage reprojection-coefficient schedule.
+bone, using gradient descent with a backtracking step (halved until the
+stage loss does not rise, doubled after each accepted step) and a two-stage
+reprojection-coefficient schedule.
 """
 from __future__ import annotations
 
@@ -158,6 +159,17 @@ class _Objective:
     gradient, as planes, from them, so a point is evaluated once whether or
     not its gradient is needed.  ``value`` and ``grad`` do this for the
     whole objective, on flat points.
+
+    An objective owns its work arrays: every intermediate of an evaluation,
+    and the flat gradient, is written with ``out=`` into arrays made once
+    here, through views also made once.  So an objective is not
+    re-entrant, ``grad`` reads the point of the last ``value`` call, which
+    must not change in between, and ``grad`` returns its own buffer, valid
+    until the next ``grad`` call; ``optimize`` in turn alternates two state
+    vectors.  On the short tracks of the ``gapped`` benchmark (T = 15-34) an
+    evaluation is about 15 numpy calls on a few hundred numbers, whose fixed
+    cost, allocation and reshapes included, sets its time: without them a
+    gradient at T = 21 took 14.8 instead of 17.4 us.
     """
 
     def __init__(self, shape: tuple[int, int], windows: dict[int, int] | None = None,
@@ -190,11 +202,34 @@ class _Objective:
         self.incidence = bone_incidence(k, bones)
         # a contiguous transpose: BLAS multiplies by it faster than by a view
         self.incidence_t = np.ascontiguousarray(self.incidence.T)
+        n_bones = len(self.incidence)
+        # The work arrays of the other terms and of the flat gradient, and
+        # the views each evaluation writes them through, are made here once.
+        self.traj_grad = np.empty((n_blocks, BLOCK, 3 * k))
+        # the x, y and z columns of the gradient rows of the T frames
+        self.traj_grad_coords = self.traj_grad.reshape(-1, 3)[:t_count * k].T
+        self.bone_diff = np.empty((3, t_count, n_bones))
+        self.bone_diff_rows = self.bone_diff.reshape(3 * t_count, n_bones)
+        self.bone_vectors = _joints(self.bone_diff)
+        self.bone_lengths = np.empty((t_count, n_bones))
+        self.bone_res = np.empty((t_count, n_bones))
+        self.bone_scale = np.empty((t_count, n_bones))
+        self.bone_floor = np.empty((t_count, n_bones))
+        self.bone_per = np.empty((3, t_count, n_bones))
+        self.bone_per_rows = self.bone_per.reshape(3 * t_count, n_bones)
+        self.bone_joint_grad = np.empty(self.planes)
+        self.bone_joint_rows = self.bone_joint_grad.reshape(3 * t_count, k)
+        self.latent_grad = np.empty(n_bones)
+        self.flat_grad = np.empty(self.size + n_bones)
+        self.flat_grad_planes = self.flat_grad[:self.size].reshape(self.planes)
         self.cam = cam
         if cam is not None:
             self.obs_uv = np.ascontiguousarray(_planes(np.asarray(uv, dtype=np.float64)))
             self.conf = conf
             self.rep_weight = conf * coeff
+            self.rep_sq = np.empty((2, t_count, k))
+            self.rep_work = np.empty((t_count, k))
+            self.rep_grad = np.empty(self.planes)
 
     def value(self, point: np.ndarray) -> tuple[float, float, float]:
         """(trajectory, reprojection, bone) loss at the given point."""
@@ -210,14 +245,15 @@ class _Objective:
 
     def grad(self, c_rep: float, c_bone: float) -> np.ndarray:
         """Gradient of L_traj + c_rep*L_rep + c_bone*L_bone w.r.t. the point
-        of the last ``value`` call, as a flat vector."""
-        grad = np.empty(self.size + len(self.incidence))
-        grad_pos = grad[:self.size].reshape(self.planes)
+        of the last ``value`` call, as a flat vector: this objective's own
+        buffer, valid until the next ``grad`` call."""
+        grad, grad_pos = self.flat_grad, self.flat_grad_planes
         g_bone, g_latents = self.bone_grad()
         self.trajectory_grad(out=grad_pos)
         if self.cam is not None:
-            grad_pos += c_rep * self.reprojection_grad()
-        grad_pos += c_bone * g_bone
+            g_rep = self.reprojection_grad()
+            grad_pos += np.multiply(c_rep, g_rep, out=g_rep)
+        grad_pos += np.multiply(c_bone, g_bone, out=g_bone)
         np.multiply(c_bone, g_latents, out=grad[self.size:])
         return grad
 
@@ -231,43 +267,47 @@ class _Objective:
 
     def trajectory_grad(self, out: np.ndarray) -> np.ndarray:
         """Write the gradient into the contiguous (3, T, K) planes ``out``."""
-        grad = np.matmul(self.gather, self.res_windows)  # (n_blocks, BLOCK, 3K)
-        grad = grad.reshape(-1, 3)[:self.size // 3].T
-        np.multiply(self.coeff, grad, out=out.reshape(3, -1))
+        np.matmul(self.gather, self.res_windows, out=self.traj_grad)
+        np.multiply(self.coeff, self.traj_grad_coords, out=out.reshape(3, -1))
         return out
 
     def bone(self, planes: np.ndarray, latents: np.ndarray) -> float:
         _, t_count, k = self.planes
         # (3T, K) @ (K, n_bones): the bone vectors, child minus parent
-        diff = planes.reshape(3 * t_count, k) @ self.incidence_t
-        self.bone_diff = diff = diff.reshape(3, t_count, len(self.incidence))
-        self.bone_lengths = vector_lengths(_joints(diff))
-        self.bone_res = res = self.bone_lengths - latents
+        np.matmul(planes.reshape(3 * t_count, k), self.incidence_t, out=self.bone_diff_rows)
+        vector_lengths(self.bone_vectors, out=self.bone_lengths)
+        res = np.subtract(self.bone_lengths, latents, out=self.bone_res)
         return float(np.vdot(res, res))
 
     def bone_grad(self) -> tuple[np.ndarray, np.ndarray]:
-        scale = 2.0 * self.bone_res / np.maximum(self.bone_lengths, 1e-12)
-        per_bone = self.bone_diff * scale
+        scale = np.multiply(2.0, self.bone_res, out=self.bone_scale)
+        scale /= np.maximum(self.bone_lengths, 1e-12, out=self.bone_floor)
+        np.multiply(self.bone_diff, scale, out=self.bone_per)
         # (3T, n_bones) @ (n_bones, K)
-        per_joint = per_bone.reshape(3 * scale.shape[0], -1) @ self.incidence
-        return per_joint.reshape(self.planes), -2.0 * self.bone_res.sum(axis=0)
+        np.matmul(self.bone_per_rows, self.incidence, out=self.bone_joint_rows)
+        latents = self.bone_res.sum(axis=0, out=self.latent_grad)
+        return self.bone_joint_grad, np.multiply(-2.0, latents, out=latents)
 
     def reprojection(self, planes: np.ndarray) -> float:
         self.rep_planes = planes
         self.rep_res = res = _planes(project(_joints(planes), self.cam))
         res -= self.obs_uv
-        sq = res * res
-        return float(np.vdot(self.conf, sq[0] + sq[1])) / self.k
+        sq = np.multiply(res, res, out=self.rep_sq)
+        return float(np.vdot(self.conf, np.add(sq[0], sq[1], out=sq[0]))) / self.k
 
     def reprojection_grad(self) -> np.ndarray:
         (x, y, z), cam = self.rep_planes, self.cam
-        w = self.rep_weight / z
-        grad = np.empty(self.planes)
+        w = np.divide(self.rep_weight, z, out=self.rep_work)
+        grad = self.rep_grad
         g_x, g_y, g_z = grad
         # d(fx * x / z)/dx = fx / z and d(fx * x / z)/dz = -(fx / z) * x / z
-        np.multiply(cam.fx * w, self.rep_res[0], out=g_x)
-        np.multiply(cam.fy * w, self.rep_res[1], out=g_y)
-        np.divide(-(g_x * x + g_y * y), z, out=g_z)
+        np.multiply(np.multiply(cam.fx, w, out=g_x), self.rep_res[0], out=g_x)
+        np.multiply(np.multiply(cam.fy, w, out=g_y), self.rep_res[1], out=g_y)
+        # -(g_x * x + g_y * y) / z, with w's buffer free for g_y * y
+        np.multiply(g_x, x, out=g_z)
+        g_z += np.multiply(g_y, y, out=self.rep_work)
+        np.negative(g_z, out=g_z)
+        g_z /= z
         return grad
 
 
@@ -335,6 +375,16 @@ def _point(joints: np.ndarray, latents: np.ndarray) -> np.ndarray:
     return np.concatenate((_planes(joints), latents), axis=None)
 
 
+def _checked_latents(latents, n_bones: int) -> np.ndarray:
+    """The bone latents as a float array, after checking that they hold one
+    length per bone: numpy would broadcast a single latent to every bone."""
+    latents = np.asarray(latents, dtype=np.float64)
+    if latents.shape != (n_bones,):
+        raise ValueError(f"bone latents must have shape ({n_bones},), one per bone, "
+                         f"got {latents.shape}")
+    return latents
+
+
 def _consecutive_joints(seq: TrackSequence) -> np.ndarray:
     """Joint array (T, K, 3) of a track whose frames are consecutive."""
     idx, joints, _ = seq.as_arrays()
@@ -379,7 +429,7 @@ def bone_loss_grad(positions: np.ndarray, bones: np.ndarray, latents: np.ndarray
     """
     planes = _planes(np.asarray(positions, dtype=np.float64))
     objective = _Objective(planes.shape[1:], bones=bones)
-    loss = objective.bone(planes, latents)
+    loss = objective.bone(planes, _checked_latents(latents, len(objective.incidence)))
     grad, grad_latents = objective.bone_grad()
     return loss, _joints(grad), grad_latents
 
@@ -387,7 +437,7 @@ def bone_loss_grad(positions: np.ndarray, bones: np.ndarray, latents: np.ndarray
 def bone_loss(seq: TrackSequence, latents: np.ndarray, skel: SkeletonSpec) -> float:
     """Bone-length consistency loss of a track against latent lengths."""
     _, joints, _ = seq.as_arrays()
-    loss, _, _ = bone_loss_grad(joints, skel.bone_array, np.asarray(latents, dtype=np.float64))
+    loss, _, _ = bone_loss_grad(joints, skel.bone_array, latents)
     return loss
 
 
@@ -455,7 +505,8 @@ def tto_loss(seq: TrackSequence, observations: dict[int, Pose2D] | None,
     otherwise)."""
     joints = _consecutive_joints(seq)
     objective = _track_objective(seq, joints, observations, cam, cfg, skel)
-    return _stage_total(objective.value(_point(joints, state.bone_latents)),
+    latents = _checked_latents(state.bone_latents, len(objective.incidence))
+    return _stage_total(objective.value(_point(joints, latents)),
                         cfg.c_rep(stage), cfg.c_bone)
 
 
@@ -467,14 +518,18 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
     Runs ``iters_per_stage`` iterations per stage (two stages when
     ``two_stage``).  A step that would increase the stage loss is halved
     until it does not, so the accepted loss trace is non-increasing within
-    each stage.  Bone latents are projected to >= 0 after every step.
-    The track's frames must be consecutive (``MisalignedFramesError``
-    otherwise; ``pipeline.contiguous_runs`` splits a track at its gaps).
+    each stage, and an accepted step doubles the next one.  Bone latents are
+    projected to >= 0 after every step.  The track's frames must be
+    consecutive (``MisalignedFramesError`` otherwise;
+    ``pipeline.contiguous_runs`` splits a track at its gaps).
     """
     joints = _consecutive_joints(seq)
     objective = _track_objective(seq, joints, observations, cam, cfg, skel)
+    # the accepted point and the candidate: two state vectors, each with a
+    # view of its latents, that swap roles when a step is accepted
     point = _point(joints, bone_lengths_of(joints[0], skel))
-    latents = slice(objective.size, None)
+    cand = np.empty_like(point)
+    point_latents, cand_latents = point[objective.size:], cand[objective.size:]
     trace = []
 
     stages = (1, 2) if cfg.two_stage else (1,)
@@ -494,7 +549,7 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
             for _ in range(cfg.iters_per_stage):
                 # the gradient is new at a stage's start and after an accepted
                 # step; a rejected iteration leaves it as it was checked
-                if accepted and not np.isfinite(grad).all():
+                if accepted and np.count_nonzero(np.isfinite(grad)) < grad.size:
                     raise NumericFailureError(
                         f"non-finite gradient at stage {stage}, iteration {iteration}"
                     )
@@ -502,8 +557,10 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
                 halvings = 0
                 while step >= MIN_STEP:
                     tried = step
-                    cand = point - step * grad
-                    np.maximum(cand[latents], 0.0, out=cand[latents])
+                    # cand = point - step * grad, latents clamped at 0
+                    np.multiply(step, grad, out=cand)
+                    np.subtract(point, cand, out=cand)
+                    np.maximum(cand_latents, 0.0, out=cand_latents)
                     try:
                         cand_comps = objective.value(cand)
                         cand_total = _stage_total(cand_comps, c_rep, cfg.c_bone)
@@ -517,7 +574,8 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
                     step *= 0.5
                     halvings += 1
                 if accepted:
-                    point = cand
+                    point, cand = cand, point
+                    point_latents, cand_latents = cand_latents, point_latents
                     comps = (*cand_comps, cand_total)
                     # the objective still holds the residuals of this candidate
                     grad = objective.grad(c_rep, cfg.c_bone)
@@ -529,5 +587,5 @@ def optimize(seq: TrackSequence, observations: dict[int, Pose2D] | None,
                 ))
                 iteration += 1
     positions = _joints(point[:objective.size].reshape(objective.planes)).copy()
-    state = TtoState(positions=positions, bone_latents=point[latents], trace=trace)
+    state = TtoState(positions=positions, bone_latents=point_latents.copy(), trace=trace)
     return seq.with_joints(positions), state

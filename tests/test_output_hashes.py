@@ -27,6 +27,7 @@ def test_output_hashes_cover_every_file_of_a_gapped_pass(tmp_path):
     assert sorted(files) == [
         "inputs/bu.jsonl", "inputs/gt.jsonl", "inputs/td.jsonl",
         "out/fused.jsonl", "out/refined.jsonl", "out/report.csv", "out/report.json",
+        "out/trace.csv",
     ]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in files.values())
     assert not list(tmp_path.iterdir()), "the tool left its temporary directory behind"

@@ -283,6 +283,40 @@ def test_objective_value_and_gradient_match_loop_oracles(skel, cam, t_count, obs
     assert_close_to_oracle(grad[objective.size:], c_bone * bone[2])
 
 
+@pytest.mark.parametrize("observed", [False, True])
+def test_objective_reused_after_a_rejected_trial_matches_a_fresh_one(skel, cam, observed):
+    # optimize evaluates a rejected candidate b between two evaluations of
+    # its point a; the work arrays b overwrote must not leak into a's terms
+    # or gradient
+    rng = np.random.default_rng(99)
+    windows = TtoConfig().window_map()
+    t_count, k, bones = 13, skel.num_joints, skel.bone_array
+    a, b = rest_pose()[None] + (0.0, 0.0, 4000.0) + 40.0 * rng.standard_normal((2, t_count, k, 3))
+    latents = bone_lengths_of(a, skel).mean(axis=0)
+    uv = project(a, cam) + 3.0 * rng.standard_normal((t_count, k, 2))
+    reprojection = dict(uv=uv, conf=rng.random((t_count, k)), cam=cam) if observed else {}
+
+    def objective():
+        return tto._Objective((t_count, k), windows=windows, bones=bones, **reprojection)
+
+    point_a, point_b = tto._point(a, latents), tto._point(b, latents + 7.0)
+    reused = objective()
+    reused.value(point_a)
+    reused.value(point_b)
+    terms = reused.value(point_a)
+    grad = reused.grad(100.0, 0.7).copy()
+    fresh = objective()
+    assert terms == fresh.value(point_a)
+    assert np.array_equal(grad, fresh.grad(100.0, 0.7))
+
+
+def test_optimize_returns_positions_and_latents_in_their_own_memory(skel, cam):
+    rng = np.random.default_rng(100)
+    joints = rest_pose()[None] + (0, 0, 4000.0) + 15.0 * rng.standard_normal((12, 15, 3))
+    _, state = optimize(make_track(joints), None, cam, TtoConfig(iters_per_stage=10), skel)
+    assert not np.shares_memory(state.positions, state.bone_latents)
+
+
 # --- bone loss ------------------------------------------------------------
 
 def test_bone_loss_zero_for_matching_latents(skel):
@@ -327,6 +361,24 @@ def test_bone_loss_rigid_invariance(skel):
     moved = joints @ q.T + np.array([900.0, -40.0, 1200.0])
     rotated, _, _ = bone_loss_grad(moved, skel.bone_array, latents)
     assert rotated == pytest.approx(base, rel=1e-9)
+
+
+@pytest.mark.parametrize("n_latents", [1, 13, 15])
+@pytest.mark.parametrize("entry", ["bone_loss_grad", "bone_loss", "tto_loss"])
+def test_bone_latents_of_another_length_are_rejected(skel, cam, entry, n_latents):
+    # one latent would broadcast to all 14 bones; any other length must be
+    # named as the wrong shape, not as a failed numpy broadcast
+    joints = np.tile(rest_pose() + (0, 0, 4000.0), (6, 1, 1))
+    seq = make_track(joints)
+    latents = np.full(n_latents, 200.0)
+    call = {
+        "bone_loss_grad": lambda: bone_loss_grad(joints, skel.bone_array, latents),
+        "bone_loss": lambda: bone_loss(seq, latents, skel),
+        "tto_loss": lambda: tto_loss(seq, None, cam, TtoState(joints, latents),
+                                     TtoConfig(), stage=1, skel=skel),
+    }[entry]
+    with pytest.raises(ValueError, match=rf"shape \(14,\).*got \({n_latents},\)"):
+        call()
 
 
 def test_bone_loss_grad_matches_loop_oracle(skel):

@@ -8,20 +8,17 @@ workloads, so that two checkouts can be compared file by file.
 Run from the root of a checkout; the package is imported from ``src/`` and
 the workloads from ``perfbench/workloads.py``.  For each workload and seed,
 the inputs are built in a temporary directory and the workload's command
-chain runs once through ``dualpose.cli.main``.  The output is one JSON
+chain runs once through ``dualpose.cli.main``; each ``run`` command also
+writes its loss trace, ``--trace {out}/trace.csv``.  The output is one JSON
 object, ``{workload: {seed: {"inputs/<file>" | "out/<file>": sha256}}}``:
-a change that keeps every output byte-identical prints the same object as
-its parent.
+a change that keeps every output and trace byte-identical prints the same
+object as its parent.
 
-The tool sees only the files the workloads write, and no workload writes a
-loss trace (``run --trace``): a change that moves only trace bits, say a
-last-bit difference in one TTO loss term that flips no line-search
-decision, passes unseen.  Compare the trace CSVs of ``run ... --trace
-t.csv`` on the ``refine`` and ``gapped`` scenes for that.
-
-With ``--base REV`` the tool also hashes git revision REV, through that
-revision's own copy of this tool in a ``git worktree`` checked out under a
-temporary directory and removed afterwards.  It then prints, one per line as
+With ``--base REV`` the tool also hashes git revision REV, checked out in a
+``git worktree`` under a temporary directory and removed afterwards.  That
+side runs this copy of the tool, copied into the worktree, so both sides are
+hashed by the same logic from their own ``src/`` and ``perfbench/``.  It
+then prints, one per line as
 ``workload/seed/file``, the files whose sha256 differs or that only one side
 has, and exits 1 if there are any, 0 if every file is byte-identical.  A
 command that fails, on either side, or a revision that cannot be checked out
@@ -33,6 +30,7 @@ import argparse
 import hashlib
 import io
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -61,6 +59,8 @@ def workload_hashes(name: str, seed: int) -> dict[str, str]:
         out.mkdir()
         log = io.StringIO()
         for cmd in scene.commands:
+            if cmd[0] == "run":
+                cmd = [*cmd, "--trace", "{out}/trace.csv"]
             argv = [arg.replace("{out}", str(out)) for arg in cmd]
             with redirect_stdout(log), redirect_stderr(log):
                 code = dualpose.cli.main(argv)
@@ -71,9 +71,9 @@ def workload_hashes(name: str, seed: int) -> dict[str, str]:
 
 
 def base_hashes(rev: str, seeds: list[int], names: list[str]) -> dict:
-    """The JSON object this tool prints at git revision ``rev``, run by that
-    revision's own copy of it in a temporary worktree.  Raises RuntimeError
-    when the checkout or the run fails."""
+    """The JSON object this tool prints at git revision ``rev``: this copy of
+    it, run in a temporary worktree of ``rev``.  Raises RuntimeError when the
+    checkout or the run fails."""
     with tempfile.TemporaryDirectory(prefix="dualpose_base_") as tmp:
         tree = Path(tmp) / "base"
         git = ["git", "-C", str(ROOT), "worktree"]
@@ -82,8 +82,11 @@ def base_hashes(rev: str, seeds: list[int], names: list[str]) -> dict:
         if added.returncode != 0:
             raise RuntimeError(f"cannot check out {rev}:\n{added.stderr}")
         try:
+            tool = tree / "tools" / "output_hashes.py"
+            tool.parent.mkdir(exist_ok=True)
+            shutil.copyfile(__file__, tool)
             run = subprocess.run(
-                [sys.executable, str(tree / "tools" / "output_hashes.py"),
+                [sys.executable, str(tool),
                  "--seeds", *map(str, seeds), "--workloads", *names],
                 cwd=tree, capture_output=True, text=True)
         finally:
