@@ -281,18 +281,14 @@ class RunConfig:
         A key absent from the file takes its field's default; an absent
         section, the section of ``RunConfig.default()``.  Derived values:
         an absent ``match.tau_match`` is ``default_tau_match`` of the
-        skeleton's joint count, ``match.camera`` is the config camera in
-        2D distance mode, and an absent ``scene.seed`` is the top-level seed.
+        skeleton's joint count, and an absent ``scene.seed`` is the
+        top-level seed.
         """
         d = _json_object(d, "config")
         config = _from_json(cls, {k: v for k, v in d.items() if k not in ("match", "scene")},
                             "config", **vars(cls.default()))
-        match = _json_object(d.get("match", {}), "config.match")
-        config.match = _from_json(
-            MatchConfig, match, "config.match",
-            tau_match=default_tau_match(config.skeleton.num_joints),
-            camera=config.camera if match.get("distance_mode") == "2d" else None,
-        )
+        config.match = _from_json(MatchConfig, d.get("match", {}), "config.match",
+                                  tau_match=default_tau_match(config.skeleton.num_joints))
         if d.get("scene") is not None:
             config.scene = _from_json(SceneSpec, d["scene"], "config.scene",
                                       seed=config.seed)
@@ -302,9 +298,8 @@ class RunConfig:
         return _to_json(self)
 
 
-# Fields never written to a config file: derived from other settings, or
-# holding code.
-_UNSAVED = {MatchConfig: ("camera",), FusionStrategy: ("integrator",)}
+# Fields never written to a config file: they hold code.
+_UNSAVED = {FusionStrategy: ("integrator",)}
 
 # Keys of removed settings that older config files carry: the value that
 # left behavior unchanged, and where the setting lives now.
@@ -401,6 +396,10 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(config: RunConfig, path) -> None:
+    """Write ``config`` as JSON.  A pluggable fusion strategy raises
+    ValueError: its integrator is code, which no config file holds."""
+    if config.fusion.variant == "pluggable":
+        raise ValueError("config.fusion.integrator: code cannot be saved to a config file")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(config.to_dict(), fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -112,7 +112,8 @@ def fuse_frame(match: MatchResult, td: list[Pose3D], bu: list[Pose3D],
                strategy: FusionStrategy, skel: SkeletonSpec) -> list[Pose3D]:
     """Fuse matched pairs and pass unmatched poses through unchanged.
 
-    Output order: fused pairs (by td index), unmatched TD, unmatched BU.
+    Output order, owned by ``MatchResult.in_fused_order``: fused pairs (by
+    td index), unmatched TD, unmatched BU.
     The closed-form variants fuse all pairs in one broadcast and take the
     per-joint maximum of each pair's confidences; a pluggable integrator
     runs once per pair and its pose is kept as it is.  The paired poses
@@ -138,8 +139,7 @@ def fuse_frame(match: MatchResult, td: list[Pose3D], bu: list[Pose3D],
         fused = poses_from_stack(
             *_fuse_stacks(joints[:n], conf[:n], joints[n:], conf[n:], strategy, skel.root_index),
             Frame.CAMERA_CENTRIC)
-    return (fused + [td[i] for i in match.unmatched_td]
-            + [bu[j] for j in match.unmatched_bu])
+    return match.in_fused_order(fused, td, bu)
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,13 @@ class MatchConfig:
     normalization), unless ``fixed_scale_mm`` pins it.  ``tau_match`` is
     the minimum similarity for a valid pair; pairs below it are demoted to
     unmatched.  ``distance_mode`` selects 3D mm distances (default) or
-    projected 2D pixel distances (requires ``camera``).
+    2D pixel distances, projected with each call's ``cam`` (the pipeline
+    passes ``RunConfig.camera``): the config holds no camera.
     """
 
     fixed_scale_mm: float | None = None
     tau_match: float = 1.5
     distance_mode: str = "3d"
-    camera: CameraIntrinsics | None = None
 
     def __post_init__(self):
         # the comparisons are False for NaN, so NaN fails them too
@@ -50,8 +50,6 @@ class MatchConfig:
             raise ValueError("tau_match must be finite and non-negative")
         if self.distance_mode not in ("3d", "2d"):
             raise ValueError("distance_mode must be '3d' or '2d'")
-        if self.distance_mode == "2d" and self.camera is None:
-            raise ValueError("distance_mode '2d' requires a camera")
 
 
 @dataclass(frozen=True)
@@ -61,6 +59,12 @@ class MatchResult:
     pairs: tuple[tuple[int, int, float], ...]  # (td_index, bu_index, similarity)
     unmatched_td: tuple[int, ...]
     unmatched_bu: tuple[int, ...]
+
+    def in_fused_order(self, paired: list, td: list, bu: list) -> list:
+        """Fusion's output order, of poses or ids: ``paired`` (one entry per
+        pair), then the unmatched ``td`` entries, then the unmatched ``bu``."""
+        return [*paired, *(td[i] for i in self.unmatched_td),
+                *(bu[j] for j in self.unmatched_bu)]
 
     @property
     def total_similarity(self) -> float:
@@ -94,28 +98,27 @@ def _pair_scales(td_joints: np.ndarray, cfg: MatchConfig) -> np.ndarray:
     return np.maximum(np.sqrt(np.maximum(area, 0.0)), MIN_SCALE_MM)
 
 
-def _joint_positions(joints: np.ndarray, cfg: MatchConfig) -> np.ndarray:
-    if cfg.distance_mode == "2d":
-        return project(joints, cfg.camera)
-    return joints
-
-
 def pose_similarity(p_bu: Pose3D, p_td: Pose3D, cfg: MatchConfig,
-                    sigma: np.ndarray | None = None) -> float:
+                    sigma: np.ndarray | None = None,
+                    cam: CameraIntrinsics | None = None) -> float:
     """Similarity of one BU/TD pose pair: the 1x1 ``similarity_matrix``."""
-    return float(similarity_matrix([p_td], [p_bu], cfg, sigma)[0, 0])
+    return float(similarity_matrix([p_td], [p_bu], cfg, sigma, cam)[0, 0])
 
 
 def similarity_matrix(td: list[Pose3D], bu: list[Pose3D], cfg: MatchConfig,
-                      sigma: np.ndarray | None = None) -> np.ndarray:
+                      sigma: np.ndarray | None = None,
+                      cam: CameraIntrinsics | None = None) -> np.ndarray:
     """(len(td), len(bu)) matrix of pose similarities, all pairs at once.
 
     Sim[i, j] = sum_k min(c_bu[k], c_td[k]) * exp(-d_k^2 / (2 s^2 sigma_k^2)),
     a confidence-weighted sum over joints of the OKS between TD pose i and
     BU pose j, with s the OKS scale of TD pose i (``MatchConfig``).
     ``sigma`` holds the per-joint OKS sigmas (a skeleton's ``oks_sigma``);
-    it defaults to ``default_oks_sigmas`` of the joint count.
+    it defaults to ``default_oks_sigmas`` of the joint count.  2D mode
+    projects with ``cam``, which it requires.
     """
+    if cfg.distance_mode == "2d" and cam is None:
+        raise ValueError("distance_mode '2d' requires a camera")
     if not td and not bu:
         return np.zeros((0, 0))
     require_camera_centric(*td, *bu)
@@ -129,7 +132,7 @@ def similarity_matrix(td: list[Pose3D], bu: list[Pose3D], cfg: MatchConfig,
     # not depend on the other poses of the sets.
     n = len(td)
     s = _pair_scales(joints[:n], cfg)[:, None, None]
-    positions = _joint_positions(joints, cfg)
+    positions = project(joints, cam) if cfg.distance_mode == "2d" else joints
     d2 = np.sum((positions[None, n:] - positions[:n, None]) ** 2, axis=-1)
     kern = _oks_kernel(d2, s, sigma)
     w = np.minimum(conf[None, n:], conf[:n, None])
@@ -137,7 +140,8 @@ def similarity_matrix(td: list[Pose3D], bu: list[Pose3D], cfg: MatchConfig,
 
 
 def match_sets(td: list[Pose3D], bu: list[Pose3D], cfg: MatchConfig,
-               sigma: np.ndarray | None = None) -> MatchResult:
+               sigma: np.ndarray | None = None,
+               cam: CameraIntrinsics | None = None) -> MatchResult:
     """Optimal assignment between the TD and BU pose sets.
 
     Maximizes total similarity with ``linear_sum_assignment``, then demotes
@@ -146,7 +150,7 @@ def match_sets(td: list[Pose3D], bu: list[Pose3D], cfg: MatchConfig,
     scan order: it is not always the lexicographically smallest, but equal
     similarities everywhere pair TD pose i with BU pose i.
     """
-    sim = similarity_matrix(td, bu, cfg, sigma)
+    sim = similarity_matrix(td, bu, cfg, sigma, cam)
     rows, cols = linear_sum_assignment(-sim)
     pairs = []
     matched_td, matched_bu = set(), set()

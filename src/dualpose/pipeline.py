@@ -6,8 +6,6 @@ import csv
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import MisalignedFramesError, SchemaError
 from .frames_io import (
     FrameRecord,
@@ -70,20 +68,18 @@ def link_tracks(frames: PoseMap, root_index: int, gate_mm: float) -> list[TrackS
     """Assemble per-person tracks from per-frame pose lists.
 
     Poses carrying a person_id join that identity directly.  Each frame's
-    unlabeled poses are paired with the tracks seen in the previous frame
-    and not yet in this one by one globally greedy nearest-root pairing
-    within ``gate_mm`` (ties by pose slot, then by ``str`` of the track
-    id); leftovers start new tracks.
+    unlabeled poses are paired with the tracks whose last frame is the
+    previous one, by one globally greedy nearest-root pairing within
+    ``gate_mm`` (ties by pose slot, then by ``str`` of the track id);
+    leftovers start new tracks.
     """
     tracks: dict[int | str, TrackSequence] = {}
-    last_seen: dict[int | str, tuple[int, np.ndarray]] = {}
     next_auto = 0
 
     def place(key: int | str, frame_idx: int, pose: Pose3D) -> None:
         if key not in tracks:
             tracks[key] = TrackSequence(person_id=key, frames={})
         tracks[key].add(frame_idx, pose)
-        last_seen[key] = (frame_idx, pose.joints[root_index])
 
     for frame_idx in sorted(frames):
         poses, ids = frames[frame_idx]
@@ -93,12 +89,12 @@ def link_tracks(frames: PoseMap, root_index: int, gate_mm: float) -> list[TrackS
         unlabeled = [pose for pose, pid in zip(poses, ids) if pid is None]
         if not unlabeled:
             continue
-        candidates = sorted((key for key, (seen_at, _) in last_seen.items()
-                             if seen_at == frame_idx - 1
-                             and frame_idx not in tracks[key].frames), key=str)
+        # a track's frames are sorted, so its last key is its last frame
+        candidates = sorted((key for key, track in tracks.items()
+                             if next(reversed(track.frames)) == frame_idx - 1), key=str)
         pairs, unpaired, _ = greedy_root_match(
             [pose.joints[root_index] for pose in unlabeled],
-            [last_seen[key][1] for key in candidates], gate_mm)
+            [tracks[key].frames[frame_idx - 1].joints[root_index] for key in candidates], gate_mm)
         for slot, col in pairs:
             place(candidates[col], frame_idx, unlabeled[slot])
         for slot in unpaired:
@@ -111,27 +107,25 @@ def match_frames(config: RunConfig, td_map: PoseMap, bu_map: PoseMap):
     """Per-frame TD/BU matching over the union of frame indices.
 
     Yields (frame index, (TD poses, ids), (BU poses, ids), MatchResult) in
-    frame order.
+    frame order.  2D matching projects with the run's ``config.camera``.
     """
     for frame_idx in sorted(set(td_map) | set(bu_map)):
         td = td_map.get(frame_idx, ([], []))
         bu = bu_map.get(frame_idx, ([], []))
         yield frame_idx, td, bu, match_sets(td[0], bu[0], config.match,
-                                            config.skeleton.oks_sigma)
+                                            config.skeleton.oks_sigma, config.camera)
 
 
 def fuse_sources(config: RunConfig, td_map: PoseMap, bu_map: PoseMap) -> PoseMap:
-    """Per-frame matching and fusion over the union of frame indices."""
+    """Per-frame matching and fusion over the union of frame indices; a
+    fused pair keeps its TD person id, else its BU one."""
     fused: PoseMap = {}
     for frame_idx, (td_poses, td_ids), (bu_poses, bu_ids), match in \
             match_frames(config, td_map, bu_map):
         poses = fuse_frame(match, td_poses, bu_poses, config.fusion, config.skeleton)
-        ids: list[int | None] = []
-        for i, j, _ in match.pairs:
-            ids.append(td_ids[i] if td_ids[i] is not None else bu_ids[j])
-        ids.extend(td_ids[i] for i in match.unmatched_td)
-        ids.extend(bu_ids[j] for j in match.unmatched_bu)
-        fused[frame_idx] = (poses, ids)
+        paired_ids = [td_ids[i] if td_ids[i] is not None else bu_ids[j]
+                      for i, j, _ in match.pairs]
+        fused[frame_idx] = (poses, match.in_fused_order(paired_ids, td_ids, bu_ids))
     return fused
 
 

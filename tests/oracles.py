@@ -270,15 +270,15 @@ def reprojection_loss_grad_loops(positions, uv, conf, cam):
     return loss, grad
 
 
-def similarity_matrix_loops(td, bu, cfg, sigma):
+def similarity_matrix_loops(td, bu, cfg, sigma, cam=None):
     """Pose similarities one TD/BU pair at a time:
     sum_k min(c_bu[k], c_td[k]) * exp(-d_k^2 / (2 s^2 sigma_k^2)), with s
     ``cfg.fixed_scale_mm`` or the square root of the TD pose's x-y box area
-    (at least 1 mm), and d in mm or, in 2D mode, in projected pixels."""
+    (at least 1 mm), and d in mm or, in 2D mode, in pixels projected with
+    ``cam``."""
     def positions(joints):
         if cfg.distance_mode != "2d":
             return joints
-        cam = cfg.camera
         z = joints[:, 2]
         return np.stack([cam.fx * joints[:, 0] / z + cam.cx,
                          cam.fy * joints[:, 1] / z + cam.cy], axis=-1)

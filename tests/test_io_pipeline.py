@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dualpose.camera import CameraIntrinsics
 from dualpose.errors import FrameMismatchError, MisalignedFramesError, SchemaError
 from dualpose.frames_io import (
     FrameRecord,
@@ -16,9 +17,16 @@ from dualpose.frames_io import (
     save_config,
     write_frames,
 )
-from dualpose.matching import default_tau_match, pose_similarity
+from dualpose.fusion import FusionStrategy, fuse_frame
+from dualpose.matching import MatchConfig, default_tau_match, pose_similarity
 from dualpose.metrics import evaluate_frames
-from dualpose.pipeline import aligned_frames, link_tracks, match_frames, run_pipeline
+from dualpose.pipeline import (
+    aligned_frames,
+    fuse_sources,
+    link_tracks,
+    match_frames,
+    run_pipeline,
+)
 from dualpose.skeleton import Frame, Pose2D, Pose3D, pose3d_camera, pose3d_person, rest_pose
 from dualpose.synth import MotionSpec, SceneSpec, benchmark_camera, generate, make_benchmark_spec
 
@@ -263,6 +271,48 @@ def test_record_persons_must_fit_the_source(source, person, error, message):
         poses_to_record(0, source, [person])
 
 
+def _first_person_with(**fields):
+    def edit(record):
+        record["persons"][0].update(fields)
+        return record
+    return edit
+
+
+# A valid 3D record's edit into a bad JSON value, and the field path and
+# message that name it.  These fail the all-persons stack, so the
+# person-by-person walk names their first bad entry.
+READER_ERRORS = {
+    "person-not-an-object": (lambda r: {**r, "persons": [*r["persons"], 5]},
+                             "persons[2]: expected an object"),
+    "joints-not-a-list": (_first_person_with(joints=5),
+                          "persons[0].joints: expected a non-empty list"),
+    "joints-empty": (_first_person_with(joints=[]),
+                     "persons[0].joints: expected a non-empty list"),
+    "joints-of-mixed-length": (_first_person_with(joints=[[1.0, 2.0, 3.0], [1.0, 2.0]] * 2),
+                               "persons[0].joints: joints must all be [x, y] or [x, y, z]"),
+    "2d-joints-in-a-3d-source": (_first_person_with(joints=[[1.0, 2.0]] * 4),
+                                 "persons[0].joints: expected 3-element joints, got 2"),
+    "conf-of-the-wrong-length": (_first_person_with(conf=[0.5] * 3),
+                                 "persons[0].conf: expected 4 confidences"),
+    "record-not-an-object": (lambda r: [r], "expected a JSON object"),
+    "persons-not-a-list": (lambda r: {**r, "persons": {}}, "persons: expected a list"),
+}
+
+
+@pytest.mark.parametrize("blank_lines", [0, 2])
+@pytest.mark.parametrize("case", sorted(READER_ERRORS))
+def test_reader_error_names_file_line_and_field(tmp_path, case, blank_lines):
+    edit, message = READER_ERRORS[case]
+    lines = [_frame_line("td", 3), *[None] * blank_lines, edit(_frame_line("td", 3, 1))]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join("  \n" if obj is None else json.dumps(obj) + "\n"
+                            for obj in lines))
+    with pytest.raises(SchemaError) as info:
+        read_frames(path)
+    # blank lines are skipped, but counted
+    assert str(info.value) == f"{path}: line {2 + blank_lines}: {message}"
+
+
 def test_record_without_persons_reads(tmp_path):
     (rec,) = read_frames(_write_record(tmp_path, _frame_line("td", 3, num_persons=0)), 4)
     assert rec.persons == [] and rec.ids == []
@@ -436,6 +486,62 @@ def test_skeleton_oks_sigma_is_the_matching_sigma(skel):
     assert sim_wide == pytest.approx(
         pose_similarity(bu, td, base.match, 10.0 * skel.oks_sigma), abs=1e-12)
     assert sim_wide > sim_base + 0.5
+
+
+@pytest.mark.parametrize("built_from", ["dataclasses", "json"])
+def test_2d_matching_projects_with_the_run_camera(tmp_path, skel, built_from):
+    # The run camera is the one camera: replacing it moves 2D matching,
+    # before and after a save / load round trip.
+    rng = np.random.default_rng(8)
+    td = random_camera_pose(rng, skel, spread_mm=0.0)
+    bu = pose3d_camera(td.joints + 40.0 * rng.standard_normal(td.joints.shape))
+    maps = ({0: ([td], [0])}, {0: ([bu], [0])})
+    cam = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
+    if built_from == "json":
+        config = RunConfig.from_dict({"match": {"distance_mode": "2d", "tau_match": 0.0}})
+    else:
+        config = RunConfig.default()
+        config.match = MatchConfig(distance_mode="2d", tau_match=0.0)
+    config.camera = cam
+    path = tmp_path / "config.json"
+    save_config(config, path)
+    expected = pose_similarity(bu, td, config.match, skel.oks_sigma, cam)
+    assert expected != pose_similarity(bu, td, config.match, skel.oks_sigma,
+                                       RunConfig.default().camera)
+    for run_config in (config, load_config(path)):
+        (_, _, _, match), = match_frames(run_config, *maps)
+        assert match.pairs[0][2] == expected
+
+
+def test_a_pluggable_fusion_config_is_not_saved(tmp_path):
+    # its integrator is code: load_config could not rebuild the strategy
+    config = RunConfig.default()
+    config.fusion = FusionStrategy.pluggable(lambda td, bu: td)
+    path = tmp_path / "config.json"
+    with pytest.raises(ValueError, match=r"^config\.fusion\.integrator: "):
+        save_config(config, path)
+    assert not path.exists()
+
+
+def test_fused_ids_follow_the_fused_poses(skel):
+    # A matched pair (TD unlabeled, BU id 7), an unmatched TD pose (id 3)
+    # and an unmatched BU pose (unlabeled), each set listing its unmatched
+    # pose first.
+    rng = np.random.default_rng(9)
+    pair_td = random_camera_pose(rng, skel, center=(0.0, 0.0, 5000.0))
+    pair_bu = pose3d_camera(pair_td.joints + 10.0)
+    lone_td = random_camera_pose(rng, skel, center=(-4000.0, 0.0, 5000.0))
+    lone_bu = random_camera_pose(rng, skel, center=(4000.0, 0.0, 5000.0))
+    td_map = {0: ([lone_td, pair_td], [3, None])}
+    bu_map = {0: ([lone_bu, pair_bu], [None, 7])}
+    config = RunConfig.default()
+    (_, _, _, match), = match_frames(config, td_map, bu_map)
+    assert [(i, j) for i, j, _ in match.pairs] == [(1, 1)]
+    poses, ids = fuse_sources(config, td_map, bu_map)[0]
+    assert ids == [7, 3, None]
+    expected = fuse_frame(match, td_map[0][0], bu_map[0][0], config.fusion, skel)
+    assert np.array_equal(poses[0].joints, expected[0].joints)
+    assert poses[1:] == expected[1:] == [lone_td, lone_bu]
 
 
 def test_config_with_removed_keys_at_their_old_defaults_loads(tmp_path):

@@ -151,31 +151,31 @@ def _similarity_sets(rng, skel, n_td, n_bu, zero_conf=False):
     return td, bu
 
 
+# (config, sigma, camera) of each variant
 SIMILARITY_VARIANTS = {
-    "box_scale": (MatchConfig(), None),
-    "fixed_scale": (MatchConfig(fixed_scale_mm=450.0), None),
-    "2d": (MatchConfig(distance_mode="2d",
-                       camera=CameraIntrinsics(fx=1100.0, fy=1050.0, cx=640.0, cy=360.0)),
-           None),
-    "custom_sigma": (MatchConfig(), np.linspace(0.02, 0.3, 15)),
-    "zero_conf": (MatchConfig(), None),
+    "box_scale": (MatchConfig(), None, None),
+    "fixed_scale": (MatchConfig(fixed_scale_mm=450.0), None, None),
+    "2d": (MatchConfig(distance_mode="2d"), None,
+           CameraIntrinsics(fx=1100.0, fy=1050.0, cx=640.0, cy=360.0)),
+    "custom_sigma": (MatchConfig(), np.linspace(0.02, 0.3, 15), None),
+    "zero_conf": (MatchConfig(), None, None),
 }
 
 
 @pytest.mark.parametrize("variant", sorted(SIMILARITY_VARIANTS))
 @pytest.mark.parametrize("n_td, n_bu", [(0, 0), (0, 3), (4, 0), (1, 1), (5, 3), (3, 7)])
 def test_similarity_matrix_equals_pair_loop_oracle(skel, variant, n_td, n_bu):
-    cfg, sigma = SIMILARITY_VARIANTS[variant]
+    cfg, sigma, cam = SIMILARITY_VARIANTS[variant]
     rng = np.random.default_rng(40 + 10 * n_td + n_bu)
     td, bu = _similarity_sets(rng, skel, n_td, n_bu, zero_conf=variant == "zero_conf")
     expected = similarity_matrix_loops(
-        td, bu, cfg, default_oks_sigmas(skel.num_joints) if sigma is None else sigma)
-    sim = similarity_matrix(td, bu, cfg, sigma)
+        td, bu, cfg, default_oks_sigmas(skel.num_joints) if sigma is None else sigma, cam)
+    sim = similarity_matrix(td, bu, cfg, sigma, cam)
     assert sim.shape == (n_td, n_bu)
     assert sim.dtype == np.float64
     assert np.array_equal(sim, expected)  # the same arithmetic, so bit-equal
     if n_td and n_bu:
-        assert pose_similarity(bu[-1], td[0], cfg, sigma) == expected[0, -1]
+        assert pose_similarity(bu[-1], td[0], cfg, sigma, cam) == expected[0, -1]
         if variant != "zero_conf":
             assert sim.max() > 1.0  # near pairs score well above underflow
 
@@ -260,7 +260,7 @@ def test_match_ties_follow_the_solver_scan_order(monkeypatch, cost, pairs):
     import dualpose.matching as matching
 
     sim = 1.0 - np.asarray(cost, dtype=np.float64)
-    monkeypatch.setattr(matching, "similarity_matrix", lambda td, bu, cfg, sigma: sim)
+    monkeypatch.setattr(matching, "similarity_matrix", lambda td, bu, cfg, sigma, cam: sim)
     result = match_sets([None] * 3, [None] * 3, MatchConfig(tau_match=0.0))
     assert [(i, j) for i, j, _ in result.pairs] == pairs
 
@@ -299,11 +299,25 @@ def test_oks_rejects_nan_scale_or_sigma(s, sigma):
         oks(a, b, s, sigma)
 
 
+@pytest.mark.parametrize("n_td, n_bu", [(0, 0), (2, 0), (2, 3)])
+def test_2d_matching_without_a_camera_is_rejected(skel, n_td, n_bu):
+    # an empty frame gets the check of a full one
+    td, bu = _similarity_sets(np.random.default_rng(42), skel, n_td, n_bu)
+    cfg = MatchConfig(distance_mode="2d")
+    with pytest.raises(ValueError, match="distance_mode '2d' requires a camera"):
+        similarity_matrix(td, bu, cfg)
+    with pytest.raises(ValueError, match="distance_mode '2d' requires a camera"):
+        match_sets(td, bu, cfg, skel.oks_sigma)
+    if n_td and n_bu:
+        with pytest.raises(ValueError, match="distance_mode '2d' requires a camera"):
+            pose_similarity(bu[0], td[0], cfg)
+    # 3D matching needs no camera
+    assert similarity_matrix(td, bu, MatchConfig()).shape == (n_td, n_bu)
+
+
 def test_match_config_validation():
     with pytest.raises(ValueError):
         MatchConfig(fixed_scale_mm=0.0)
-    with pytest.raises(ValueError):
-        MatchConfig(distance_mode="2d")  # no camera supplied
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="fixed_scale_mm must be finite"):
             MatchConfig(fixed_scale_mm=value)
