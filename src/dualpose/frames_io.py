@@ -29,6 +29,7 @@ from .skeleton import (
     Pose2D,
     Pose3D,
     SkeletonSpec,
+    checked_pose_arrays,
     default_skeleton,
     poses_from_stack,
     require_camera_centric,
@@ -44,7 +45,8 @@ SOURCES = SOURCES_3D + ("obs",)
 DEFAULT_LINKER_GATE_MM = 500.0
 
 # The Python types json.loads gives JSON numbers; bool, a subclass of int,
-# is not one of them.
+# is not one of them.  A JSON value's type is exact, so ``type(v) is int``
+# holds for an integer and not for a boolean.
 _NUMBER_TYPES = {float, int}
 
 
@@ -55,9 +57,9 @@ class FrameRecord:
     ``persons`` are camera-centric Pose3D objects, or Pose2D for the 2D
     observation source ``obs`` (others raise ValueError, and FrameMismatchError
     for a person-centric Pose3D); ``ids[i]`` is the person id of
-    ``persons[i]``, None when unlabeled (the default).  ``origin`` is where
-    the record was read, ``"<path>: line N"``, and empty for a record built
-    in memory.
+    ``persons[i]``, None when unlabeled (the default); a non-null id may
+    occur once (SchemaError).  ``origin`` is where the record was read,
+    ``"<path>: line N"``, and empty for a record built in memory.
     """
 
     frame_index: int
@@ -78,10 +80,15 @@ class FrameRecord:
             self.ids = [None] * len(self.persons)
         if len(self.ids) != len(self.persons):
             raise ValueError(f"{len(self.persons)} persons but {len(self.ids)} ids")
+        first: dict[int, int] = {}
+        for i, pid in enumerate(self.ids):
+            if pid is not None and first.setdefault(pid, i) != i:
+                raise self.error(f"persons[{first[pid]}] and persons[{i}] repeat person_id {pid}")
 
     def error(self, message: str) -> SchemaError:
-        """A SchemaError about this record, naming where it was read."""
-        return SchemaError(f"{self.origin}: {message}" if self.origin else message)
+        """A SchemaError about this record, naming where it was read, or its
+        frame index for a record built in memory."""
+        return SchemaError(f"{self.origin or f'frame_index {self.frame_index}'}: {message}")
 
 
 def _validate_number(value, path: str) -> float:
@@ -96,104 +103,86 @@ def _validate_number(value, path: str) -> float:
     return number
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _structure_fault(person, dim: int, num_joints: int | None) -> str | None:
+    """One person's structural fault, as its field path below ``persons[i]``
+    and the message, or None.  ``_poses`` checks the numbers."""
+    if type(person) is not dict:
+        return ": expected an object"
+    if type(joints := person.get("joints")) is not list or not joints:
+        return ".joints: expected a non-empty list"
+    count = len(joints)
+    if num_joints is not None and count != num_joints:
+        return f".joints: expected {num_joints} joints, got {count}"
+    if set(map(type, joints)) != {list} or len(widths := set(map(len, joints))) != 1:
+        return ".joints: joints must all be [x, y] or [x, y, z]"
+    if dim not in widths:
+        return f".joints: expected {dim}-element joints, got {widths.pop()}"
+    if type(conf := person.get("conf")) is not list or len(conf) != count:
+        return f".conf: expected {count} confidences"
+    if (person_id := person.get("person_id")) is not None and type(person_id) is not int:
+        return ".person_id: expected an integer or null"
+    return None
 
 
-def _pose(source: str, joints, conf) -> Pose3D | Pose2D:
-    if source == "obs":
-        return Pose2D(joints=joints, conf=conf)
-    return Pose3D(joints=joints, conf=conf, frame=Frame.CAMERA_CENTRIC)
-
-
-def _checked_numbers(joints_raw: list, conf_raw, path: str) -> tuple[list, list]:
-    """A person's joints and confidences, checked entry by entry in file
-    order, so the SchemaError names the first bad one as ``path...[k]``."""
-    joints = [[_validate_number(c, f"{path}.joints[{k}]") for c in row]
-              for k, row in enumerate(joints_raw)]
-    if not isinstance(conf_raw, list) or len(conf_raw) != len(joints_raw):
-        raise SchemaError(f"{path}.conf: expected {len(joints_raw)} confidences")
-    conf = [_validate_number(c, f"{path}.conf[{k}]") for k, c in enumerate(conf_raw)]
-    if not all(0.0 <= c <= 1.0 for c in conf):
-        raise SchemaError(f"{path}.conf: confidences must lie in [0, 1]")
-    return joints, conf
-
-
-def _parse_person(obj, path: str, source: str,
-                  num_joints: int | None) -> tuple[Pose3D | Pose2D, int | None]:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object")
-    joints_raw = obj.get("joints")
-    if not isinstance(joints_raw, list) or not joints_raw:
-        raise SchemaError(f"{path}.joints: expected a non-empty list")
-    if num_joints is not None and len(joints_raw) != num_joints:
-        raise SchemaError(
-            f"{path}.joints: expected {num_joints} joints, got {len(joints_raw)}"
-        )
-    dims = {len(j) if isinstance(j, list) else -1 for j in joints_raw}
-    if len(dims) != 1 or dims & {-1}:
-        raise SchemaError(f"{path}.joints: joints must all be [x, y] or [x, y, z]")
-    dim, expect_dim = dims.pop(), 2 if source == "obs" else 3
-    if dim != expect_dim:
-        raise SchemaError(f"{path}.joints: expected {expect_dim}-element joints, got {dim}")
-    pose = _pose(source, *_checked_numbers(joints_raw, obj.get("conf"), path))
-    person_id = obj.get("person_id")
-    if person_id is not None and not _is_int(person_id):
-        raise SchemaError(f"{path}.person_id: expected an integer or null")
-    return pose, person_id
-
-
-def _stacked_persons(persons_raw: list, source: str, num_joints: int | None
-                     ) -> tuple[list[Pose3D | Pose2D], list[int | None]] | None:
-    """A record's poses and ids, all persons checked together as one
-    (n, K, d) joints stack and one (n, K) confidence stack.
-
-    Returns None when any check fails, and for a record without persons or
-    with persons of differing joint counts: the person-by-person walk then
-    reads the record or names its first bad entry.
-    """
-    if not all(type(p) is dict for p in persons_raw):
-        return None
-    ids = [p.get("person_id") for p in persons_raw]
-    joints_raw = [p.get("joints") for p in persons_raw]
-    conf_raw = [p.get("conf") for p in persons_raw]
+def _poses(persons: list, dim: int, where: str) -> list[Pose3D | Pose2D]:
+    """The poses of persons without a structural fault, in their order, from
+    one ``poses_from_stack`` per joint count.  Only when that fails are the
+    persons walked to name the fault."""
+    joints = [p["joints"] for p in persons]
+    conf = [p["conf"] for p in persons]
+    frame = None if dim == 2 else Frame.CAMERA_CENTRIC
+    stacks = {}
     try:
-        # Only JSON numbers may reach numpy, which would also convert bools
-        # and numeric strings.
-        if not (all(pid is None or _is_int(pid) for pid in ids)
-                and set(map(type, chain(chain.from_iterable(chain.from_iterable(joints_raw)),
-                                        chain.from_iterable(conf_raw)))) <= _NUMBER_TYPES):
-            return None
-        poses = poses_from_stack(joints_raw, conf_raw,
-                                 None if source == "obs" else Frame.CAMERA_CENTRIC)
-    except (OverflowError, TypeError, ValueError):  # OverflowError: an int beyond float64
-        return None
-    if num_joints not in (None, poses[0].num_joints):
-        return None
-    return poses, ids
+        for count in set(map(len, joints)):
+            group = [j for j in joints if len(j) == count]
+            # One flat list of the group's numbers, joints then confidences,
+            # for the type scan and for numpy.  Only JSON numbers may reach
+            # numpy, which would also convert bools and numeric strings.
+            values = [*chain.from_iterable(chain.from_iterable(group)),
+                      *chain.from_iterable(c for c in conf if len(c) == count)]
+            if not set(map(type, values)) <= _NUMBER_TYPES:
+                break
+            numbers = np.array(values, dtype=np.float64)
+            split = len(group) * count * dim
+            stacks[count] = iter(poses_from_stack(numbers[:split].reshape(-1, count, dim),
+                                                  numbers[split:].reshape(-1, count), frame))
+        else:
+            return [next(stacks[len(j)]) for j in joints]
+    except (OverflowError, ValueError):  # OverflowError: an int beyond float64
+        pass
+    # read_frames' fault order: the first bad number in file order, then the
+    # first person whose confidences leave [0, 1]
+    for i in range(len(persons)):
+        for field, rows in (("joints", joints[i]), ("conf", [[c] for c in conf[i]])):
+            for k, row in enumerate(rows):
+                for value in row:
+                    _validate_number(value, f"{where}: persons[{i}].{field}[{k}]")
+    for i in range(len(persons)):
+        try:
+            checked_pose_arrays(joints[i], conf[i], dim)
+        except ValueError:
+            raise SchemaError(f"{where}: persons[{i}].conf: confidences must lie in [0, 1]"
+                              ) from None
+    raise AssertionError(f"{where}: poses_from_stack failed on sound numbers")
 
 
 def _parse_record(obj, where: str, num_joints: int | None) -> FrameRecord:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected a JSON object")
-    if not _is_int(obj.get("frame_index")):
+    if type(obj.get("frame_index")) is not int:
         raise SchemaError(f"{where}: frame_index: expected an integer")
     source = obj.get("source")
     if source not in SOURCES:
         raise SchemaError(f"{where}: source: expected one of {SOURCES}, got {source!r}")
-    persons_raw = obj.get("persons")
-    if not isinstance(persons_raw, list):
+    persons = obj.get("persons")
+    if not isinstance(persons, list):
         raise SchemaError(f"{where}: persons: expected a list")
-    stacked = _stacked_persons(persons_raw, source, num_joints)
-    if stacked is not None:
-        persons, ids = stacked
-    else:
-        persons, ids = [], []
-        for i, p in enumerate(persons_raw):
-            pose, person_id = _parse_person(p, f"{where}: persons[{i}]", source, num_joints)
-            persons.append(pose)
-            ids.append(person_id)
-    return FrameRecord(obj["frame_index"], source, persons, ids, origin=where)
+    dim = 2 if source == "obs" else 3
+    for i, person in enumerate(persons):
+        if (fault := _structure_fault(person, dim, num_joints)) is not None:
+            raise SchemaError(f"{where}: persons[{i}]{fault}")
+    return FrameRecord(obj["frame_index"], source, _poses(persons, dim, where),
+                       [p.get("person_id") for p in persons], origin=where)
 
 
 def read_frames(path, num_joints: int | None = None) -> list[FrameRecord]:
@@ -201,6 +190,10 @@ def read_frames(path, num_joints: int | None = None) -> list[FrameRecord]:
     holding its persons' poses and ids.
 
     Schema violations raise SchemaError naming the file, line and field.
+    Of a record's faults, the first structural one in person order is named
+    (a person's type, joint count and width, conf length, person_id type),
+    else its first bad number in file order (each person's joints, then its
+    conf), else its first person whose confidences leave [0, 1].
     """
     records = []
     with open(path, "r", encoding="utf-8") as fh:

@@ -395,7 +395,33 @@ def _3d_as_obs(scene):
             f"{scene / 'td.jsonl'}: line 1: record holds 3D joints, not a 2D pose")
 
 
-@pytest.mark.parametrize("case", [_bad_obs_number, _repeated_frame, _obs_as_3d, _3d_as_obs],
+def _edit_first_record(path, edit):
+    lines = path.read_text().splitlines(True)
+    record = json.loads(lines[0])
+    edit(record["persons"])
+    lines[0] = json.dumps(record) + "\n"
+    path.write_text("".join(lines))
+
+
+def _repeated_td_id(scene):
+    _edit_first_record(scene / "td.jsonl", lambda persons: persons[1].update(person_id=0))
+    return (["run", str(scene / "td.jsonl"), str(scene / "bu.jsonl")],
+            f"{scene / 'td.jsonl'}: line 1: persons[0] and persons[1] repeat person_id 0")
+
+
+def _fused_id_repeated(scene):
+    # BU poses 20 m to the side match no TD pose, so the fused frame holds
+    # each id twice: fuse must fail, not write a file read_frames rejects
+    def move(persons):
+        for person in persons:
+            person["joints"] = [[x + 20000.0, y, z] for x, y, z in person["joints"]]
+    _edit_first_record(scene / "bu.jsonl", move)
+    return (["fuse", str(scene / "td.jsonl"), str(scene / "bu.jsonl")],
+            "frame_index 0: persons[0] and persons[2] repeat person_id 0")
+
+
+@pytest.mark.parametrize("case", [_bad_obs_number, _repeated_frame, _obs_as_3d, _3d_as_obs,
+                                  _repeated_td_id, _fused_id_repeated],
                          ids=lambda case: case.__name__.strip("_"))
 def test_frame_file_errors_name_file_and_line(tmp_path, capsys, case):
     config_path, _ = write_config(tmp_path, num_frames=4, iters=3)

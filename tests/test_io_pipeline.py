@@ -278,9 +278,39 @@ def _first_person_with(**fields):
     return edit
 
 
-# A valid 3D record's edit into a bad JSON value, and the field path and
-# message that name it.  These fail the all-persons stack, so the
-# person-by-person walk names their first bad entry.
+def _repeated_id(source, dim, slot):
+    """A ``source`` record whose person 2 takes the id of person ``slot``."""
+    def edit(record):
+        record = _frame_line(source, dim, 1, num_persons=3)
+        record["persons"][2]["person_id"] = slot
+        return record
+    return edit
+
+
+def _two_faults(record):
+    """A bad number in person 0, and a person 2 that is not an object."""
+    record["persons"][0]["joints"][1][0] = "x"
+    return {**record, "persons": [*record["persons"], 5]}
+
+
+def _conf_range_and_nan(record):
+    """A confidence above 1 in person 0, and a NaN in person 1's conf."""
+    record["persons"][0]["conf"][0] = 1.5
+    record["persons"][1]["conf"][3] = float("nan")
+    return record
+
+
+def _ragged_with_nan(record):
+    """Person 1 is one joint short, and holds a NaN."""
+    del record["persons"][1]["joints"][-1]
+    del record["persons"][1]["conf"][-1]
+    record["persons"][1]["joints"][2][0] = float("nan")
+    return record
+
+
+# A valid record's edit into a bad JSON value, and the field path and
+# message that name it.  A record's structure is checked person by person
+# first, then its numbers; the last cases pin that fault order.
 READER_ERRORS = {
     "person-not-an-object": (lambda r: {**r, "persons": [*r["persons"], 5]},
                              "persons[2]: expected an object"),
@@ -296,6 +326,17 @@ READER_ERRORS = {
                                  "persons[0].conf: expected 4 confidences"),
     "record-not-an-object": (lambda r: [r], "expected a JSON object"),
     "persons-not-a-list": (lambda r: {**r, "persons": {}}, "persons: expected a list"),
+    "repeated-id-in-td": (_repeated_id("td", 3, 0),
+                          "persons[0] and persons[2] repeat person_id 0"),
+    "repeated-id-in-obs": (_repeated_id("obs", 2, 1),
+                           "persons[1] and persons[2] repeat person_id 1"),
+    "repeated-id-in-gt": (_repeated_id("gt", 3, 0),
+                          "persons[0] and persons[2] repeat person_id 0"),
+    "structure-before-numbers": (_two_faults, "persons[2]: expected an object"),
+    "numbers-before-conf-range": (_conf_range_and_nan,
+                                  "persons[1].conf[3]: value must be finite"),
+    "nan-in-the-short-person-of-a-ragged-record": (
+        _ragged_with_nan, "persons[1].joints[2]: value must be finite"),
 }
 
 
@@ -361,8 +402,10 @@ def test_write_read_is_bit_exact(tmp_path_factory, dim, num_joints, num_persons,
         conf = data.draw(st.lists(CONFIDENCE, min_size=num_joints, max_size=num_joints))
         persons.append(Pose2D(joints, conf) if dim == 2
                        else Pose3D(joints, conf, Frame.CAMERA_CENTRIC))
+    # a record may not repeat a non-null id
     ids = data.draw(st.lists(st.one_of(st.none(), st.integers(-5, 5)),
-                             min_size=num_persons, max_size=num_persons))
+                             min_size=num_persons, max_size=num_persons)
+                    .filter(lambda ids: len(set(ids) - {None}) == len(ids) - ids.count(None)))
     rec = FrameRecord(frame_index=data.draw(st.integers(0, 10 ** 6)),
                       source="obs" if dim == 2 else "gt", persons=persons, ids=ids)
     path = tmp_path_factory.mktemp("bits") / "one.jsonl"
