@@ -36,6 +36,7 @@ from .pipeline import (
     aligned_frames,
     match_frames,
     pose_map_to_records,
+    read_ground_truth,
     records_to_obs_map,
     records_to_pose_map,
     refine_tracks,
@@ -166,7 +167,7 @@ def _cmd_tto(args, config: RunConfig) -> int:
 def _cmd_eval(args, config: RunConfig) -> int:
     k = config.skeleton.num_joints
     pred_map = records_to_pose_map(read_frames(args.pred, k))
-    gt_map = records_to_pose_map(read_frames(args.gt, k))
+    gt_map = read_ground_truth(args.gt, k)
     report = evaluate_frames(*aligned_frames(pred_map, gt_map), config.skeleton,
                              config.metrics)
     report.to_json(args.out)

@@ -25,6 +25,7 @@ from .skeleton import (
     rest_pose,
     stack_poses,
     to_person_centric,
+    vector_lengths,
 )
 
 Integrator = Callable[[Pose3D, Pose3D], Pose3D]
@@ -224,33 +225,6 @@ def _sigmoid(x: float | np.ndarray):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _segment_distance(p0, p1, q0, q1) -> float:
-    """Minimum distance between 3D segments [p0, p1] and [q0, q1]."""
-    u = p1 - p0
-    v = q1 - q0
-    w0 = p0 - q0
-    a = float(u @ u)
-    b = float(u @ v)
-    c = float(v @ v)
-    d = float(u @ w0)
-    e = float(v @ w0)
-    denom = a * c - b * b
-    if denom > 1e-12:
-        s = (b * e - c * d) / denom
-        t = (a * e - b * d) / denom
-    else:
-        s = 0.0
-        t = e / c if c > 1e-12 else 0.0
-    s = min(max(s, 0.0), 1.0)
-    t = min(max(t, 0.0), 1.0)
-    # One clamped refinement pass keeps the result a true segment distance.
-    if c > 1e-12:
-        t = min(max((b * s + e) / c, 0.0), 1.0)
-    if a > 1e-12:
-        s = min(max((b * t - d) / a, 0.0), 1.0)
-    return float(np.linalg.norm((p0 + s * u) - (q0 + t * v)))
-
-
 # Hinge joints whose interior angle should stay clearly away from full fold.
 _HINGE_TRIPLES = (
     ("left_shoulder", "left_elbow", "left_wrist"),
@@ -269,55 +243,64 @@ def single_pose_scorer(skel: SkeletonSpec, ref_lengths: np.ndarray | None = None
         ref_lengths = bone_lengths_of(rest_pose(), skel)
     ref_lengths = np.asarray(ref_lengths, dtype=np.float64)
     lo, hi = ratio_band
-    name_to_idx = {n: i for i, n in enumerate(skel.joint_names)}
-    triples = [
-        tuple(name_to_idx[n] for n in names)
-        for names in _HINGE_TRIPLES
-        if all(n in name_to_idx for n in names)
-    ]
+    # (n_hinges, 3) joint indices: outer, hinge, outer
+    triples = np.array([[skel.joint_names.index(n) for n in names] for names in _HINGE_TRIPLES
+                        if set(names) <= set(skel.joint_names)], dtype=np.intp).reshape(-1, 3)
 
     def d1(pose: Pose3D) -> float:
-        lengths = bone_lengths_of(pose.joints, skel)
-        ratios = lengths / np.maximum(ref_lengths, 1e-9)
-        band = _sigmoid((ratios - lo) / ratio_softness) * \
-            _sigmoid((hi - ratios) / ratio_softness)
-        score = float(np.prod(band))
-        for a, b, c in triples:
-            v1 = pose.joints[a] - pose.joints[b]
-            v2 = pose.joints[c] - pose.joints[b]
-            n1 = np.linalg.norm(v1)
-            n2 = np.linalg.norm(v2)
-            if n1 < 1e-9 or n2 < 1e-9:
-                score *= 0.5
-                continue
-            cosang = np.clip(v1 @ v2 / (n1 * n2), -1.0, 1.0)
-            angle_deg = math.degrees(math.acos(cosang))
-            score *= float(_sigmoid((angle_deg - 3.0) / 4.0))
+        ratios = bone_lengths_of(pose.joints, skel) / np.maximum(ref_lengths, 1e-9)
+        band = _sigmoid((ratios - lo) / ratio_softness) * _sigmoid((hi - ratios) / ratio_softness)
+        # (n_hinges, 2, 3): each hinge's two sides, from the hinge joint out
+        sides = pose.joints[triples[:, [0, 2]]] - pose.joints[triples[:, 1:2]]
+        n1, n2 = vector_lengths(sides).T
+        # a hinge with a zero-length side has no angle and scores 0.5
+        folded = (n1 < 1e-9) | (n2 < 1e-9)
+        cosang = np.clip(np.sum(sides[:, 0] * sides[:, 1], axis=-1)
+                         / np.where(folded, 1.0, n1 * n2), -1.0, 1.0)
+        factors = np.where(folded, 0.5, _sigmoid((np.degrees(np.arccos(cosang)) - 3.0) / 4.0))
+        # one factor after another, left to right, as a running product
+        score = math.prod(factors.tolist(), start=float(np.prod(band)))
         # Keep strictly inside (0, 1).
         return min(max(score, 1e-300), 1.0 - 1e-12)
 
     return d1
 
 
+def _clamped_ratio(num: np.ndarray, den: np.ndarray, otherwise) -> np.ndarray:
+    """num / den clipped to [0, 1] where den > 1e-12, else ``otherwise``."""
+    ok = den > 1e-12
+    return np.where(ok, np.clip(num / np.where(ok, den, 1.0), 0.0, 1.0), otherwise)
+
+
 def pair_pose_scorer(skel: SkeletonSpec, capsule_radius_mm: float = 50.0,
                      clearance_scale_mm: float = 100.0
                      ) -> Callable[[Pose3D, Pose3D], float]:
     """Geometric D2: sigmoid of the signed clearance between the two poses'
-    bone capsules.  Interpenetration drives the score toward 0."""
-
-    bones = skel.bone_array
+    bone capsules, over all bone pairs at once.  Interpenetration drives
+    the score toward 0."""
+    parents, children = skel.bone_array.T
 
     def d2(pa: Pose3D, pb: Pose3D) -> float:
-        min_clearance = np.inf
-        for pi, ci in bones:
-            for pj, cj in bones:
-                dist = _segment_distance(
-                    pa.joints[pi], pa.joints[ci],
-                    pb.joints[pj], pb.joints[cj],
-                )
-                clearance = dist - 2.0 * capsule_radius_mm
-                if clearance < min_clearance:
-                    min_clearance = clearance
+        # pa's bones along axis 0, pb's along axis 1
+        p0 = pa.joints[parents, None]
+        u = pa.joints[children, None] - p0
+        q0 = pb.joints[None, parents]
+        v = pb.joints[None, children] - q0
+        w0 = p0 - q0
+        a = np.sum(u * u, axis=-1)
+        b = np.sum(u * v, axis=-1)
+        c = np.sum(v * v, axis=-1)
+        d = np.sum(u * w0, axis=-1)
+        e = np.sum(v * w0, axis=-1)
+        # closest points p0 + s u, q0 + t v of two segments (Lumelsky 1985),
+        # s and t clamped to [0, 1], then refined once from each other;
+        # near-parallel bones (a c - b^2 ~ 0) start from s = t = 0
+        s = _clamped_ratio(b * e - c * d, a * c - b * b, 0.0)
+        t = _clamped_ratio(a * e - b * d, a * c - b * b, 0.0)
+        t = _clamped_ratio(b * s + e, c, t)
+        s = _clamped_ratio(b * t - d, a, s)
+        dist = vector_lengths((p0 + s[..., None] * u) - (q0 + t[..., None] * v))
+        min_clearance = np.min(dist, initial=np.inf) - 2.0 * capsule_radius_mm
         score = float(_sigmoid(min_clearance / clearance_scale_mm))
         return min(max(score, 1e-300), 1.0 - 1e-12)
 

@@ -116,16 +116,33 @@ def match_frames(config: RunConfig, td_map: PoseMap, bu_map: PoseMap):
                                             config.skeleton.oks_sigma, config.camera)
 
 
+def _one_pose_per_id(frame_idx: int, poses: list[Pose3D], ids: list) -> tuple[list, list]:
+    """A fused frame's poses and ids with one pose per person id: the one of
+    highest mean confidence, a tie to the earlier slot.  Warns of each drop."""
+    labeled = [pid for pid in ids if pid is not None]
+    if len(set(labeled)) == len(labeled):
+        return poses, ids
+    # a stable sort: poses of equal mean confidence stay in slot order
+    order = sorted(range(len(ids)), key=lambda k: -poses[k].conf.mean())
+    first = {ids[k]: k for k in reversed(order)}
+    keep = [k for k, pid in enumerate(ids) if pid is None or first[pid] == k]
+    warnings.warn(f"frame {frame_idx}: dropped {len(ids) - len(keep)} pose(s) "
+                  "whose person_id another pose of the frame keeps")
+    return [poses[k] for k in keep], [ids[k] for k in keep]
+
+
 def fuse_sources(config: RunConfig, td_map: PoseMap, bu_map: PoseMap) -> PoseMap:
     """Per-frame matching and fusion over the union of frame indices; a
-    fused pair keeps its TD person id, else its BU one."""
+    fused pair keeps its TD person id, else its BU one, and a frame keeps
+    one pose per id (the match gate may reject a pair of one person)."""
     fused: PoseMap = {}
     for frame_idx, (td_poses, td_ids), (bu_poses, bu_ids), match in \
             match_frames(config, td_map, bu_map):
         poses = fuse_frame(match, td_poses, bu_poses, config.fusion, config.skeleton)
         paired_ids = [td_ids[i] if td_ids[i] is not None else bu_ids[j]
                       for i, j, _ in match.pairs]
-        fused[frame_idx] = (poses, match.in_fused_order(paired_ids, td_ids, bu_ids))
+        fused[frame_idx] = _one_pose_per_id(
+            frame_idx, poses, match.in_fused_order(paired_ids, td_ids, bu_ids))
     return fused
 
 
@@ -185,6 +202,14 @@ def refine_tracks(frames: PoseMap, obs_map: ObsMap, config: RunConfig
     return refined, traces
 
 
+def read_ground_truth(path, num_joints: int | None) -> PoseMap:
+    """The GT frames of ``path``; a file with no record is a SchemaError."""
+    gt = records_to_pose_map(read_frames(path, num_joints))
+    if not gt:
+        raise SchemaError(f"{path}: no frames found")
+    return gt
+
+
 def aligned_frames(pred: PoseMap, gt: PoseMap
                    ) -> tuple[list[list[Pose3D]], list[list[Pose3D]]]:
     """Prediction and ground-truth pose lists of every GT frame, in frame order.
@@ -231,7 +256,7 @@ def run_pipeline(config: RunConfig, td_path, bu_path=None, gt_path=None,
 
     report = None
     if gt_path is not None:
-        gt_map = records_to_pose_map(read_frames(gt_path, num_joints))
+        gt_map = read_ground_truth(gt_path, num_joints)
         report = evaluate_frames(*aligned_frames(refined, gt_map), config.skeleton,
                                  config.metrics)
 

@@ -5,6 +5,7 @@ SVD, explicit loops instead of vectorized code, exhaustive enumeration
 instead of combinatorial solvers) so agreement is meaningful.
 """
 import itertools
+import math
 
 import numpy as np
 
@@ -535,3 +536,75 @@ def fuse_frame_per_pair(match, td, bu, strategy, skel):
     out.extend(td[i] for i in match.unmatched_td)
     out.extend(bu[j] for j in match.unmatched_bu)
     return out
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def segment_distance_loops(p0, p1, q0, q1):
+    """Minimum distance between 3D segments [p0, p1] and [q0, q1], one pair
+    at a time in scalar steps."""
+    u = p1 - p0
+    v = q1 - q0
+    w0 = p0 - q0
+    a = float(u @ u)
+    b = float(u @ v)
+    c = float(v @ v)
+    d = float(u @ w0)
+    e = float(v @ w0)
+    denom = a * c - b * b
+    if denom > 1e-12:
+        s = (b * e - c * d) / denom
+        t = (a * e - b * d) / denom
+    else:
+        s = 0.0
+        t = e / c if c > 1e-12 else 0.0
+    s = min(max(s, 0.0), 1.0)
+    t = min(max(t, 0.0), 1.0)
+    # One clamped refinement pass keeps the result a true segment distance.
+    if c > 1e-12:
+        t = min(max((b * s + e) / c, 0.0), 1.0)
+    if a > 1e-12:
+        s = min(max((b * t - d) / a, 0.0), 1.0)
+    return float(np.linalg.norm((p0 + s * u) - (q0 + t * v)))
+
+
+def single_pose_scorer_loops(pose, skel, ref_lengths=None, ratio_band=(0.7, 1.3),
+                             ratio_softness=0.08):
+    """Geometric D1 with one Python step per hinge triple."""
+    from dualpose.fusion import _HINGE_TRIPLES
+    from dualpose.skeleton import bone_lengths_of, rest_pose
+
+    if ref_lengths is None:
+        ref_lengths = bone_lengths_of(rest_pose(), skel)
+    lo, hi = ratio_band
+    name_to_idx = {n: i for i, n in enumerate(skel.joint_names)}
+    triples = [tuple(name_to_idx[n] for n in names) for names in _HINGE_TRIPLES
+               if all(n in name_to_idx for n in names)]
+    ratios = bone_lengths_of(pose.joints, skel) / np.maximum(ref_lengths, 1e-9)
+    band = _sigmoid((ratios - lo) / ratio_softness) * _sigmoid((hi - ratios) / ratio_softness)
+    score = float(np.prod(band))
+    for a, b, c in triples:
+        v1 = pose.joints[a] - pose.joints[b]
+        v2 = pose.joints[c] - pose.joints[b]
+        n1 = np.linalg.norm(v1)
+        n2 = np.linalg.norm(v2)
+        if n1 < 1e-9 or n2 < 1e-9:
+            score *= 0.5
+            continue
+        cosang = np.clip(v1 @ v2 / (n1 * n2), -1.0, 1.0)
+        score *= float(_sigmoid((math.degrees(math.acos(cosang)) - 3.0) / 4.0))
+    return min(max(score, 1e-300), 1.0 - 1e-12)
+
+
+def pair_pose_scorer_loops(pa, pb, skel, capsule_radius_mm=50.0, clearance_scale_mm=100.0):
+    """Geometric D2 with a Python double loop over the two poses' bone pairs."""
+    min_clearance = np.inf
+    for pi, ci in skel.bone_array:
+        for pj, cj in skel.bone_array:
+            dist = segment_distance_loops(pa.joints[pi], pa.joints[ci],
+                                          pb.joints[pj], pb.joints[cj])
+            min_clearance = min(min_clearance, dist - 2.0 * capsule_radius_mm)
+    score = float(_sigmoid(min_clearance / clearance_scale_mm))
+    return min(max(score, 1e-300), 1.0 - 1e-12)

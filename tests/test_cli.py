@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 
 from dualpose.cli import main
 from dualpose.frames_io import RunConfig, save_config
+from dualpose.synth import make_benchmark_spec
 
 
 def write_config(tmp_path, num_frames=14, iters=10, scene_seed=42):
@@ -395,12 +397,18 @@ def _3d_as_obs(scene):
             f"{scene / 'td.jsonl'}: line 1: record holds 3D joints, not a 2D pose")
 
 
+def _edit_records(path, edit, lines=None):
+    """Apply ``edit`` to the persons of the given lines (every line if None)."""
+    text = path.read_text().splitlines(True)
+    for n in range(len(text)) if lines is None else lines:
+        record = json.loads(text[n])
+        edit(record["persons"])
+        text[n] = json.dumps(record) + "\n"
+    path.write_text("".join(text))
+
+
 def _edit_first_record(path, edit):
-    lines = path.read_text().splitlines(True)
-    record = json.loads(lines[0])
-    edit(record["persons"])
-    lines[0] = json.dumps(record) + "\n"
-    path.write_text("".join(lines))
+    _edit_records(path, edit, [0])
 
 
 def _repeated_td_id(scene):
@@ -411,17 +419,15 @@ def _repeated_td_id(scene):
 
 def _fused_id_repeated(scene):
     # BU poses 20 m to the side match no TD pose, so the fused frame holds
-    # each id twice: fuse must fail, not write a file read_frames rejects
+    # each id twice until one pose per id is kept
     def move(persons):
         for person in persons:
             person["joints"] = [[x + 20000.0, y, z] for x, y, z in person["joints"]]
     _edit_first_record(scene / "bu.jsonl", move)
-    return (["fuse", str(scene / "td.jsonl"), str(scene / "bu.jsonl")],
-            "frame_index 0: persons[0] and persons[2] repeat person_id 0")
 
 
 @pytest.mark.parametrize("case", [_bad_obs_number, _repeated_frame, _obs_as_3d, _3d_as_obs,
-                                  _repeated_td_id, _fused_id_repeated],
+                                  _repeated_td_id],
                          ids=lambda case: case.__name__.strip("_"))
 def test_frame_file_errors_name_file_and_line(tmp_path, capsys, case):
     config_path, _ = write_config(tmp_path, num_frames=4, iters=3)
@@ -431,6 +437,93 @@ def test_frame_file_errors_name_file_and_line(tmp_path, capsys, case):
     capsys.readouterr()
     assert main([*argv, "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _person(persons, pid):
+    return next(person for person in persons if person["person_id"] == pid)
+
+
+def _bu_outlier(scene):
+    def shift(persons):
+        person = _person(persons, 0)
+        person["joints"] = [[x + 600.0, y, z] for x, y, z in person["joints"]]
+    _edit_records(scene / "bu.jsonl", shift, [20])
+
+
+def _td_conf_zero(scene):
+    def zero(persons):
+        for person in persons:
+            person["conf"] = [0.0] * len(person["conf"])
+    _edit_records(scene / "td.jsonl", zero)
+
+
+def _td_collapsed(scene):
+    def collapse(persons):
+        person = _person(persons, 0)
+        person["joints"] = [person["joints"][0]] * len(person["joints"])
+    _edit_records(scene / "td.jsonl", collapse, [10])
+
+
+def _bu_behind_camera(scene):
+    def mirror(persons):
+        person = _person(persons, 0)
+        person["joints"] = [[x, y, -z] for x, y, z in person["joints"]]
+    _edit_records(scene / "bu.jsonl", mirror, [12])
+
+
+def _noise_60mm(scene):
+    # the default scene's motions with 60 mm of i.i.d. noise per source: the
+    # match gate rejects a pair of one person now and then
+    config = RunConfig.default()
+    config.scene = dataclasses.replace(make_benchmark_spec(0), sigma_3d_mm=60.0)
+    save_config(config, scene / "noise.json")
+    assert main(["synth", "--config", str(scene / "noise.json"), "--out", str(scene)]) == 0
+
+
+def _frames_repeating_an_id(path):
+    """Frame indices of the records that give one non-null person_id twice."""
+    repeats = []
+    for record in map(json.loads, path.read_text().splitlines()):
+        ids = [p["person_id"] for p in record["persons"] if p["person_id"] is not None]
+        if len(set(ids)) < len(ids):
+            repeats.append(record["frame_index"])
+    return repeats
+
+
+@pytest.mark.parametrize("case", [_fused_id_repeated, _bu_outlier, _td_conf_zero, _td_collapsed,
+                                  _bu_behind_camera, _noise_60mm],
+                         ids=lambda case: case.__name__.strip("_"))
+def test_fuse_and_run_keep_one_pose_per_id(tmp_path, case):
+    """A pair of one person that the match gate rejects leaves its id on two
+    poses: the frame keeps one of them, with a warning, and both commands
+    exit 0 with no id twice in a frame."""
+    scene = tmp_path / "scene"
+    assert main(["synth", "--out", str(scene)]) == 0
+    case(scene)
+    td, bu, out = str(scene / "td.jsonl"), str(scene / "bu.jsonl"), tmp_path / "run"
+    with pytest.warns(UserWarning, match=r"^frame \d+: dropped \d+ pose\(s\) whose person_id"):
+        assert main(["fuse", td, bu, "--out", str(tmp_path / "fused.jsonl")]) == 0
+    with pytest.warns(UserWarning, match=r"^frame \d+: dropped \d+ pose\(s\) whose person_id"):
+        assert main(["run", td, bu, "--obs", str(scene / "obs.jsonl"), "--gt",
+                     str(scene / "gt.jsonl"), "--out", str(out)]) == 0
+    for path in (tmp_path / "fused.jsonl", out / "fused.jsonl", out / "refined.jsonl"):
+        assert _frames_repeating_an_id(path) == []
+
+
+def test_eval_and_run_reject_an_empty_ground_truth(tmp_path, capsys):
+    config_path, _ = write_config(tmp_path, num_frames=6, iters=3)
+    scene = tmp_path / "scene"
+    assert main(["synth", "--config", str(config_path), "--out", str(scene)]) == 0
+    empty = tmp_path / "empty_gt.jsonl"
+    empty.write_text("")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config_path), "--out", str(tmp_path / "r.json"),
+                 str(scene / "td.jsonl"), str(empty)]) == 1
+    assert capsys.readouterr().err == f"error: {empty}: no frames found\n"
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"),
+                 str(scene / "td.jsonl"), str(scene / "bu.jsonl"), "--gt", str(empty)]) == 1
+    assert capsys.readouterr().err == f"error: {empty}: no frames found\n"
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "out" / "report.json").exists()
 
 
 def test_outputs_go_into_missing_directories(tmp_path, skel):

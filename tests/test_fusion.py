@@ -12,13 +12,21 @@ from dualpose.fusion import (
     discriminator_score,
     fuse_frame,
     fuse_pair,
+    pair_pose_scorer,
     reference_scorers,
+    single_pose_scorer,
 )
 from dualpose.matching import MatchConfig, MatchResult, match_sets
-from dualpose.skeleton import pose3d_camera, pose3d_person, rest_pose
+from dualpose.skeleton import (
+    SkeletonSpec,
+    pose3d_camera,
+    pose3d_person,
+    rest_pose,
+    to_person_centric,
+)
 
 from conftest import random_camera_pose
-from oracles import fuse_frame_per_pair
+from oracles import fuse_frame_per_pair, pair_pose_scorer_loops, single_pose_scorer_loops
 
 STRATEGIES = [
     FusionStrategy.hard(),
@@ -381,3 +389,87 @@ def test_strategy_validation():
         FusionStrategy.weighted(1.5)
     with pytest.raises(ValueError):
         FusionStrategy(variant="pluggable")
+
+
+def _assert_scorers_match_loops(pa, pb, skel):
+    d1, d2 = single_pose_scorer(skel), pair_pose_scorer(skel)
+    for pose in (pa, pb):
+        centered, _ = to_person_centric(pose, skel)
+        assert d1(centered) == pytest.approx(single_pose_scorer_loops(centered, skel),
+                                             rel=1e-12, abs=0.0)
+    for a, b in ((pa, pb), (pb, pa)):
+        assert d2(a, b) == pytest.approx(pair_pose_scorer_loops(a, b, skel), rel=1e-12, abs=0.0)
+
+
+def test_scorers_match_their_loop_oracles_on_random_pairs(skel):
+    """D1 and D2 over all hinges and bone pairs at once equal the
+    per-triple and per-bone-pair loops, for pairs 0-1.5 m apart."""
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        center = np.array([0.0, 0.0, 4500.0]) + rng.uniform(-500.0, 500.0, 3)
+        offset = rng.standard_normal(3)
+        offset *= rng.uniform(0.0, 1500.0) / np.linalg.norm(offset)
+        pa = random_camera_pose(rng, skel, center=center, spread_mm=rng.uniform(0.0, 80.0))
+        pb = random_camera_pose(rng, skel, center=center + offset,
+                                spread_mm=rng.uniform(0.0, 80.0))
+        _assert_scorers_match_loops(pa, pb, skel)
+
+
+def _wrist_on(joint):
+    joints = rest_pose() + (0.0, 0.0, 4000.0)
+    joints[5] = joints[joint]  # the left wrist
+    return pose3d_camera(joints)
+
+
+def _flat_rest_pose(z_mm):
+    joints = rest_pose()
+    joints[:, 2] = z_mm
+    return pose3d_camera(joints)
+
+
+DEGENERATE_PAIRS = {
+    # every bone of zero length, against a pose and against itself
+    "collapsed": lambda: (pose3d_camera(np.full((15, 3), (10.0, -20.0, 4000.0))),
+                          pose3d_camera(rest_pose() + (300.0, 0.0, 4200.0))),
+    "both-collapsed": lambda: (pose3d_camera(np.full((15, 3), (10.0, -20.0, 4000.0))),
+                               pose3d_camera(np.full((15, 3), (500.0, 0.0, 4100.0)))),
+    "identical": lambda: (pose3d_camera(rest_pose() + (0.0, 0.0, 4000.0)),) * 2,
+    # a translated copy: each bone is parallel to its own copy
+    "parallel": lambda: (pose3d_camera(rest_pose() + (0.0, 0.0, 4000.0)),
+                         pose3d_camera(rest_pose() + (350.0, 40.0, 4000.0))),
+    # two flat poses 100 mm apart in depth: the 50 mm capsules just touch
+    "touching": lambda: (_flat_rest_pose(4000.0), _flat_rest_pose(4100.0)),
+    # on its shoulder the elbow folds shut; on its elbow one side of the
+    # hinge has no length
+    "folded-wrist": lambda: (_wrist_on(3), pose3d_camera(rest_pose() + (600.0, 0.0, 4000.0))),
+    "wrist-on-elbow": lambda: (_wrist_on(4), pose3d_camera(rest_pose() + (600.0, 0.0, 4000.0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_PAIRS))
+def test_scorers_match_their_loop_oracles_on_degenerate_pairs(skel, case):
+    pa, pb = DEGENERATE_PAIRS[case]()
+    _assert_scorers_match_loops(pa, pb, skel)
+
+
+def test_touching_capsules_score_one_half(skel):
+    # every bone of one flat pose lies 100 mm, two capsule radii, from its copy
+    assert pair_pose_scorer(skel)(_flat_rest_pose(4000.0), _flat_rest_pose(4100.0)) == 0.5
+
+
+def test_scorers_on_a_skeleton_with_no_hinge_triple():
+    """A 3-joint chain has no hinge triple: D1 is its bone-length band alone."""
+    chain = SkeletonSpec(joint_names=("pelvis", "neck", "head"), bones=((0, 1), (1, 2)),
+                         root_index=0)
+    ref = np.array([500.0, 200.0])
+    pose = pose3d_person(np.array([[0.0, 0.0, 0.0], [0.0, -520.0, 0.0], [0.0, -700.0, 30.0]]))
+    ratios = np.array([520.0, math.hypot(180.0, 30.0)]) / ref
+    band = np.prod(1.0 / (1.0 + np.exp(-(ratios - 0.7) / 0.08))
+                   / (1.0 + np.exp(-(1.3 - ratios) / 0.08)))
+    score = single_pose_scorer(chain, ref_lengths=ref)(pose)
+    assert score == pytest.approx(band, rel=1e-12, abs=0.0)
+    assert score == single_pose_scorer_loops(pose, chain, ref_lengths=ref)
+    pa = pose3d_camera(pose.joints + (0.0, 0.0, 4000.0))
+    pb = pose3d_camera(pose.joints + (90.0, 0.0, 4000.0))
+    assert pair_pose_scorer(chain)(pa, pb) == pytest.approx(
+        pair_pose_scorer_loops(pa, pb, chain), rel=1e-12, abs=0.0)

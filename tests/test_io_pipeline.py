@@ -587,6 +587,29 @@ def test_fused_ids_follow_the_fused_poses(skel):
     assert poses[1:] == expected[1:] == [lone_td, lone_bu]
 
 
+def test_fuse_sources_keeps_one_pose_per_id(skel):
+    """Poses left with one id after matching keep the one of highest mean
+    confidence; a tie goes to the earlier slot: fused pair, TD, BU."""
+    rng = np.random.default_rng(4)
+    near = random_camera_pose(rng, skel, center=(0.0, 0.0, 5000.0))
+    far = random_camera_pose(rng, skel, center=(20000.0, 0.0, 5000.0))
+    half = np.full(skel.num_joints, 0.5)
+    low_td = Pose3D(joints=near.joints, conf=half, frame=Frame.CAMERA_CENTRIC)
+    other = random_camera_pose(rng, skel, center=(-3000.0, 0.0, 5000.0))
+    td_map = {0: ([near, other], [0, None]), 1: ([low_td], [0]), 2: ([near], [5])}
+    bu_map = {0: ([far, other], [0, None]), 1: ([far], [0]),
+              2: ([far, pose3d_camera(near.joints + 10.0, half)], [5, 5])}
+    with pytest.warns(UserWarning) as caught:
+        fused = fuse_sources(RunConfig.default(), td_map, bu_map)
+    assert [str(w.message) for w in caught] == [
+        f"frame {t}: dropped 1 pose(s) whose person_id another pose of the frame keeps"
+        for t in range(3)]
+    assert fused[0][1] == [None, 0] and fused[0][0][1] is near      # tie: TD over BU
+    assert fused[1] == ([far], [0])                                  # higher mean conf
+    assert fused[2][1] == [5] and np.array_equal(                    # tie: pair over BU
+        fused[2][0][0].joints, (1.0 * near.joints + 0.5 * (near.joints + 10.0)) / 1.5)
+
+
 def test_config_with_removed_keys_at_their_old_defaults_loads(tmp_path):
     # Configs saved before these settings were removed carry them.
     data = RunConfig.default().to_dict()
